@@ -7,11 +7,10 @@ each other:
   avoid321) with the constructions behind them;
 * an exact truncated integer power-series engine realizing the generating
   functions (series);
-* a brute-force generate-and-filter oracle over the full star set (oracle),
-  the ground truth every formula is tested against.
+* an exhaustive oracle over the star set (oracle), a pattern-pruned walk
+  that consults no formula, the ground truth every formula is tested against.
 
-Hot loops run through a compiled kernel when the extension built, with a
-pure-Python fallback selected at import (see ``kernel_backend()``).
+The package is pure Python; its hot loops live in ``threecycle._kernels``.
 """
 
 from threecycle._kernels import BACKEND as _backend
@@ -53,7 +52,7 @@ __version__ = "0.1.0"
 
 
 def kernel_backend() -> str:
-    """Which kernel implementation is active: "compiled" or "python"."""
+    """Which kernel implementation is active; there is one, "python"."""
     return _backend
 
 

@@ -1,30 +1,203 @@
-"""Import-time selection of the kernel backend.
+"""The hot kernels: pattern containment, the star walk that every search runs
+on, exhaustive counting and profiling, and the balanced-prefix statistic.
 
-The compiled extension is preferred; the pure-Python twin is used when the
-extension is absent (no compiler at install time) or when the environment
-variable THREECYCLE_PURE_PYTHON is set to a non-empty value.
+Conventions: permutations are 1-based one-line sequences; a 3-cycle placed as
+a -> b -> c with a < b < c realizes the pattern 231, while a -> c -> b
+realizes 312.  ``ORIENT_231`` and ``ORIENT_312`` name those two orientations.
 """
 
 from __future__ import annotations
 
-import os
+from typing import Iterator, Sequence
 
-from threecycle import _pykernels
+BACKEND = "python"
 
-if os.environ.get("THREECYCLE_PURE_PYTHON"):
-    _impl = _pykernels
-else:
-    try:
-        from threecycle import _ckernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _pykernels
+ORIENT_231 = 1
+ORIENT_312 = 2
 
-BACKEND: str = _impl.BACKEND
-ORIENT_231: int = _impl.ORIENT_231
-ORIENT_312: int = _impl.ORIENT_312
-PROFILE_PATTERNS = _impl.PROFILE_PATTERNS
+#: Fixed pattern order for avoidance-profile bit masks (bit i set = avoids
+#: PROFILE_PATTERNS[i]).
+PROFILE_PATTERNS = (
+    (1, 2, 3),
+    (1, 3, 2),
+    (2, 1, 3),
+    (2, 3, 1),
+    (3, 1, 2),
+    (3, 2, 1),
+)
 
-contains_pattern3 = _impl.contains_pattern3
-count_avoiders = _impl.count_avoiders
-avoidance_profile = _impl.avoidance_profile
-h_of_tset = _impl.h_of_tset
+
+def contains_pattern3(values: Sequence[int], pattern: Sequence[int]) -> bool:
+    """True iff some length-3 subsequence of ``values`` is order-isomorphic to
+    ``pattern``.  Early-exits on the first witness."""
+    pa, pb, pc = pattern
+    ab = pa < pb
+    bc = pb < pc
+    ac = pa < pc
+    m = len(values)
+    for i in range(m - 2):
+        vi = values[i]
+        for j in range(i + 1, m - 1):
+            vj = values[j]
+            if (vi < vj) != ab:
+                continue
+            for k in range(j + 1, m):
+                vk = values[k]
+                if (vj < vk) == bc and (vi < vk) == ac:
+                    return True
+    return False
+
+
+def _orientations(form: str | None) -> tuple[int, ...]:
+    if form is None:
+        return (ORIENT_231, ORIENT_312)
+    if form == "231":
+        return (ORIENT_231,)
+    if form == "312":
+        return (ORIENT_312,)
+    raise ValueError(f"unknown form filter: {form!r}")
+
+
+def star_walk(
+    n: int,
+    first: tuple[int, int, int] | None = None,
+    form: str | None = None,
+    patterns: Sequence[Sequence[int]] = (),
+) -> Iterator[tuple[list[int], int]]:
+    """Depth-first walk over the permutations of [3n] built only from
+    3-cycles that avoid every pattern in ``patterns``.
+
+    The smallest unplaced element picks its two cycle partners (pairs in
+    lexicographic order) and an orientation (a -> b -> c before a -> c -> b),
+    so the order is reproducible.  ``form`` ("231" or "312") allows only one
+    orientation.  ``first`` fixes the cycle of element 1 to partners
+    ``(b, c)`` with orientation ``ORIENT_231`` or ``ORIENT_312``; the walks
+    over all such choices partition the whole walk.
+
+    A subtree is dropped as soon as the entries placed so far contain one of
+    ``patterns``.  The pruning is exact: a placed entry never changes, so an
+    occurrence among the placed entries is one in every permutation below.
+
+    Yields, per permutation, its one-line buffer (a list reused between
+    yields: copy it to keep it) and its number of 231-form cycles.  ``n = 0``
+    yields nothing.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    orients = _orientations(form)
+    m = 3 * n
+    perm = [0] * m  # perm[i - 1] is the image of i; 0 while i is unplaced
+    pats = [tuple(p) for p in patterns]
+
+    def children(depth: int, n231: int) -> Iterator[tuple[list[int], int]]:
+        a = perm.index(0)
+        for b in range(a + 1, m):
+            if perm[b]:
+                continue
+            for c in range(b + 1, m):
+                if perm[c]:
+                    continue
+                for orient in orients:
+                    yield from extend(a, b, c, orient, depth, n231)
+                perm[a] = perm[b] = perm[c] = 0
+
+    def extend(
+        a: int, b: int, c: int, orient: int, depth: int, n231: int
+    ) -> Iterator[tuple[list[int], int]]:
+        # place the cycle on positions a < b < c (0-based) as cycle number
+        # ``depth``; the caller clears it
+        if orient == ORIENT_231:
+            perm[a], perm[b], perm[c] = b + 1, c + 1, a + 1
+            n231 += 1
+        else:
+            perm[a], perm[b], perm[c] = c + 1, a + 1, b + 1
+        if pats:
+            placed = [v for v in perm if v]
+            if any(contains_pattern3(placed, p) for p in pats):
+                return
+        if depth == n:
+            yield perm, n231
+        else:
+            yield from children(depth + 1, n231)
+
+    if n == 0:
+        return
+    if first is None:
+        yield from children(1, 0)
+        return
+    b, c, orient = first
+    if not (2 <= b < c <= m) or orient not in (ORIENT_231, ORIENT_312):
+        raise ValueError(f"invalid first-cycle choice {first} for n={n}")
+    if orient in orients:
+        yield from extend(0, b - 1, c - 1, orient, 1, 0)
+
+
+def count_avoiders(
+    n: int,
+    patterns: Sequence[Sequence[int]],
+    form: str | None = None,
+    first: tuple[int, int, int] | None = None,
+) -> int:
+    """Count permutations of [3n] built only from 3-cycles that avoid every
+    pattern in ``patterns`` (each of length 3), with cycle forms restricted by
+    ``form`` (None, "312" or "231").
+
+    ``first`` optionally fixes the cycle of element 1 to partners ``(b, c)``
+    with orientation ``ORIENT_231`` or ``ORIENT_312``; the counts over all
+    choices sum to the unrestricted count, which is what the parallel
+    partitioning relies on.
+    """
+    return sum(1 for _ in star_walk(n, first, form, patterns))
+
+
+def avoidance_profile(
+    n: int, first: tuple[int, int, int] | None = None
+) -> list[list[int]]:
+    """One exhaustive sweep over the 3-cycle-only permutations of [3n],
+    histogrammed by (form class, avoidance mask).
+
+    Returns a 3 x 64 table: row 0 counts permutations with mixed cycle forms,
+    row 1 all-312, row 2 all-231; column ``mask`` has bit i set when the
+    permutation avoids ``PROFILE_PATTERNS[i]``.  Any single-pattern-set query
+    over length-3 patterns is a sum of cells of this table.
+    """
+    table = [[0] * 64 for _ in range(3)]
+    for vals, n231 in star_walk(n, first):
+        mask = 0
+        for i, p in enumerate(PROFILE_PATTERNS):
+            if not contains_pattern3(vals, p):
+                mask |= 1 << i
+        if n231 == 0:
+            row = 1
+        elif n231 == n:
+            row = 2
+        else:
+            row = 0
+        table[row][mask] += 1
+    return table
+
+
+def h_of_tset(t: Sequence[int]) -> int:
+    """Balanced-prefix statistic of the z/x/y word determined by a staircase
+    set: the number of indices i whose prefix ending at the i-th y holds
+    exactly i x's.  Input is assumed validated (strictly increasing,
+    t[i] <= 3i - 2)."""
+    n = len(t)
+    m = 3 * n
+    is_z = bytearray(m + 1)
+    for v in t:
+        is_z[v] = 1
+    z_at_x = [0] * n
+    x = y = z = h = 0
+    for pos in range(1, m + 1):
+        if is_z[pos]:
+            z += 1
+            continue
+        if x == y or z_at_x[y] != x:
+            z_at_x[x] = z
+            x += 1
+        else:
+            y += 1
+            if x == y:
+                h += 1
+    return h

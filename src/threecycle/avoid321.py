@@ -202,7 +202,7 @@ def enumerate_321(n: int) -> Iterator[perm.Perm]:
 
 
 def count_321_via_tsets(n: int) -> int:
-    """Sum of 2^h over all staircase sets (h computed by the kernel backend).
+    """Sum of 2^h over all staircase sets (h computed by ``_kernels.h_of_tset``).
 
     >>> [count_321_via_tsets(n) for n in range(1, 5)]
     [2, 10, 60, 388]

@@ -2,17 +2,24 @@
 pattern-avoiding 3-cycle-only permutations, plus the degenerate closed forms
 (the 123 pattern and pattern pairs).
 
-Everything here is generate-and-filter over the direct star generator; no
+Counts and enumerations are an exact pruned walk over the star set
+(``_kernels.star_walk``): a branch is dropped as soon as the entries placed
+so far contain an avoided pattern.  That loses no member, since a placed entry
+never changes, so an occurrence among the placed entries is one in every
+permutation below them.  The avoidance profile walks the whole star set.  No
 counting shortcut from the formula modules is consulted, so these results can
 serve as the independent side of every formula-vs-oracle check.
 
 Sizes are bounded: n <= SOFT_LIMIT without the override flag, and n <=
 HARD_LIMIT unconditionally (the star set grows by a factor ~270 per step).
+Parallel runs use at most as many worker processes as there are tasks or
+CPUs, whatever ``jobs`` asks for.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -79,16 +86,7 @@ def oracle_enumerate(q: AvoidanceQuery, allow_large: bool = False) -> Iterator[p
     """Every member of the star set matching ``q``, in the deterministic order
     of the direct generator, each exactly once."""
     _check_limits(q.n, allow_large)
-    patterns = q.sorted_patterns()
-    want = q.form
-    for p in perm.iterate_star(q.n):
-        if want is not None:
-            forms = perm.cycle_decomposition(p).forms
-            assert forms is not None
-            if any(f != want for f in forms):
-                continue
-        if perm.avoids(p, *patterns):
-            yield p
+    yield from perm.iterate_star(q.n, form=q.form, patterns=q.sorted_patterns())
 
 
 def _count_task(args: tuple) -> int:
@@ -101,6 +99,15 @@ def _profile_task(args: tuple) -> list[list[int]]:
     return _kernels.avoidance_profile(n, choice)
 
 
+def _workers(jobs: int, tasks: int) -> int:
+    """Worker processes for ``tasks`` parallel tasks: ``jobs``, but never more
+    than there are tasks or CPUs, so no request forks an unbounded pool.  One
+    worker means the caller runs in this process."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, tasks, os.cpu_count() or 1)
+
+
 def oracle_count(
     q: AvoidanceQuery, jobs: int = 1, allow_large: bool = False
 ) -> int:
@@ -109,12 +116,12 @@ def oracle_count(
     is independent of worker count and schedule."""
     _check_limits(q.n, allow_large)
     patterns = q.sorted_patterns()
-    if jobs <= 1:
+    choices = perm.star_first_choices(q.n)
+    workers = _workers(jobs, len(choices))
+    if workers == 1:
         return _kernels.count_avoiders(q.n, patterns, q.form, None)
-    tasks = [
-        (q.n, patterns, q.form, choice) for choice in perm.star_first_choices(q.n)
-    ]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    tasks = [(q.n, patterns, q.form, choice) for choice in choices]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(_count_task, tasks, chunksize=8))
 
 
@@ -128,11 +135,13 @@ def avoidance_profile(
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_limits(n, allow_large)
-    if jobs <= 1:
+    choices = perm.star_first_choices(n)
+    workers = _workers(jobs, len(choices))
+    if workers == 1:
         return _kernels.avoidance_profile(n, None)
-    tasks = [(n, choice) for choice in perm.star_first_choices(n)]
+    tasks = [(n, choice) for choice in choices]
     table = [[0] * 64 for _ in range(3)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_profile_task, tasks, chunksize=8):
             for row in range(3):
                 for col in range(64):

@@ -179,7 +179,7 @@ def contains_pattern(p: Perm, sigma: Perm) -> bool:
 
     A pattern longer than the permutation is never contained.  Length-3
     patterns (the only length used by the counting modules) go through the
-    kernel backend; other lengths use a generic backtracking scan.
+    kernels; other lengths use a generic backtracking scan.
     """
     k = len(sigma)
     if k > len(p):
@@ -242,7 +242,10 @@ def star_first_choices(n: int) -> list[tuple[int, int, int]]:
 
 
 def iterate_star(
-    n: int, first_choice: tuple[int, int, int] | None = None
+    n: int,
+    first_choice: tuple[int, int, int] | None = None,
+    form: str | None = None,
+    patterns: Sequence[Perm] = (),
 ) -> Iterator[Perm]:
     """Yield every permutation of [3n] composed only of 3-cycles, exactly once.
 
@@ -251,54 +254,9 @@ def iterate_star(
     orientations (a -> b -> c before a -> c -> b), so the stream order is
     reproducible.  ``first_choice`` restricts the cycle of element 1 to one
     entry of :func:`star_first_choices`; the sub-streams partition the full
-    stream.  ``n = 0`` yields nothing.
+    stream.  ``form`` keeps only members whose cycles all have that form, and
+    ``patterns`` (length 3) only members avoiding them all; both cut the
+    stream without reordering it.  ``n = 0`` yields nothing.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    m = 3 * n
-    if n == 0:
-        return
-    perm = [0] * (m + 1)
-    used = [False] * (m + 2)
-
-    def place(a: int, b: int, c: int, orient: int) -> None:
-        if orient == _kernels.ORIENT_231:
-            perm[a], perm[b], perm[c] = b, c, a
-        else:
-            perm[a], perm[b], perm[c] = c, a, b
-
-    def rec(low: int, remaining: int) -> Iterator[Perm]:
-        if remaining == 0:
-            yield tuple(perm[1:])
-            return
-        a = low
-        while used[a]:
-            a += 1
-        used[a] = True
-        for b in range(a + 1, m + 1):
-            if used[b]:
-                continue
-            used[b] = True
-            for c in range(b + 1, m + 1):
-                if used[c]:
-                    continue
-                used[c] = True
-                for orient in (_kernels.ORIENT_231, _kernels.ORIENT_312):
-                    place(a, b, c, orient)
-                    yield from rec(a + 1, remaining - 1)
-                used[c] = False
-            used[b] = False
-        used[a] = False
-
-    if first_choice is None:
-        yield from rec(1, n)
-        return
-    b, c, orient = first_choice
-    if not (2 <= b < c <= m) or orient not in (
-        _kernels.ORIENT_231,
-        _kernels.ORIENT_312,
-    ):
-        raise ValueError(f"invalid first-cycle choice {first_choice} for n={n}")
-    used[1] = used[b] = used[c] = True
-    place(1, b, c, orient)
-    yield from rec(2, n - 1)
+    for vals, _ in _kernels.star_walk(n, first_choice, form, patterns):
+        yield tuple(vals)

@@ -53,6 +53,55 @@ def star_by_filter(n):
     ]
 
 
+PATTERNS3 = tuple(itertools.permutations((1, 2, 3)))
+
+#: Every non-empty set of length-3 patterns (63 of them).
+PATTERN_SETS = [
+    subset
+    for size in range(1, len(PATTERNS3) + 1)
+    for subset in itertools.combinations(PATTERNS3, size)
+]
+
+
+def cycle_forms(p):
+    """The forms ("231" or "312") of the 3-cycles of ``p``, read off each
+    cycle's smallest element a: a -> b -> c is 231 when b < c."""
+    forms = set()
+    for a in range(1, len(p) + 1):
+        b = p[a - 1]
+        c = p[b - 1]
+        if a < b and a < c:
+            forms.add("231" if b < c else "312")
+    return forms
+
+
+def mark_members(members):
+    """Each member with a bit mask of the patterns it contains (bit i for
+    PATTERNS3[i], found by naive_contains) and its set of cycle forms, so a
+    query over many pattern sets scans each member once."""
+    marked = []
+    for p in members:
+        contained = 0
+        for i, sigma in enumerate(PATTERNS3):
+            if naive_contains(p, sigma):
+                contained |= 1 << i
+        marked.append((p, contained, cycle_forms(p)))
+    return marked
+
+
+def select(marked, patterns, form):
+    """The members of ``marked`` avoiding every pattern in ``patterns`` whose
+    cycles all have ``form`` (any form when None), in their given order."""
+    avoid = 0
+    for sigma in patterns:
+        avoid |= 1 << PATTERNS3.index(tuple(sigma))
+    return [
+        p
+        for p, contained, forms in marked
+        if not contained & avoid and (form is None or forms == {form})
+    ]
+
+
 @pytest.fixture(scope="session")
 def star_sets():
     """Members of the star sets for n = 1..4, computed once via the library

@@ -96,6 +96,8 @@ def test_usage_errors_exit_2(capsys):
     assert cli.main(["count", "--pattern", "123", "--form", "312", "--n", "2"]) == 2
     assert cli.main(["paths", "--t", "1,2", "--path", "EEN"]) == 2
     assert cli.main(["decode", "--pattern", "321", "--perm", "3 1 2"]) == 2
+    oracle_argv = ["count", "--pattern", "321", "--n", "2", "--engine", "oracle"]
+    assert cli.main([*oracle_argv, "--jobs", "0"]) == 2
     capsys.readouterr()
 
 

@@ -1,31 +1,22 @@
-"""Backend equivalence: the compiled kernels and the pure-Python fallback
-must be indistinguishable on every entry point, and setup.py must build the
-compiled one wherever a C compiler is present."""
+"""The kernels: pattern containment, the pruned star walk behind every count
+and enumeration, the avoidance profile and the balanced-prefix statistic."""
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
-import re
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
 
 import pytest
 
-from conftest import naive_contains
-from threecycle import _pykernels, avoid321, perm
+from conftest import (
+    PATTERN_SETS,
+    mark_members,
+    naive_contains,
+    select,
+    star_by_filter,
+)
+from threecycle import _kernels, avoid321, perm
 
-try:
-    from threecycle import _ckernels
-except ImportError:
-    _ckernels = None
-
-REPO = Path(__file__).resolve().parents[1]
-PACKAGE = REPO / "src" / "threecycle"
-BACKENDS = [_pykernels] + ([_ckernels] if _ckernels is not None else [])
+FORMS = (None, "312", "231")
 QUERIES = [
     (((3, 2, 1),), None),
     (((2, 3, 1),), None),
@@ -37,93 +28,9 @@ QUERIES = [
 ]
 
 
-def _assert_agrees_with_python(compiled):
-    for n in (1, 2, 3):
-        assert compiled.avoidance_profile(n) == _pykernels.avoidance_profile(n)
-        for patterns, form in QUERIES:
-            assert compiled.count_avoiders(
-                n, patterns, form
-            ) == _pykernels.count_avoiders(n, patterns, form)
-
-
-_CC = (sysconfig.get_config_var("CC") or "").split()
-_PYTHON_H = Path(sysconfig.get_paths()["include"]) / "Python.h"
-
-
-@pytest.mark.skipif(
-    not _CC or shutil.which(_CC[0]) is None, reason="no C compiler (sysconfig CC)"
-)
-@pytest.mark.skipif(not _PYTHON_H.is_file(), reason=f"no {_PYTHON_H}")
-def test_compiled_extension_expected_here(tmp_path, monkeypatch):
-    # Where a compiler and Python.h exist, setup.py must build the extension,
-    # with or without Cython; flag loudly if that broke.  The build runs on a
-    # copy of the tree, since with Cython it regenerates the C file in place,
-    # and its output stays in tmp_path, so the source tree keeps the backend
-    # it had.
-    tree = tmp_path / "tree"
-    shutil.copytree(
-        PACKAGE,
-        tree / "src" / "threecycle",
-        ignore=shutil.ignore_patterns("__pycache__", "*.so"),
-    )
-    for name in ("setup.py", "pyproject.toml"):
-        shutil.copy2(REPO / name, tree / name)
-    build = subprocess.run(
-        [
-            sys.executable,
-            "setup.py",
-            "build_ext",
-            "--build-lib",
-            str(tmp_path / "lib"),
-            "--build-temp",
-            str(tmp_path / "tmp"),
-        ],
-        cwd=tree,
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    assert build.returncode == 0, build.stdout + build.stderr
-    built = list((tmp_path / "lib" / "threecycle").glob("_ckernels*.so"))
-    assert len(built) == 1, "compiled kernel extension failed to build:\n" + (
-        build.stdout + build.stderr
-    )
-
-    name = "threecycle._ckernels"
-    spec = importlib.util.spec_from_file_location(name, built[0])
-    compiled = importlib.util.module_from_spec(spec)
-    # registered as import would; undone at teardown, so nothing that runs
-    # later can pick up this copy of the module
-    monkeypatch.setitem(sys.modules, name, compiled)
-    spec.loader.exec_module(compiled)
-    assert compiled.BACKEND == "compiled"
-    _assert_agrees_with_python(compiled)
-
-
-def test_shipped_c_generated_from_current_pyx():
-    # Without Cython, setup.py compiles the shipped C file as it stands, so it
-    # must be the one Cython makes from today's .pyx: every source line that
-    # Cython quotes above the C code for it must still be that line.
-    pyx = (PACKAGE / "_ckernels.pyx").read_text().splitlines()
-    c_lines = (PACKAGE / "_ckernels.c").read_text().splitlines()
-    marker = "             # <<<<<<<<<<<<<<"
-    checked = 0
-    for i, line in enumerate(c_lines):
-        block = re.fullmatch(r'\s*/\* "threecycle/_ckernels\.pyx":(\d+)', line)
-        if block is None:
-            continue
-        n = int(block.group(1))
-        quoted = [q for q in c_lines[i + 1 : i + 5] if q.endswith(marker)]
-        assert len(quoted) == 1, f"_ckernels.c line {i + 1}: no quoted source line"
-        assert n <= len(pyx), f"_ckernels.c quotes line {n}; the .pyx has {len(pyx)}"
-        assert quoted[0][len(" * ") : -len(marker)] == pyx[n - 1].rstrip(), (
-            f"_ckernels.c is stale at _ckernels.pyx:{n}; regenerate it with Cython"
-        )
-        checked += 1
-    assert checked > 0, "no Cython source blocks found in _ckernels.c"
-
-
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
+# One kernel module; the class keeps the ``[python]`` test ids it had when it
+# ran over two interchangeable backends, so test histories line up.
+@pytest.mark.parametrize("backend", [_kernels], ids=["python"])
 class TestBackend:
     def test_contains_pattern3_exhaustive_small(self, backend):
         patterns = list(itertools.permutations((1, 2, 3)))
@@ -135,17 +42,15 @@ class TestBackend:
                     )
 
     def test_count_matches_filtered_enumeration(self, backend):
+        # every pattern set and form: the pruned walk counts exactly the
+        # members of the unpruned stream that a naive scan finds avoiding
         for n in (1, 2, 3):
-            members = list(perm.iterate_star(n))
-            for patterns, form in QUERIES:
-                expected = 0
-                for p in members:
-                    forms = perm.cycle_decomposition(p).forms
-                    if form is not None and any(f != form for f in forms):
-                        continue
-                    if all(not naive_contains(p, s) for s in patterns):
-                        expected += 1
-                assert backend.count_avoiders(n, patterns, form) == expected
+            marked = mark_members(perm.iterate_star(n))
+            for patterns in PATTERN_SETS:
+                for form in FORMS:
+                    want = len(select(marked, patterns, form))
+                    got = backend.count_avoiders(n, patterns, form)
+                    assert got == want, (n, patterns, form)
 
     def test_profile_consistent_with_count(self, backend):
         order = {p: i for i, p in enumerate(backend.PROFILE_PATTERNS)}
@@ -170,14 +75,33 @@ class TestBackend:
             assert sum(sum(row) for row in table) == perm.star_cardinality(n)
 
     def test_first_choice_partition_sums(self, backend):
-        n = 2
-        for patterns, form in QUERIES:
-            total = backend.count_avoiders(n, patterns, form)
-            parts = sum(
-                backend.count_avoiders(n, patterns, form, choice)
-                for choice in perm.star_first_choices(n)
-            )
-            assert parts == total
+        # the first-cycle sub-walks partition every walk, form-restricted and
+        # pruned ones included: counts and profiles add up, and the pruned
+        # streams concatenate to the whole pruned stream in order
+        for n in (2, 3):
+            choices = perm.star_first_choices(n)
+            for patterns, _ in QUERIES:
+                for form in FORMS:
+                    total = backend.count_avoiders(n, patterns, form)
+                    parts = sum(
+                        backend.count_avoiders(n, patterns, form, choice)
+                        for choice in choices
+                    )
+                    assert parts == total, (n, patterns, form)
+                    whole = list(perm.iterate_star(n, form=form, patterns=patterns))
+                    pieces = [
+                        p
+                        for choice in choices
+                        for p in perm.iterate_star(n, choice, form, patterns)
+                    ]
+                    assert pieces == whole, (n, patterns, form)
+            table = [[0] * 64 for _ in range(3)]
+            for choice in choices:
+                part = backend.avoidance_profile(n, choice)
+                for row in range(3):
+                    for col in range(64):
+                        table[row][col] += part[row][col]
+            assert table == backend.avoidance_profile(n)
 
     def test_h_of_tset_matches_word_walk(self, backend):
         for n in range(1, 6):
@@ -190,12 +114,21 @@ class TestBackend:
             backend.count_avoiders(2, ((3, 2, 1),), None, (1, 2, 1))
         with pytest.raises(ValueError):
             backend.count_avoiders(2, ((3, 2, 1),), None, (2, 3, 7))
+        with pytest.raises(ValueError):
+            backend.avoidance_profile(2, (2, 3, 3))
 
     def test_invalid_form_rejected(self, backend):
         with pytest.raises(ValueError):
             backend.count_avoiders(2, ((3, 2, 1),), "213")
 
 
-@pytest.mark.skipif(_ckernels is None, reason="compiled extension not built")
-def test_backends_agree_directly():
-    _assert_agrees_with_python(_ckernels)
+def test_pruned_walk_matches_symmetric_group_filter():
+    # independent of the walk altogether: filter all of S_{3n}
+    for n in (1, 2):
+        marked = mark_members(star_by_filter(n))
+        for patterns in PATTERN_SETS:
+            for form in FORMS:
+                want = select(marked, patterns, form)
+                got = list(perm.iterate_star(n, form=form, patterns=patterns))
+                assert sorted(got) == sorted(want), (n, patterns, form)
+                assert _kernels.count_avoiders(n, patterns, form) == len(want)

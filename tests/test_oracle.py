@@ -7,6 +7,7 @@ import itertools
 
 import pytest
 
+from conftest import PATTERN_SETS, mark_members, select
 from threecycle import oracle, perm
 from threecycle.errors import ResourceLimitError
 
@@ -53,6 +54,18 @@ class TestEnumerate:
         assert list(oracle.oracle_enumerate(q)) == expected
         assert list(oracle.oracle_enumerate(q)) == list(oracle.oracle_enumerate(q))
 
+    def test_pruned_walk_matches_filtered_stream(self):
+        # every pattern set and form: the pruned enumeration is the unpruned
+        # stream filtered by a naive scan, in the same order
+        for n in (1, 2, 3):
+            marked = mark_members(perm.iterate_star(n))
+            for patterns in PATTERN_SETS:
+                for form in oracle.FORMS:
+                    want = select(marked, patterns, form)
+                    q = oracle.AvoidanceQuery(n, frozenset(patterns), form)
+                    assert list(oracle.oracle_enumerate(q)) == want, q
+                    assert oracle.oracle_count(q) == len(want), q
+
 
 class TestCount:
     def test_table_examples(self):
@@ -94,6 +107,61 @@ class TestCount:
 
     def test_profile_parallel_merge(self):
         assert oracle.avoidance_profile(2, jobs=2) == oracle.avoidance_profile(2)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for and
+    maps in this process, so no worker is ever started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+class TestWorkers:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        RecordingPool.sizes = []
+        monkeypatch.setattr(
+            oracle.concurrent.futures, "ProcessPoolExecutor", RecordingPool
+        )
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+        return RecordingPool.sizes
+
+    def test_pool_bounded_by_cpus_and_tasks(self, pool_sizes):
+        q = oracle.query(2, "321")
+        serial = oracle.oracle_count(q)
+        # 20 first-cycle tasks at n = 2, 2 at n = 1, 4 CPUs
+        assert oracle.oracle_count(q, jobs=100000) == serial
+        assert oracle.oracle_count(q, jobs=3) == serial
+        assert oracle.oracle_count(oracle.query(1, "321"), jobs=100000) == 2
+        assert oracle.avoidance_profile(2, jobs=100000) == oracle.avoidance_profile(2)
+        assert oracle.avoidance_profile(1, jobs=100000) == oracle.avoidance_profile(1)
+        assert pool_sizes == [4, 3, 2, 4, 2]
+
+    def test_one_cpu_runs_in_process(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
+        assert oracle.oracle_count(oracle.query(2, "321"), jobs=2) == 10
+        assert oracle.avoidance_profile(2, jobs=2) == oracle.avoidance_profile(2)
+        assert pool_sizes == []
+
+    def test_jobs_below_one_rejected(self, pool_sizes):
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match="jobs"):
+                oracle.oracle_count(oracle.query(2, "321"), jobs=jobs)
+            with pytest.raises(ValueError, match="jobs"):
+                oracle.avoidance_profile(2, jobs=jobs)
+        assert pool_sizes == []
 
 
 class TestLimits:
