@@ -392,10 +392,3 @@ def dyck_identity_check(n: int) -> bool:
     )
     return total == fuss_catalan(n)
 
-
-def count_all312(n: int) -> int:
-    """Size of the all-312 (equally, all-231) subclass of the 321-avoiders:
-    the Fuss-Catalan number."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return fuss_catalan(n)

@@ -9,9 +9,10 @@ counts, so it can be diffed or golden-filed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from threecycle import avoid132, avoid231, avoid321, oracle, perm, series
 from threecycle.errors import MembershipError, PermutationError, ResourceLimitError
@@ -201,156 +202,151 @@ def _cmd_paths(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_pattern_rows(
-    lines: list[str],
-    names: Sequence[str],
-    max_n: int,
-    profiles: dict[int, list[list[int]]],
-) -> bool:
-    ok = True
-    for name in names:
-        sigma = tuple(int(ch) for ch in name)
-        bad = []
-        for n in range(1, max_n + 1):
-            want = formula_count(n, (sigma,), None)
-            got = oracle.profile_count(profiles[n], [sigma])
-            if want != got:
-                bad.append((n, want, got))
-        if bad:
-            ok = False
-            lines.append(f"pattern {name}: MISMATCH {bad}")
-        else:
-            lines.append(f"pattern {name}: formula=oracle for n=1..{max_n}")
-    return ok
+class Check(NamedTuple):
+    """A row of the verify suite: for each n in ``ns(max_n)`` the values
+    ``sides(n, profile)`` returns must be equal.  ``profile`` is the shared
+    ``oracle.avoidance_profile(n)`` table if the row ``sweeps``, else None."""
+
+    label: str
+    selected_by: tuple[str, ...]  # single --pattern names; "all" selects every row
+    ns: Callable[[int], range]
+    sides: Callable[[int, list[list[int]] | None], tuple]
+    passed: str  # the pass line; {last} is the last n checked
+    sweeps: bool = False
+
+
+def _sweep_check(
+    label: str,
+    selected_by: tuple[str, ...],
+    queries: Sequence[tuple[str, str | None]],
+    passed: str,
+) -> Check:
+    """formula_count against the swept profile for each (patterns, form)."""
+    parsed = [(_parse_pattern_set(text), form) for text, form in queries]
+    return Check(
+        label,
+        selected_by,
+        lambda max_n: range(1, max_n + 1),
+        lambda n, profile: (
+            [formula_count(n, pats, form) for pats, form in parsed],
+            [oracle.profile_count(profile, pats, form) for pats, form in parsed],
+        ),
+        passed,
+        sweeps=True,
+    )
+
+
+def _encode_image_sides(n: int, _profile: None) -> tuple:
+    q = oracle.AvoidanceQuery(n, frozenset({(2, 3, 1)}))
+    want = set(oracle.oracle_enumerate(q))
+    got = {avoid231.encode(w) for w in avoid231.words(n - 1)}
+    return (want, avoid231.count_231(n)), (got, len(got))
+
+
+def _series_identity_sides(order: int, _profile: None) -> tuple:
+    a = series.series_A(order)
+    b = series.series_B(order)
+    return b * (series.one(order) - a), a.scale(2)
+
+
+# Each route is looked up through its module when a row runs, never stored
+# here, so a rebound or monkeypatched module attribute is the one checked.
+CHECKS = (
+    *(
+        _sweep_check(
+            f"pattern {name}",
+            (name,),
+            [(name, None)],
+            f"pattern {name}: formula=oracle for n=1..{{last}}",
+        )
+        for name in _PATTERN_NAMES
+    ),
+    _sweep_check(
+        "pairs",
+        (),
+        [(",".join(pair), None) for pair in itertools.combinations(_PATTERN_NAMES, 2)],
+        "pairs: closed-form=oracle for n=1..{last} (15 pairs)",
+    ),
+    _sweep_check(
+        "subclasses",
+        (),
+        [("132", perm.FORM_312), ("321", perm.FORM_312), ("321", perm.FORM_231)],
+        "subclasses: formula=oracle for n=1..{last} (132|312, 321|312, 321|231)",
+    ),
+    Check(
+        "bijection 231",
+        ("231", "312"),
+        lambda max_n: range(1, min(max_n, 4) + 1),
+        _encode_image_sides,
+        "bijection 231: encode image matches oracle for n=1..{last}",
+    ),
+    Check(
+        "series identity",
+        ("132", "213"),
+        lambda max_n: range(20, 21),
+        _series_identity_sides,
+        "identity: series B*(1-A) = 2A to order {last}",
+    ),
+    Check(
+        "route check 321",
+        ("321",),
+        lambda max_n: range(1, 9),
+        lambda n, _profile: (
+            avoid321.count_321_via_tsets(n),
+            avoid321.count_321_via_dyck(n),
+            avoid321.h_polynomial(n).evaluate(2),
+        ),
+        "route check 321: staircase sum = Dyck sum = f(2) for n=1..{last}",
+    ),
+    Check(
+        "Dyck identity",
+        ("321",),
+        lambda max_n: range(1, 11),
+        lambda n, _profile: (avoid321.dyck_identity_check(n), True),
+        "identity: Dyck binomial sum = Fuss-Catalan for n=1..{last}",
+    ),
+)
+
+
+def _select_checks(text: str) -> tuple[Check, ...]:
+    """The rows ``verify --pattern text`` runs: every row for "all", the rows
+    one pattern name selects, or one row for a pair of distinct names."""
+    if text == "all":
+        return CHECKS
+    names = [token.strip() for token in text.split(",")]
+    if len(names) == 1 and names[0] in _PATTERN_NAMES:
+        return tuple(check for check in CHECKS if names[0] in check.selected_by)
+    if len(set(names)) == len(names) == 2 and set(names) <= set(_PATTERN_NAMES):
+        passed = f"pair {text}: closed-form=oracle for n=1..{{last}}"
+        return (_sweep_check(f"pair {text}", (), [(text, None)], passed),)
+    raise UsageError(
+        f"verify takes all, one of {', '.join(_PATTERN_NAMES)}, or two distinct"
+        f" of them joined by a comma, not {text!r}"
+    )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    max_n = args.max_n
-    if max_n < 1:
+    if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
-    run_all = args.pattern == "all"
-    names = _PATTERN_NAMES if run_all else None
-    if not run_all:
-        tokens = args.pattern.split(",")
-        if len(tokens) not in (1, 2):
-            raise UsageError("verify takes one pattern, a pair, or 'all'")
-        _parse_pattern_set(args.pattern)
-        names = tuple(tokens) if len(tokens) == 1 else None
-
-    lines: list[str] = []
-    ok = True
+    checks = _select_checks(args.pattern)
+    oracle.check_limits(args.max_n, args.allow_large)
     profiles = {
         n: oracle.avoidance_profile(n, jobs=args.jobs, allow_large=args.allow_large)
-        for n in range(1, max_n + 1)
+        for n in range(1, args.max_n + 1)
     }
-
-    if names:
-        ok &= _verify_pattern_rows(lines, names, max_n, profiles)
-    else:
-        pair = _parse_pattern_set(args.pattern)
+    failed = False
+    for check in checks:
+        ns = check.ns(args.max_n)
         bad = []
-        for n in range(1, max_n + 1):
-            want = oracle.closed_form_pair(n, pair)
-            got = oracle.profile_count(profiles[n], pair)
-            if want != got:
-                bad.append((n, want, got))
-        if bad:
-            ok = False
-            lines.append(f"pair {args.pattern}: MISMATCH {bad}")
-        else:
-            lines.append(f"pair {args.pattern}: closed-form=oracle for n=1..{max_n}")
-
-    if run_all:
-        import itertools
-
-        bad_pairs = []
-        for pair in itertools.combinations(
-            [tuple(int(ch) for ch in s) for s in _PATTERN_NAMES], 2
-        ):
-            for n in range(1, max_n + 1):
-                want = oracle.closed_form_pair(n, pair)
-                got = oracle.profile_count(profiles[n], pair)
-                if want != got:
-                    bad_pairs.append((pair, n, want, got))
-        if bad_pairs:
-            ok = False
-            lines.append(f"pairs: MISMATCH {bad_pairs}")
-        else:
-            lines.append(f"pairs: closed-form=oracle for n=1..{max_n} (15 pairs)")
-
-        subclasses = (
-            ("132", perm.FORM_312),
-            ("321", perm.FORM_312),
-            ("321", perm.FORM_231),
-        )
-        bad_sub = []
-        for name, form in subclasses:
-            sigma = tuple(int(ch) for ch in name)
-            for n in range(1, max_n + 1):
-                want = formula_count(n, (sigma,), form)
-                got = oracle.profile_count(profiles[n], [sigma], form)
-                if want != got:
-                    bad_sub.append((name, form, n, want, got))
-        if bad_sub:
-            ok = False
-            lines.append(f"subclasses: MISMATCH {bad_sub}")
-        else:
-            lines.append(
-                f"subclasses: formula=oracle for n=1..{max_n} (132|312, 321|312, 321|231)"
-            )
-
-    if run_all or names == ("231",) or names == ("312",):
-        image_ok = True
-        for n in range(1, min(max_n, 4) + 1):
-            want = set(
-                oracle.oracle_enumerate(
-                    oracle.AvoidanceQuery(n, frozenset({(2, 3, 1)}))
-                )
-            )
-            got = {avoid231.encode(w) for w in avoid231.words(n - 1)}
-            if want != got or len(got) != avoid231.count_231(n):
-                image_ok = False
-        if image_ok:
-            lines.append(
-                f"bijection 231: encode image matches oracle for n=1..{min(max_n, 4)}"
-            )
-        else:
-            ok = False
-            lines.append("bijection 231: MISMATCH")
-
-    if run_all or names in (("132",), ("213",)):
-        order = 20
-        a = series.series_A(order)
-        b = series.series_B(order)
-        if b * (series.one(order) - a) == a.scale(2):
-            lines.append(f"identity: series B*(1-A) = 2A to order {order}")
-        else:
-            ok = False
-            lines.append("identity: series B*(1-A) = 2A FAILED")
-
-    if run_all or names == ("321",):
-        route_ok = all(
-            avoid321.count_321_via_tsets(n)
-            == avoid321.count_321_via_dyck(n)
-            == avoid321.h_polynomial(n).evaluate(2)
-            for n in range(1, 9)
-        )
-        ident_ok = all(avoid321.dyck_identity_check(n) for n in range(1, 11))
-        if route_ok:
-            lines.append("route check 321: staircase sum = Dyck sum = f(2) for n=1..8")
-        else:
-            ok = False
-            lines.append("route check 321: MISMATCH")
-        if ident_ok:
-            lines.append("identity: Dyck binomial sum = Fuss-Catalan for n=1..10")
-        else:
-            ok = False
-            lines.append("identity: Dyck binomial sum = Fuss-Catalan FAILED")
-
-    for line in lines:
-        print(line)
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+        for n in ns:
+            sides = check.sides(n, profiles[n] if check.sweeps else None)
+            if any(side != sides[0] for side in sides):
+                bad.append((n, *sides))
+        failed |= bool(bad)
+        passed = check.passed.format(last=ns[-1])
+        print(f"{check.label}: MISMATCH {bad}" if bad else passed)
+    print("FAIL" if failed else "PASS")
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -69,7 +69,9 @@ def query(n: int, patterns: str | Sequence[str], form: str | None = None) -> Avo
     return AvoidanceQuery(n, parsed, form)
 
 
-def _check_limits(n: int, allow_large: bool) -> None:
+def check_limits(n: int, allow_large: bool) -> None:
+    """Refuse an exhaustive run at size ``n`` over the soft bound (unless
+    ``allow_large``) or over the hard bound, with ResourceLimitError."""
     if n > HARD_LIMIT:
         raise ResourceLimitError(
             f"n={n} exceeds the hard bound n <= {HARD_LIMIT} "
@@ -85,7 +87,7 @@ def _check_limits(n: int, allow_large: bool) -> None:
 def oracle_enumerate(q: AvoidanceQuery, allow_large: bool = False) -> Iterator[perm.Perm]:
     """Every member of the star set matching ``q``, in the deterministic order
     of the direct generator, each exactly once."""
-    _check_limits(q.n, allow_large)
+    check_limits(q.n, allow_large)
     yield from perm.iterate_star(q.n, form=q.form, patterns=q.sorted_patterns())
 
 
@@ -114,7 +116,7 @@ def oracle_count(
     """Cardinality of :func:`oracle_enumerate`; with ``jobs > 1`` the count is
     partitioned over first-cycle choices and merged by addition, so the result
     is independent of worker count and schedule."""
-    _check_limits(q.n, allow_large)
+    check_limits(q.n, allow_large)
     patterns = q.sorted_patterns()
     choices = perm.star_first_choices(q.n)
     workers = _workers(jobs, len(choices))
@@ -134,7 +136,7 @@ def avoidance_profile(
     queries share the same ``n``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_limits(n, allow_large)
+    check_limits(n, allow_large)
     choices = perm.star_first_choices(n)
     workers = _workers(jobs, len(choices))
     if workers == 1:

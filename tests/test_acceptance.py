@@ -16,6 +16,7 @@ from threecycle import (
     avoid132,
     avoid231,
     avoid321,
+    cli,
     oracle,
     perm,
     series,
@@ -55,40 +56,23 @@ class _Timer:
         return False
 
 
-def _formula_row(name: str, n: int) -> int:
-    if name == "231":
-        return avoid231.count_231(n)
-    if name == "132":
-        return avoid132.count_132(n)
-    if name == "321":
-        return avoid321.count_321_via_dyck(n)
-    return oracle.closed_form_123(n)
-
-
 def test_criterion_1_sequence_table():
     with _Timer(1, "sequence table", 10.0):
         for name, row in TABLE.items():
-            got = [_formula_row(name, n) for n in range(1, 6)]
+            sigma = tuple(int(ch) for ch in name)
+            got = [cli.formula_count(n, (sigma,), None) for n in range(1, 6)]
             assert got == row, (name, got, row)
 
 
 def _oracle_equivalence(ns, jobs=1):
+    # the rows of the verify table that read the sweep: the single patterns,
+    # the fifteen pairs and the three flagged subclasses
+    swept = [check for check in cli.CHECKS if check.sweeps]
     for n in ns:
         table = oracle.avoidance_profile(n, jobs=jobs, allow_large=True)
-        # single patterns: the formula route against the exhaustive sweep
-        for name in ("231", "312", "132", "213", "321", "123"):
-            sigma = tuple(int(ch) for ch in name)
-            mirror = {"312": "231", "213": "132"}.get(name, name)
-            want = _formula_row(mirror, n)
-            assert oracle.profile_count(table, [sigma]) == want, (n, name)
-        # the three flagged subclasses
-        assert oracle.profile_count(table, [(1, 3, 2)], "312") == avoid132.count_all312(n)
-        assert oracle.profile_count(table, [(3, 2, 1)], "312") == avoid321.fuss_catalan(n)
-        assert oracle.profile_count(table, [(3, 2, 1)], "231") == avoid321.fuss_catalan(n)
-        # all fifteen pairs
-        for pair in itertools.combinations(PATTERNS3, 2):
-            want = oracle.closed_form_pair(n, pair)
-            assert oracle.profile_count(table, pair) == want, (n, pair)
+        for check in swept:
+            sides = check.sides(n, table)
+            assert all(side == sides[0] for side in sides), (n, check.label, sides)
         # spot-check the batched sweep against the per-query oracle
         if n <= 3:
             for sigma in PATTERNS3:

@@ -311,6 +311,6 @@ class TestDyckRoute:
 
     def test_subclass_count(self):
         for n in (1, 2, 3):
-            assert avoid321.count_all312(n) == oracle.oracle_count(
+            assert avoid321.fuss_catalan(n) == oracle.oracle_count(
                 oracle.query(n, "321", form="312")
             )

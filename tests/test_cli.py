@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from threecycle import cli, oracle
+from threecycle import avoid231, avoid321, cli, oracle, series
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -50,6 +50,10 @@ CASES = [
     ("decode_L.txt", ["decode", "--perm", "6 5 1 2 4 3"]),
     ("verify_132_n3.txt", ["verify", "--pattern", "132", "--max-n", "3"]),
     ("verify_pair_n3.txt", ["verify", "--pattern", "132,321", "--max-n", "3"]),
+    ("verify_all_n2.txt", ["verify", "--max-n", "2"]),
+    ("verify_231_n3.txt", ["verify", "--pattern", "231", "--max-n", "3"]),
+    ("verify_213_n2.txt", ["verify", "--pattern", "213", "--max-n", "2"]),
+    ("verify_321_n1.txt", ["verify", "--pattern", "321", "--max-n", "1"]),
 ]
 
 
@@ -145,3 +149,62 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
 def test_decode_rejects_non_member(capsys):
     assert cli.main(["decode", "--perm", "2 3 1"]) == 2
     capsys.readouterr()
+
+
+# One wrong route per verify row that does not read the sweep; every swept row
+# is broken on its oracle side through oracle.profile_count.
+BREAKERS = {
+    "bijection 231": (avoid231, "encode", lambda real: lambda word: real("")),
+    "series identity": (series, "series_B", lambda real: series.series_A),
+    "route check 321": (
+        avoid321,
+        "count_321_via_tsets",
+        lambda real: lambda n: real(n) + 1,
+    ),
+    "Dyck identity": (avoid321, "dyck_identity_check", lambda real: lambda n: False),
+}
+SWEPT_BREAKER = (oracle, "profile_count", lambda real: lambda *a: real(*a) + 1)
+
+
+@pytest.mark.parametrize("check", cli.CHECKS, ids=[c.label for c in cli.CHECKS])
+def test_verify_row_mismatch_exits_1(check, monkeypatch, capsys):
+    module, name, wrong = SWEPT_BREAKER if check.sweeps else BREAKERS[check.label]
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    pattern = check.selected_by[0] if check.selected_by else "all"
+    assert cli.main(["verify", "--pattern", pattern, "--max-n", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith(f"{check.label}: MISMATCH ") for line in lines)
+    assert lines[-1] == "FAIL"
+
+
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """Stand in for the profile sweep and record the sizes it is asked for."""
+    calls = []
+
+    def record(n, jobs=1, allow_large=False):
+        calls.append(n)
+        return [[0] * 64 for _ in range(3)]
+
+    monkeypatch.setattr(oracle, "avoidance_profile", record)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv", [["--max-n", "6"], ["--max-n", "7", "--allow-large"]]
+)
+def test_verify_refuses_large_max_n_before_sweeping(argv, profile_calls, capsys):
+    assert cli.main(["verify", *argv]) == 3
+    assert profile_calls == []
+    assert capsys.readouterr().err.startswith("refused: ")
+
+
+@pytest.mark.parametrize(
+    "pattern", ["1234", "12", "1234,321", "132,132", "132,213,321"]
+)
+def test_verify_rejects_bad_pattern_before_sweeping(pattern, profile_calls, capsys):
+    assert cli.main(["verify", "--pattern", pattern]) == 2
+    assert profile_calls == []
+    err = capsys.readouterr().err
+    assert "one of 123, 132, 213, 231, 312, 321" in err
+    assert "--engine" not in err
