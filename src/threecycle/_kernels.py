@@ -8,6 +8,7 @@ realizes 312.  ``ORIENT_231`` and ``ORIENT_312`` name those two orientations.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Sequence
 
 BACKEND = "python"
@@ -63,9 +64,10 @@ def star_walk(
     first: tuple[int, int, int] | None = None,
     form: str | None = None,
     patterns: Sequence[Sequence[int]] = (),
-) -> Iterator[tuple[list[int], int]]:
+    prune: bool = True,
+) -> Iterator[tuple[list[int], int, int, int]]:
     """Depth-first walk over the permutations of [3n] built only from
-    3-cycles that avoid every pattern in ``patterns``.
+    3-cycles, tracking which of ``patterns`` their entries contain.
 
     The smallest unplaced element picks its two cycle partners (pairs in
     lexicographic order) and an orientation (a -> b -> c before a -> c -> b),
@@ -74,13 +76,22 @@ def star_walk(
     ``(b, c)`` with orientation ``ORIENT_231`` or ``ORIENT_312``; the walks
     over all such choices partition the whole walk.
 
-    A subtree is dropped as soon as the entries placed so far contain one of
-    ``patterns``.  The pruning is exact: a placed entry never changes, so an
-    occurrence among the placed entries is one in every permutation below.
+    Each node carries the mask of the patterns the entries placed so far
+    contain (bit i for ``patterns[i]``).  A placed entry never changes, so an
+    occurrence among the placed entries is one in every permutation below:
+    the mask only grows, and a node tests only the patterns not yet in it.
 
-    Yields, per permutation, its one-line buffer (a list reused between
-    yields: copy it to keep it) and its number of 231-form cycles.  ``n = 0``
-    yields nothing.
+    With ``prune`` (the default) the patterns are avoided: a subtree is
+    dropped as soon as its mask is not empty, so the walk yields exactly the
+    members avoiding every pattern.  Without it the walk keeps every member,
+    and once the mask holds every pattern (``patterns`` not empty), all
+    completions of the subtree share that mask: the subtree is yielded once,
+    unwalked, with its unplaced positions still 0.
+
+    Yields ``(perm, n231, mask, left)``: the one-line buffer (a list reused
+    between yields: copy it to keep it), the number of 231-form cycles
+    placed, the mask, and the number of cycles still to place (0 for a
+    member; more only for an unwalked subtree).  ``n = 0`` yields nothing.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -88,8 +99,12 @@ def star_walk(
     m = 3 * n
     perm = [0] * m  # perm[i - 1] is the image of i; 0 while i is unplaced
     pats = [tuple(p) for p in patterns]
+    tests = [(1 << i, p) for i, p in enumerate(pats)]
+    full = (1 << len(pats)) - 1 if pats and not prune else -1
 
-    def children(depth: int, n231: int) -> Iterator[tuple[list[int], int]]:
+    def children(
+        depth: int, n231: int, mask: int
+    ) -> Iterator[tuple[list[int], int, int, int]]:
         a = perm.index(0)
         for b in range(a + 1, m):
             if perm[b]:
@@ -98,12 +113,12 @@ def star_walk(
                 if perm[c]:
                     continue
                 for orient in orients:
-                    yield from extend(a, b, c, orient, depth, n231)
+                    yield from extend(a, b, c, orient, depth, n231, mask)
                 perm[a] = perm[b] = perm[c] = 0
 
     def extend(
-        a: int, b: int, c: int, orient: int, depth: int, n231: int
-    ) -> Iterator[tuple[list[int], int]]:
+        a: int, b: int, c: int, orient: int, depth: int, n231: int, mask: int
+    ) -> Iterator[tuple[list[int], int, int, int]]:
         # place the cycle on positions a < b < c (0-based) as cycle number
         # ``depth``; the caller clears it
         if orient == ORIENT_231:
@@ -111,25 +126,33 @@ def star_walk(
             n231 += 1
         else:
             perm[a], perm[b], perm[c] = c + 1, a + 1, b + 1
-        if pats:
+        if tests:
             placed = [v for v in perm if v]
-            if any(contains_pattern3(placed, p) for p in pats):
-                return
+            if prune:
+                if any(contains_pattern3(placed, p) for p in pats):
+                    return
+            else:
+                for bit, p in tests:
+                    if not mask & bit and contains_pattern3(placed, p):
+                        mask |= bit
+                if mask == full:
+                    yield perm, n231, mask, n - depth
+                    return
         if depth == n:
-            yield perm, n231
+            yield perm, n231, mask, 0
         else:
-            yield from children(depth + 1, n231)
+            yield from children(depth + 1, n231, mask)
 
     if n == 0:
         return
     if first is None:
-        yield from children(1, 0)
+        yield from children(1, 0, 0)
         return
     b, c, orient = first
     if not (2 <= b < c <= m) or orient not in (ORIENT_231, ORIENT_312):
         raise ValueError(f"invalid first-cycle choice {first} for n={n}")
     if orient in orients:
-        yield from extend(0, b - 1, c - 1, orient, 1, 0)
+        yield from extend(0, b - 1, c - 1, orient, 1, 0, 0)
 
 
 def count_avoiders(
@@ -150,30 +173,71 @@ def count_avoiders(
     return sum(1 for _ in star_walk(n, first, form, patterns))
 
 
+def triple_splits(k: int) -> int:
+    """The ways to split 3k elements into k unordered triples,
+    (3k)! / (k! 6^k); each triple closes as a 3-cycle in two orientations,
+    so ``triple_splits(k) * 2**k`` is the star-set size for ``k``.
+
+    >>> [triple_splits(k) for k in range(4)]
+    [1, 1, 10, 280]
+    """
+    return math.factorial(3 * k) // (math.factorial(k) * 6**k)
+
+
+def completion_rows(n231: int, placed: int, left: int) -> tuple[int, int, int]:
+    """How the ``triple_splits(left) * 2**left`` completions of a node with
+    ``placed`` cycles (``n231`` of them 231-form) and ``left`` cycles to place
+    split over the profile rows: (mixed, all-312, all-231).  The
+    ``triple_splits(left)`` completions whose new cycles are all 312 are
+    all-312 when no placed cycle is 231, and likewise for 231; the rest are
+    mixed.
+
+    >>> completion_rows(0, 2, 2)
+    (30, 10, 0)
+    """
+    each = triple_splits(left)
+    all312 = each if n231 == 0 else 0
+    all231 = each if n231 == placed else 0
+    return (each << left) - all312 - all231, all312, all231
+
+
 def avoidance_profile(
     n: int, first: tuple[int, int, int] | None = None
 ) -> list[list[int]]:
-    """One exhaustive sweep over the 3-cycle-only permutations of [3n],
-    histogrammed by (form class, avoidance mask).
+    """The 3-cycle-only permutations of [3n] histogrammed by (form class,
+    avoidance mask), from one walk of the star set.
 
     Returns a 3 x 64 table: row 0 counts permutations with mixed cycle forms,
     row 1 all-312, row 2 all-231; column ``mask`` has bit i set when the
     permutation avoids ``PROFILE_PATTERNS[i]``.  Any single-pattern-set query
     over length-3 patterns is a sum of cells of this table.
+
+    The walk (``star_walk`` unpruned) carries the mask of the patterns the
+    placed entries contain and tests each node only for the patterns not yet
+    in it, so a member's column is known once its last cycle is placed, with
+    no scan of the finished permutation.  A subtree whose placed entries
+    already contain all six patterns is not walked: all of its completions
+    land in column 0, split over the rows by :func:`completion_rows`.
     """
     table = [[0] * 64 for _ in range(3)]
-    for vals, n231 in star_walk(n, first):
-        mask = 0
-        for i, p in enumerate(PROFILE_PATTERNS):
-            if not contains_pattern3(vals, p):
-                mask |= 1 << i
-        if n231 == 0:
-            row = 1
+    # rows[left][n231]: completion_rows for a saturated subtree
+    rows = [
+        [completion_rows(n231, n - left, left) for n231 in range(n - left + 1)]
+        for left in range(n)
+    ]
+    for _, n231, contained, left in star_walk(n, first, None, PROFILE_PATTERNS, False):
+        col = 63 ^ contained
+        if left:
+            mixed, all312, all231 = rows[left][n231]
+            table[0][col] += mixed
+            table[1][col] += all312
+            table[2][col] += all231
+        elif n231 == 0:
+            table[1][col] += 1
         elif n231 == n:
-            row = 2
+            table[2][col] += 1
         else:
-            row = 0
-        table[row][mask] += 1
+            table[0][col] += 1
     return table
 
 

@@ -266,7 +266,9 @@ class DyckStats:
 
 
 def dyck_stats(word: str) -> DyckStats:
-    """Compute (h, r, s) for a Dyck word over x/y.
+    """Compute (h, r, s) for a Dyck word over x/y in one scan: a y seen after
+    the i-th x (i < n) adds to r_i, and an x seen after the i-th y (i < n) adds
+    to s_i.
 
     >>> dyck_stats("xyxy")
     DyckStats(word='xyxy', h=2, r=(1,), s=(1,))
@@ -274,21 +276,19 @@ def dyck_stats(word: str) -> DyckStats:
     if not words.is_balanced(word, "x", "y"):
         raise ValueError(f"not a Dyck word over x/y: {word!r}")
     n = len(word) // 2
-    xpos = [i for i, ch in enumerate(word) if ch == "x"]
-    ypos = [i for i, ch in enumerate(word) if ch == "y"]
-    h = 0
-    depth = 0
+    r = [0] * n
+    s = [0] * n
+    x = y = h = 0
     for ch in word:
-        depth += 1 if ch == "x" else -1
-        if depth == 0:
-            h += 1
-    r = tuple(
-        sum(1 for j in ypos if xpos[i] < j < xpos[i + 1]) for i in range(n - 1)
-    )
-    s = tuple(
-        sum(1 for j in xpos if ypos[i] < j < ypos[i + 1]) for i in range(n - 1)
-    )
-    return DyckStats(word, h, r, s)
+        if ch == "x":
+            s[y - 1] += 1  # s[-1], the x's before the first y, is dropped
+            x += 1
+        else:
+            r[x - 1] += 1  # r[n - 1], the y's after the last x, is dropped
+            y += 1
+            if x == y:
+                h += 1
+    return DyckStats(word, h, tuple(r[:-1]), tuple(s[:-1]))
 
 
 def tsets_for_dyck(word: str) -> Iterator[tuple[int, ...]]:

@@ -101,6 +101,8 @@ def formula_count(n: int, patterns: Sequence[perm.Perm], form: str | None) -> in
 
 def _cmd_count(args: argparse.Namespace) -> int:
     patterns = _parse_pattern_set(args.pattern)
+    if any(len(sigma) != 3 for sigma in patterns):
+        raise UsageError(f"patterns must have length 3: {args.pattern!r}")
     form = _parse_form(args.form)
     ns = _parse_n_range(args.n)
     counts = []

@@ -6,9 +6,11 @@ Counts and enumerations are an exact pruned walk over the star set
 (``_kernels.star_walk``): a branch is dropped as soon as the entries placed
 so far contain an avoided pattern.  That loses no member, since a placed entry
 never changes, so an occurrence among the placed entries is one in every
-permutation below them.  The avoidance profile walks the whole star set.  No
-counting shortcut from the formula modules is consulted, so these results can
-serve as the independent side of every formula-vs-oracle check.
+permutation below them.  The avoidance profile runs the same walk unpruned
+and counts a subtree whose placed entries already contain all six patterns
+without walking it (``_kernels.avoidance_profile``).  No counting shortcut
+from the formula modules is consulted, so these results can serve as the
+independent side of every formula-vs-oracle check.
 
 Sizes are bounded: n <= SOFT_LIMIT without the override flag, and n <=
 HARD_LIMIT unconditionally (the star set grows by a factor ~270 per step).
@@ -209,18 +211,39 @@ _PAIR_CLASS_VALUES = {
 def closed_form_pair(n: int, pair: Sequence[perm.Perm] | frozenset[perm.Perm]) -> int:
     """Avoiders of a pair of length-3 patterns among star permutations.
 
-    For n >= 3 this reduces the pair by the inverse and reverse-complement
-    symmetries to a representative class (values 2, 1 or 0).  The small cases
-    n <= 2 are answered by the oracle rather than extrapolated.
+    At n = 1 the two members are 231 = (1,2,3) and 312 = (1,3,2), and each
+    avoids every pattern but itself, so the count is 2 minus the number of
+    231 and 312 in the pair.
+
+    At n = 2 the star set has 40 members.  The six 123-avoiders contain every
+    other pattern, and only eight members avoid two or more patterns:
+
+    ==================  ============  ==================  ============
+    cycles              avoids        cycles              avoids
+    ==================  ============  ==================  ============
+    (1,2,3)(4,5,6)      312 321       (1,3,6)(2,4,5)      213 312
+    (1,3,2)(4,6,5)      231 321       (1,6,3)(2,5,4)      213 231
+    (1,3,5)(2,4,6)      132 213 321   (1,4,6)(2,3,5)      132 312
+    (1,5,3)(2,6,4)      132 213 321   (1,6,4)(2,5,3)      132 231
+    ==================  ============  ==================  ============
+
+    Counting each pair among them gives the 15 values at n = 2: 0 for the
+    five pairs with 123 and for {231, 312}; 2 for {132, 213}, {132, 321} and
+    {213, 321}; 1 for {132, 231}, {132, 312}, {213, 231}, {213, 312},
+    {231, 321} and {312, 321}.
+
+    These are the values the pairs take for every n >= 3 as well, so for
+    n >= 2 the pair is reduced by the inverse and reverse-complement
+    symmetries to a representative class (values 2, 1 or 0).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     pair_set = frozenset(tuple(sigma) for sigma in pair)
     if len(pair_set) != 2:
         raise ValueError("pair must contain exactly two distinct patterns")
-    q = AvoidanceQuery(n, pair_set)
-    if n <= 2:
-        return oracle_count(q)
+    AvoidanceQuery(n, pair_set)  # validates the patterns
+    if n == 1:
+        return 2 - len(pair_set & {(2, 3, 1), (3, 1, 2)})
     for member in _pattern_orbit(pair_set):
         value = _PAIR_CLASS_VALUES.get(member)
         if value is not None:

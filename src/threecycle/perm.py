@@ -258,5 +258,5 @@ def iterate_star(
     ``patterns`` (length 3) only members avoiding them all; both cut the
     stream without reordering it.  ``n = 0`` yields nothing.
     """
-    for vals, _ in _kernels.star_walk(n, first_choice, form, patterns):
+    for vals, _, _, _ in _kernels.star_walk(n, first_choice, form, patterns):
         yield tuple(vals)

@@ -40,6 +40,27 @@ def class_members(n):
     return set(oracle.oracle_enumerate(oracle.query(n, "321")))
 
 
+def nested_scan_stats(word):
+    """The statistics straight from their definitions: h counts the returns
+    to depth 0, r_i the y's strictly between the i-th and (i+1)-th x, s_i the
+    x's strictly between the i-th and (i+1)-th y."""
+    n = len(word) // 2
+    xpos = [i for i, ch in enumerate(word) if ch == "x"]
+    ypos = [i for i, ch in enumerate(word) if ch == "y"]
+    h = depth = 0
+    for ch in word:
+        depth += 1 if ch == "x" else -1
+        if depth == 0:
+            h += 1
+    r = tuple(
+        sum(1 for j in ypos if xpos[i] < j < xpos[i + 1]) for i in range(n - 1)
+    )
+    s = tuple(
+        sum(1 for j in xpos if ypos[i] < j < ypos[i + 1]) for i in range(n - 1)
+    )
+    return avoid321.DyckStats(word, h, r, s)
+
+
 class TestStaircaseSets:
     def test_small_cases(self):
         assert list(avoid321.enumerate_tsets(1)) == [(1,)]
@@ -253,6 +274,13 @@ class TestDyckRoute:
     def test_stats_small(self):
         assert avoid321.dyck_stats("xy") == avoid321.DyckStats("xy", 1, (), ())
         assert avoid321.dyck_stats("xyxy") == avoid321.DyckStats("xyxy", 2, (1,), (1,))
+
+    def test_stats_match_nested_scans(self):
+        from threecycle import words
+
+        for n in range(0, 10):
+            for word in words.dyck_words(n, "x", "y"):
+                assert avoid321.dyck_stats(word) == nested_scan_stats(word), word
 
     def test_stats_rejects_non_dyck(self):
         with pytest.raises(ValueError):

@@ -103,6 +103,12 @@ def test_usage_errors_exit_2(capsys):
     oracle_argv = ["count", "--pattern", "321", "--n", "2", "--engine", "oracle"]
     assert cli.main([*oracle_argv, "--jobs", "0"]) == 2
     capsys.readouterr()
+    for engine in ("formula", "oracle"):
+        argv = ["count", "--pattern", "12", "--n", "1", "--engine", engine]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "patterns must have length 3" in err
+        assert "--engine" not in err
 
 
 def test_unknown_verb_exits_2():

@@ -1,14 +1,18 @@
 """The kernels: pattern containment, the pruned star walk behind every count
-and enumeration, the avoidance profile and the balanced-prefix statistic."""
+and enumeration, the saturating avoidance profile and the balanced-prefix
+statistic."""
 
 from __future__ import annotations
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
 from conftest import (
     PATTERN_SETS,
+    PATTERNS3,
     mark_members,
     naive_contains,
     select,
@@ -132,3 +136,74 @@ def test_pruned_walk_matches_symmetric_group_filter():
                 got = list(perm.iterate_star(n, form=form, patterns=patterns))
                 assert sorted(got) == sorted(want), (n, patterns, form)
                 assert _kernels.count_avoiders(n, patterns, form) == len(want)
+
+
+def leaf_histogram(members):
+    """The avoidance-profile table of ``members``, one member at a time:
+    naive containment scans for the column, the member's cycle forms for the
+    row."""
+    table = [[0] * 64 for _ in range(3)]
+    for _, contained, forms in mark_members(members):
+        row = 1 if forms == {"312"} else 2 if forms == {"231"} else 0
+        table[row][63 ^ contained] += 1
+    return table
+
+
+def test_saturating_profile_matches_leaf_histogram():
+    # the conftest pattern order is the profile's column order
+    assert _kernels.PROFILE_PATTERNS == PATTERNS3
+    for n in (1, 2, 3):
+        whole = [[0] * 64 for _ in range(3)]
+        for choice in perm.star_first_choices(n):
+            want = leaf_histogram(perm.iterate_star(n, choice))
+            assert _kernels.avoidance_profile(n, choice) == want, (n, choice)
+            for row in range(3):
+                for col in range(64):
+                    whole[row][col] += want[row][col]
+        assert _kernels.avoidance_profile(n) == whole, n
+
+
+def test_profile_n4_golden():
+    # written by the leaf-by-leaf sweep that scanned every finished member
+    golden = Path(__file__).parent / "golden" / "profile_n4.json"
+    table = _kernels.avoidance_profile(4)
+    assert table == json.loads(golden.read_text())
+    assert sum(map(sum, table)) == perm.star_cardinality(4)
+
+
+def test_triple_splits_times_orientations_is_star_cardinality():
+    for k in range(1, 7):
+        assert _kernels.triple_splits(k) * 2**k == perm.star_cardinality(k)
+    assert _kernels.triple_splits(0) == 1
+
+
+@pytest.mark.parametrize(
+    "cycles,first,n231,rows",
+    [
+        # (1,5,2)(3,6,4) is one-line 5 1 6 3 2 4 so far: all six patterns
+        ("(1,5,2)(3,6,4)", (2, 5, _kernels.ORIENT_312), 0, (30, 10, 0)),
+        ("(1,2,5)(3,4,6)", (2, 5, _kernels.ORIENT_231), 2, (30, 0, 10)),
+        ("(1,2,5)(3,6,4)", (2, 5, _kernels.ORIENT_231), 1, (40, 0, 0)),
+    ],
+    ids=["all-312", "all-231", "mixed"],
+)
+def test_saturated_prefix_split(cycles, first, n231, rows):
+    # two cycles placed at n = 4 already contain all six patterns; the 40
+    # completions put the star set of [7..12] on the free positions
+    prefix = perm.parse_cycles(cycles)
+    completions = [
+        prefix + tuple(v + 6 for v in rest) for rest in perm.iterate_star(2)
+    ]
+    want = leaf_histogram(completions)
+    assert [row[0] for row in want] == list(rows)
+    assert sum(map(sum, want)) == sum(rows)
+    assert _kernels.completion_rows(n231, 2, 2) == rows
+    # the walk yields this prefix once, unwalked, with every pattern contained
+    hits = [
+        (seen231, mask, left)
+        for vals, seen231, mask, left in _kernels.star_walk(
+            4, first, None, _kernels.PROFILE_PATTERNS, False
+        )
+        if tuple(vals[:6]) == prefix
+    ]
+    assert hits == [(n231, 63, 2)]

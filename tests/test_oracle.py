@@ -206,6 +206,26 @@ class TestClosedForms:
                 want = oracle.closed_form_pair(n, pair)
                 assert want == oracle.profile_count(table, pair), (n, pair)
 
+    def test_small_pairs_are_closed_forms(self, monkeypatch):
+        # at n = 1, 2 the closed form answers without a walk, and agrees
+        # with the walk for every pair
+        pairs = list(itertools.combinations(ALL_PATTERNS, 2))
+        walk = oracle.oracle_count
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("closed_form_pair ran the oracle")
+
+        monkeypatch.setattr(oracle, "oracle_count", no_walk)
+        monkeypatch.setattr(oracle._kernels, "star_walk", no_walk)
+        closed = {
+            (n, pair): oracle.closed_form_pair(n, pair)
+            for n in (1, 2)
+            for pair in pairs
+        }
+        monkeypatch.undo()
+        for (n, pair), value in closed.items():
+            assert value == walk(oracle.AvoidanceQuery(n, frozenset(pair))), (n, pair)
+
     def test_symmetric_pairs_share_values(self):
         # the closed form must be constant on symmetry orbits of pairs
         for pair in itertools.combinations(ALL_PATTERNS, 2):
