@@ -9,7 +9,9 @@ maxima.  T1 is forced to be {1..n}, the word read off positions n+1..3n
 increase left to right.  The type of the Dyck word records how its switch
 indices are spaced; words of a type of length k are counted by the (k-1)-st
 Motzkin number, and each word carries a product of Catalan numbers worth of
-members, reconstructed here explicitly.
+members, reconstructed here explicitly.  Summed over types, these give the
+generating functions of :mod:`threecycle.series`, and the counts here read
+their coefficients off those series.
 """
 
 from __future__ import annotations
@@ -293,38 +295,23 @@ def enumerate_all312(n: int) -> Iterator[perm.Perm]:
 
 
 def count_all312(n: int) -> int:
-    """Size of the all-312 subclass by the double sum over compositions:
-    sum over k of M[k-1] * sum over compositions (x1..xk) of prod C[xi].
+    """Size of the all-312 subclass: the coefficient of x^n in
+    :func:`series.series_A`, (c - 1) * m(c - 1).  Expanded, that is the sum
+    over compositions (x1..xk) of n of M[k-1] * prod C[xi]: M[k-1] Dyck
+    words per type of length k, each carrying prod C[xi] members.
 
     >>> [count_all312(n) for n in range(1, 5)]
     [1, 3, 11, 44]
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    cat = series.catalan_numbers(n)
-    mot = series.motzkin_numbers(n)
-    total = 0
-
-    def rec(remaining: int, length: int, prod: int) -> None:
-        nonlocal total
-        if remaining == 0:
-            total += mot[length - 1] * prod
-            return
-        for x in range(1, remaining + 1):
-            rec(remaining - x, length + 1, prod * cat[x])
-
-    rec(n, 0, 1)
-    return total
-
-
-@functools.lru_cache(maxsize=None)
-def _count_all312_cached(n: int) -> int:
-    return count_all312(n)
+    return series.series_A(n).coefficient(n)
 
 
 def count_132(n: int) -> int:
-    """Number of 132-avoiding star permutations: twice the sum over all
-    compositions (x1..xk) of n of prod a[xi], where a[m] is the all-312
+    """Number of 132-avoiding star permutations: the coefficient of x^n in
+    :func:`series.series_B`, 2A / (1 - A).  Expanded, that is twice the sum
+    over compositions (x1..xk) of n of prod a[xi], where a[m] is the all-312
     subclass count.
 
     >>> [count_132(n) for n in range(1, 6)]
@@ -332,16 +319,4 @@ def count_132(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = [0] + [_count_all312_cached(m) for m in range(1, n + 1)]
-    total = 0
-
-    def rec(remaining: int, prod: int) -> None:
-        nonlocal total
-        if remaining == 0:
-            total += prod
-            return
-        for x in range(1, remaining + 1):
-            rec(remaining - x, prod * a[x])
-
-    rec(n, 1)
-    return 2 * total
+    return series.series_B(n).coefficient(n)

@@ -1,7 +1,8 @@
 """321-avoiding star permutations: staircase sets, the z/x/y word algorithm,
 the all-312 construction and its lattice-path bijection, mixed-form members
 generated per balanced segment, and the two independent counting routes
-(sum of 2^h over staircase sets vs. the weighted sum over Dyck words).
+(sum of 2^h over staircase sets vs. the weighted sum over Dyck words, which
+is the h-polynomial evaluated at 2).
 
 A staircase set is an n-subset {t1 < ... < tn} of [3n] with ti <= 3i - 2.
 It determines a word over z/x/y (z on the set, x and y placed by a greedy
@@ -345,15 +346,13 @@ def _interleavings(ys: int, zs: int) -> Iterator[tuple[str, ...]]:
 
 def count_321_via_dyck(n: int) -> int:
     """The weighted sum over all Dyck words of semilength n of
-    2^h * prod binom(ri+si, ri); equals the staircase-set route.
+    2^h * prod binom(ri+si, ri): the h-polynomial evaluated at 2.  Equals
+    the staircase-set route.
 
     >>> [count_321_via_dyck(n) for n in range(1, 6)]
     [2, 10, 60, 388, 2606]
     """
-    return sum(
-        (1 << stats.h) * stats.binomial_weight()
-        for stats in map(dyck_stats, words.dyck_words(n, "x", "y"))
-    )
+    return h_polynomial(n).evaluate(2)
 
 
 @dataclass(frozen=True)
@@ -384,11 +383,6 @@ def h_polynomial(n: int) -> HPolynomial:
 
 
 def dyck_identity_check(n: int) -> bool:
-    """True iff the unweighted binomial sum over Dyck words equals the
-    Fuss-Catalan number (the h-polynomial evaluated at 1)."""
-    total = sum(
-        stats.binomial_weight()
-        for stats in map(dyck_stats, words.dyck_words(n, "x", "y"))
-    )
-    return total == fuss_catalan(n)
-
+    """True iff the unweighted binomial sum over Dyck words, the
+    h-polynomial evaluated at 1, equals the Fuss-Catalan number."""
+    return h_polynomial(n).evaluate(1) == fuss_catalan(n)

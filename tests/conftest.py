@@ -4,6 +4,7 @@ separate from the library's own code paths."""
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
@@ -100,6 +101,44 @@ def select(marked, patterns, form):
         for p, contained, forms in marked
         if not contained & avoid and (form is None or forms == {form})
     ]
+
+
+def catalan_direct(n):
+    # independent route: the closed form binom(2n,n)/(n+1)
+    return math.comb(2 * n, n) // (n + 1)
+
+
+def motzkin_direct(n):
+    # independent route: sum over binom(n, 2k) * Catalan(k)
+    return sum(math.comb(n, 2 * k) * catalan_direct(k) for k in range(n // 2 + 1))
+
+
+def composition_sums(max_n, part, by_length):
+    """For n = 0..max_n, the sum over all compositions (x1..xk) of n of
+    by_length[k] * prod part[xi].  Each of the 2^(n-1) compositions of each
+    n is visited once, as the extension of its prefix by its last part."""
+    totals = [0] * (max_n + 1)
+
+    def visit(total, k, prod):
+        for x in range(1, max_n - total + 1):
+            p = prod * part[x]
+            totals[total + x] += by_length[k + 1] * p
+            visit(total + x, k + 1, p)
+
+    visit(0, 0, 1)
+    return totals
+
+
+def composition_sums_132(max_n):
+    """The paper's literal composition sums for n = 0..max_n (index 0 is 0):
+    the all-312 counts a[n] = sum of M[k-1] * prod C[xi], and the 132-avoider
+    counts b[n] = 2 * sum of prod a[xi], over the compositions (x1..xk) of n,
+    with Catalan and Motzkin numbers from their closed forms."""
+    cat = [catalan_direct(x) for x in range(max_n + 1)]
+    mot = [0] + [motzkin_direct(k - 1) for k in range(1, max_n + 1)]
+    a = composition_sums(max_n, cat, mot)
+    b = composition_sums(max_n, a, [1] * (max_n + 1))
+    return a, [2 * v for v in b]
 
 
 @pytest.fixture(scope="session")

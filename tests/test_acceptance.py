@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from conftest import composition_sums_132
 from threecycle import (
     avoid132,
     avoid231,
@@ -169,9 +170,10 @@ def test_criterion_6_generating_functions():
         a = series.series_A(order)
         b = series.series_B(order)
         assert a.coefficient(0) == 0 and b.coefficient(0) == 0
+        sum_a, sum_b = composition_sums_132(order)
         for n in range(1, order + 1):
-            assert a.coefficient(n) == avoid132.count_all312(n)
-            assert b.coefficient(n) == avoid132.count_132(n)
+            assert a.coefficient(n) == sum_a[n] == avoid132.count_all312(n)
+            assert b.coefficient(n) == sum_b[n] == avoid132.count_132(n)
         assert b * (series.one(order) - a) == a.scale(2)
         for n in range(1, 4):
             table = oracle.avoidance_profile(n)

@@ -11,7 +11,7 @@ from threecycle.errors import MembershipError
 
 EXAMPLE = perm.parse_one_line("3 1 2 12 11 10 5 4 6 9 7 8")
 
-elr_words = st.text(alphabet="ELR", max_size=6)
+elr_words = st.text(alphabet="ELR", max_size=40)
 
 
 def class_members(n):

@@ -7,7 +7,10 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import cycle_forms, cycle_lengths, naive_contains
 from threecycle import avoid321, oracle, perm
 
 BIG_T = (1, 2, 3, 6, 11, 14)
@@ -34,6 +37,28 @@ EIGHT_PERMS = {
     "3 4 5 6 1 2 8 9 7 15 17 10 18 11 12 13 14 16",
     "3 4 5 6 1 2 8 9 7 12 14 15 16 17 10 18 11 13",
 }
+
+
+@st.composite
+def staircase_sets(draw, max_n):
+    """A staircase set of size 1..max_n: each t_i drawn above t_(i-1) and at
+    most 3i - 2."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    t = []
+    for i in range(1, n + 1):
+        lo = t[-1] + 1 if t else 1
+        t.append(draw(st.integers(min_value=lo, max_value=3 * i - 2)))
+    return tuple(t)
+
+
+@st.composite
+def sets_with_forms(draw, max_n):
+    """A staircase set and one drawn form per balanced segment of its word."""
+    t = draw(staircase_sets(max_n))
+    h, _ = avoid321.h_and_segments(avoid321.word_of_tset(t))
+    form = st.sampled_from(avoid321.FORM_CHOICES)
+    forms = draw(st.lists(form, min_size=h, max_size=h))
+    return t, tuple(forms)
 
 
 def class_members(n):
@@ -173,6 +198,13 @@ class TestLatticePaths:
                 assert path.count("E") == 2 * n and path.count("N") == n
                 assert avoid321.path_to_tset(path) == t
 
+    @given(staircase_sets(30))
+    def test_round_trip_drawn_sets(self, t):
+        n = len(t)
+        path = avoid321.tset_to_path(t)
+        assert path.count("E") == 2 * n and path.count("N") == n
+        assert avoid321.path_to_tset(path) == t
+
     def test_paths_are_distinct_and_exhaust(self):
         n = 4
         paths = {avoid321.tset_to_path(t) for t in avoid321.enumerate_tsets(n)}
@@ -249,6 +281,17 @@ class TestFormChoices:
                 assert seen.isdisjoint(fiber)
                 seen.update(fiber)
             assert len(seen) == avoid321.count_321_via_tsets(n)
+
+    @settings(max_examples=60)
+    @given(sets_with_forms(7))
+    def test_drawn_choices_build_321_avoiders(self, t_forms):
+        # checked with the conftest references, not the library's own scans
+        t, forms = t_forms
+        p = avoid321.perm_from_choices(t, forms)
+        assert cycle_lengths(p) == [3] * len(t)
+        assert not naive_contains(p, (3, 2, 1))
+        assert cycle_forms(p) == set(forms)
+        assert avoid321.tset_min_partition(p) == t
 
 
 class TestEnumerate321:

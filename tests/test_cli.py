@@ -18,6 +18,20 @@ CASES = [
         ["count", "--pattern", "132", "--n", "1..5", "--format", "bfile"],
     ),
     (
+        "count_132_form312_bfile.txt",
+        [
+            "count",
+            "--pattern",
+            "132",
+            "--form",
+            "312",
+            "--n",
+            "1..8",
+            "--format",
+            "bfile",
+        ],
+    ),
+    (
         "count_pair_jsonl.txt",
         ["count", "--pattern", "132,213", "--n", "1..3", "--format", "jsonl"],
     ),

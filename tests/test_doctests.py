@@ -6,11 +6,13 @@ import doctest
 
 import pytest
 
-from threecycle import avoid132, avoid231, avoid321, perm, series, words
+from threecycle import _kernels, avoid132, avoid231, avoid321, perm, series, words
 
 
 @pytest.mark.parametrize(
-    "module", [perm, series, words, avoid132, avoid231, avoid321], ids=lambda m: m.__name__
+    "module",
+    [_kernels, perm, series, words, avoid132, avoid231, avoid321],
+    ids=lambda m: m.__name__,
 )
 def test_module_doctests(module):
     failures, _ = doctest.testmod(module)

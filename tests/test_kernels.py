@@ -207,3 +207,29 @@ def test_saturated_prefix_split(cycles, first, n231, rows):
         if tuple(vals[:6]) == prefix
     ]
     assert hits == [(n231, 63, 2)]
+
+
+@pytest.mark.parametrize(
+    "run,calls",
+    [
+        (lambda: _kernels.avoidance_profile(3), 8056),
+        (lambda: _kernels.count_avoiders(3, [(3, 2, 1)]), 1556),
+    ],
+    ids=["profile", "count-321"],
+)
+def test_walk_containment_tests_pinned(run, calls, monkeypatch):
+    # the results above do not show how much work the walk does; the number
+    # of containment tests does.  A node tests only the patterns its mask
+    # does not hold yet, and a pruned node stops at its first hit, so losing
+    # the mask (or the early exit) raises these counts.
+    real = _kernels.contains_pattern3
+    seen = 0
+
+    def counting(values, pattern):
+        nonlocal seen
+        seen += 1
+        return real(values, pattern)
+
+    monkeypatch.setattr(_kernels, "contains_pattern3", counting)
+    run()
+    assert seen == calls

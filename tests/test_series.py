@@ -2,21 +2,12 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from threecycle import avoid132, oracle, series
-
-
-def catalan_direct(n):
-    # independent route: the closed form binom(2n,n)/(n+1)
-    return math.comb(2 * n, n) // (n + 1)
-
-
-def motzkin_direct(n):
-    # independent route: sum over binom(n, 2k) * Catalan(k)
-    return sum(math.comb(n, 2 * k) * catalan_direct(k) for k in range(n // 2 + 1))
+from conftest import catalan_direct, composition_sums_132, motzkin_direct
+from threecycle import oracle, series
 
 
 class TestNumberTables:
@@ -101,14 +92,23 @@ class TestGeneratingFunctions:
     def test_coefficients_match_composition_sums(self):
         a = series.series_A(20)
         b = series.series_B(20)
+        sum_a, sum_b = composition_sums_132(20)
         for n in range(1, 21):
-            assert a.coefficient(n) == avoid132.count_all312(n)
-            assert b.coefficient(n) == avoid132.count_132(n)
+            assert a.coefficient(n) == sum_a[n]
+            assert b.coefficient(n) == sum_b[n]
 
     def test_algebraic_identity(self):
         order = 20
         a = series.series_A(order)
         b = series.series_B(order)
+        assert b * (series.one(order) - a) == a.scale(2)
+
+    @settings(max_examples=25)
+    @given(st.integers(min_value=1, max_value=30))
+    def test_algebraic_identity_any_order(self, order):
+        a = series.series_A(order)
+        b = series.series_B(order)
+        assert a.order == b.order == order
         assert b * (series.one(order) - a) == a.scale(2)
 
     def test_match_oracle(self):
