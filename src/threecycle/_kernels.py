@@ -1,5 +1,8 @@
-"""The hot kernels: pattern containment, the star walk that every search runs
-on, exhaustive counting and profiling, and the balanced-prefix statistic.
+"""The search layer: pattern containment, the star walk under every count,
+enumeration and profile, and the balanced-prefix statistic.
+
+The walk places one 3-cycle per frame, and only ``_options`` orders the
+choices; the oracle splits a walk over the root's (``star_first_choices``).
 
 Conventions: permutations are 1-based one-line sequences; a 3-cycle placed as
 a -> b -> c with a < b < c realizes the pattern 231, while a -> c -> b
@@ -9,12 +12,14 @@ realizes 312.  ``ORIENT_231`` and ``ORIENT_312`` name those two orientations.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 BACKEND = "python"
 
 ORIENT_231 = 1
 ORIENT_312 = 2
+
+Option = tuple[int, int, int, int]  # a cycle choice (a, b, c, orient), 0-based
 
 #: Fixed pattern order for avoidance-profile bit masks (bit i set = avoids
 #: PROFILE_PATTERNS[i]).
@@ -49,14 +54,38 @@ def contains_pattern3(values: Sequence[int], pattern: Sequence[int]) -> bool:
     return False
 
 
-def _orientations(form: str | None) -> tuple[int, ...]:
-    if form is None:
-        return (ORIENT_231, ORIENT_312)
-    if form == "231":
-        return (ORIENT_231,)
-    if form == "312":
-        return (ORIENT_312,)
-    raise ValueError(f"unknown form filter: {form!r}")
+_ORIENTS = {None: (ORIENT_231, ORIENT_312), "231": (ORIENT_231,), "312": (ORIENT_312,)}
+
+
+def _options(perm: list[int], orients: tuple[int, ...]) -> Iterator[Option]:
+    """The next cycle's choices on the buffer ``perm`` (0 = unplaced): the
+    smallest unplaced ``a``, partners ``b < c`` in lexicographic order, then
+    ``orients`` in turn.  Read lazily: clear a choice before drawing the next."""
+    a = perm.index(0)
+    m = len(perm)
+    for b in range(a + 1, m):
+        if perm[b]:
+            continue
+        for c in range(b + 1, m):
+            if perm[c]:
+                continue
+            for orient in orients:
+                yield a, b, c, orient
+
+
+def star_first_choices(n: int) -> list[tuple[int, int, int]]:
+    """The root's choices, 1-based ``(b, c, orient)`` in walk order; their
+    walks partition the star walk at ``n``.
+
+    >>> star_first_choices(1)
+    [(2, 3, 1), (2, 3, 2)]
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return [
+        (b + 1, c + 1, orient)
+        for _, b, c, orient in _options([0] * (3 * n), (ORIENT_231, ORIENT_312))
+    ]
 
 
 def star_walk(
@@ -69,11 +98,11 @@ def star_walk(
     """Depth-first walk over the permutations of [3n] built only from
     3-cycles, tracking which of ``patterns`` their entries contain.
 
-    The smallest unplaced element picks its two cycle partners (pairs in
-    lexicographic order) and an orientation (a -> b -> c before a -> c -> b),
-    so the order is reproducible.  ``form`` ("231" or "312") allows only one
-    orientation.  ``first`` fixes the cycle of element 1 to partners
-    ``(b, c)`` with orientation ``ORIENT_231`` or ``ORIENT_312``; the walks
+    Each cycle is one frame: it draws its choices from :func:`_options` (the
+    smallest unplaced element, its partners in lexicographic order, a -> b ->
+    c before a -> c -> b), so the order is reproducible.  ``form`` ("231" or
+    "312") allows only one orientation.  ``first``, one entry of
+    :func:`star_first_choices`, is the only choice at the root; the walks
     over all such choices partition the whole walk.
 
     Each node carries the mask of the patterns the entries placed so far
@@ -82,7 +111,7 @@ def star_walk(
     the mask only grows, and a node tests only the patterns not yet in it.
 
     With ``prune`` (the default) the patterns are avoided: a subtree is
-    dropped as soon as its mask is not empty, so the walk yields exactly the
+    dropped at its first contained pattern, so the walk yields exactly the
     members avoiding every pattern.  Without it the walk keeps every member,
     and once the mask holds every pattern (``patterns`` not empty), all
     completions of the subtree share that mask: the subtree is yielded once,
@@ -95,64 +124,49 @@ def star_walk(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    orients = _orientations(form)
-    m = 3 * n
-    perm = [0] * m  # perm[i - 1] is the image of i; 0 while i is unplaced
-    pats = [tuple(p) for p in patterns]
-    tests = [(1 << i, p) for i, p in enumerate(pats)]
-    full = (1 << len(pats)) - 1 if pats and not prune else -1
+    if form not in _ORIENTS:
+        raise ValueError(f"unknown form filter: {form!r}")
+    orients = _ORIENTS[form]
+    perm = [0] * (3 * n)  # perm[i - 1] is the image of i; 0 while i is unplaced
+    tests = [(1 << i, tuple(p)) for i, p in enumerate(patterns)]
+    full = (1 << len(tests)) - 1 if tests and not prune else -1
 
-    def children(
-        depth: int, n231: int, mask: int
+    def walk(
+        depth: int, n231: int, mask: int, options: Iterable[Option]
     ) -> Iterator[tuple[list[int], int, int, int]]:
-        a = perm.index(0)
-        for b in range(a + 1, m):
-            if perm[b]:
-                continue
-            for c in range(b + 1, m):
-                if perm[c]:
-                    continue
-                for orient in orients:
-                    yield from extend(a, b, c, orient, depth, n231, mask)
-                perm[a] = perm[b] = perm[c] = 0
-
-    def extend(
-        a: int, b: int, c: int, orient: int, depth: int, n231: int, mask: int
-    ) -> Iterator[tuple[list[int], int, int, int]]:
-        # place the cycle on positions a < b < c (0-based) as cycle number
-        # ``depth``; the caller clears it
-        if orient == ORIENT_231:
-            perm[a], perm[b], perm[c] = b + 1, c + 1, a + 1
-            n231 += 1
-        else:
-            perm[a], perm[b], perm[c] = c + 1, a + 1, b + 1
-        if tests:
-            placed = [v for v in perm if v]
-            if prune:
-                if any(contains_pattern3(placed, p) for p in pats):
-                    return
+        # place each option as cycle number ``depth``, then clear it
+        for a, b, c, orient in options:
+            seen231 = n231
+            if orient == ORIENT_231:
+                perm[a], perm[b], perm[c] = b + 1, c + 1, a + 1
+                seen231 += 1
             else:
+                perm[a], perm[b], perm[c] = c + 1, a + 1, b + 1
+            seen = mask
+            if tests:
+                placed = [v for v in perm if v]
                 for bit, p in tests:
-                    if not mask & bit and contains_pattern3(placed, p):
-                        mask |= bit
-                if mask == full:
-                    yield perm, n231, mask, n - depth
-                    return
-        if depth == n:
-            yield perm, n231, mask, 0
-        else:
-            yield from children(depth + 1, n231, mask)
+                    if not seen & bit and contains_pattern3(placed, p):
+                        seen |= bit
+                        if prune:
+                            break
+            if not (prune and seen):
+                if seen == full or depth == n:
+                    yield perm, seen231, seen, n - depth
+                else:
+                    yield from walk(depth + 1, seen231, seen, _options(perm, orients))
+            perm[a] = perm[b] = perm[c] = 0
 
     if n == 0:
         return
     if first is None:
-        yield from children(1, 0, 0)
-        return
-    b, c, orient = first
-    if not (2 <= b < c <= m) or orient not in (ORIENT_231, ORIENT_312):
+        options: Iterable[Option] = _options(perm, orients)
+    elif tuple(first) in star_first_choices(n):
+        b, c, orient = first
+        options = [(0, b - 1, c - 1, orient)] if orient in orients else []
+    else:
         raise ValueError(f"invalid first-cycle choice {first} for n={n}")
-    if orient in orients:
-        yield from extend(0, b - 1, c - 1, orient, 1, 0, 0)
+    yield from walk(1, 0, 0, options)
 
 
 def count_avoiders(
@@ -163,13 +177,8 @@ def count_avoiders(
 ) -> int:
     """Count permutations of [3n] built only from 3-cycles that avoid every
     pattern in ``patterns`` (each of length 3), with cycle forms restricted by
-    ``form`` (None, "312" or "231").
-
-    ``first`` optionally fixes the cycle of element 1 to partners ``(b, c)``
-    with orientation ``ORIENT_231`` or ``ORIENT_312``; the counts over all
-    choices sum to the unrestricted count, which is what the parallel
-    partitioning relies on.
-    """
+    ``form`` (None, "312" or "231"), in the part of the walk that ``first``
+    (see :func:`star_walk`) selects; the parts' counts sum to the whole."""
     return sum(1 for _ in star_walk(n, first, form, patterns))
 
 
@@ -217,27 +226,22 @@ def avoidance_profile(
     in it, so a member's column is known once its last cycle is placed, with
     no scan of the finished permutation.  A subtree whose placed entries
     already contain all six patterns is not walked: all of its completions
-    land in column 0, split over the rows by :func:`completion_rows`.
+    land in column 0.  :func:`completion_rows` splits a yielded node over the
+    rows; a member is the node with no cycle left.
     """
     table = [[0] * 64 for _ in range(3)]
     # rows[left][n231]: completion_rows for a saturated subtree
+    # rows[left][n231]: completion_rows of a yielded node
     rows = [
         [completion_rows(n231, n - left, left) for n231 in range(n - left + 1)]
-        for left in range(n)
+        for left in range(n + 1)
     ]
     for _, n231, contained, left in star_walk(n, first, None, PROFILE_PATTERNS, False):
         col = 63 ^ contained
-        if left:
-            mixed, all312, all231 = rows[left][n231]
-            table[0][col] += mixed
-            table[1][col] += all312
-            table[2][col] += all231
-        elif n231 == 0:
-            table[1][col] += 1
-        elif n231 == n:
-            table[2][col] += 1
-        else:
-            table[0][col] += 1
+        mixed, all312, all231 = rows[left][n231]
+        table[0][col] += mixed
+        table[1][col] += all312
+        table[2][col] += all231
     return table
 
 

@@ -21,9 +21,12 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from threecycle import _kernels, perm, words
-from threecycle.errors import InternalInvariantError
+from threecycle.errors import InternalInvariantError, ResourceLimitError
 
 FORM_CHOICES = (perm.FORM_312, perm.FORM_231)
+
+#: The Dyck-word sum walks all Catalan(n) words; at this n it takes ~10 s.
+DYCK_LIMIT = 13
 
 
 def fuss_catalan(n: int) -> int:
@@ -369,13 +372,18 @@ class HPolynomial:
 
 
 def h_polynomial(n: int) -> HPolynomial:
-    """Exact coefficients of the statistic-weighted polynomial for size n.
+    """Exact coefficients of the statistic-weighted polynomial for size n;
+    refused with ResourceLimitError above ``DYCK_LIMIT``.
 
     >>> h_polynomial(2).coefficients
     (0, 1, 2)
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > DYCK_LIMIT:
+        raise ResourceLimitError(
+            f"n={n} exceeds the Dyck-word sum bound n <= {DYCK_LIMIT}"
+        )
     coeffs = [0] * (n + 1)
     for stats in map(dyck_stats, words.dyck_words(n, "x", "y")):
         coeffs[stats.h] += stats.binomial_weight()

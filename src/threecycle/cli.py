@@ -47,7 +47,9 @@ def _parse_n_range(text: str) -> list[int]:
             values = [int(lo)]
     except ValueError:
         raise UsageError(f"bad n or n-range: {text!r}") from None
-    if not values or values[0] < 1:
+    if not values:
+        raise UsageError(f"empty n range: {text!r}")
+    if values[0] < 1:
         raise UsageError(f"n values must be >= 1: {text!r}")
     return values
 
@@ -296,7 +298,6 @@ CHECKS = (
         lambda n, _profile: (
             avoid321.count_321_via_tsets(n),
             avoid321.count_321_via_dyck(n),
-            avoid321.h_polynomial(n).evaluate(2),
         ),
         "route check 321: staircase sum = Dyck sum = f(2) for n=1..{last}",
     ),

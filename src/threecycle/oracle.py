@@ -93,16 +93,6 @@ def oracle_enumerate(q: AvoidanceQuery, allow_large: bool = False) -> Iterator[p
     yield from perm.iterate_star(q.n, form=q.form, patterns=q.sorted_patterns())
 
 
-def _count_task(args: tuple) -> int:
-    n, patterns, form, choice = args
-    return _kernels.count_avoiders(n, patterns, form, choice)
-
-
-def _profile_task(args: tuple) -> list[list[int]]:
-    n, choice = args
-    return _kernels.avoidance_profile(n, choice)
-
-
 def _workers(jobs: int, tasks: int) -> int:
     """Worker processes for ``tasks`` parallel tasks: ``jobs``, but never more
     than there are tasks or CPUs, so no request forks an unbounded pool.  One
@@ -112,6 +102,25 @@ def _workers(jobs: int, tasks: int) -> int:
     return min(jobs, tasks, os.cpu_count() or 1)
 
 
+def _task(args: tuple):
+    name, *call = args
+    return getattr(_kernels, name)(*call)
+
+
+def _fan_out(name: str, n: int, jobs: int, *rest) -> list:
+    """The parts of ``_kernels.<name>(n, *rest, first)``: the whole walk
+    (``first`` None) run in this process, or with more than one worker one
+    part per first-cycle choice, over a process pool.  The kernel is looked
+    up by name when it runs, so a rebound attribute is the one called."""
+    choices = _kernels.star_first_choices(n)
+    workers = _workers(jobs, len(choices))
+    if workers == 1:
+        return [getattr(_kernels, name)(n, *rest, None)]
+    tasks = [(name, n, *rest, choice) for choice in choices]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_task, tasks, chunksize=8))
+
+
 def oracle_count(
     q: AvoidanceQuery, jobs: int = 1, allow_large: bool = False
 ) -> int:
@@ -119,14 +128,7 @@ def oracle_count(
     partitioned over first-cycle choices and merged by addition, so the result
     is independent of worker count and schedule."""
     check_limits(q.n, allow_large)
-    patterns = q.sorted_patterns()
-    choices = perm.star_first_choices(q.n)
-    workers = _workers(jobs, len(choices))
-    if workers == 1:
-        return _kernels.count_avoiders(q.n, patterns, q.form, None)
-    tasks = [(q.n, patterns, q.form, choice) for choice in choices]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_count_task, tasks, chunksize=8))
+    return sum(_fan_out("count_avoiders", q.n, jobs, q.sorted_patterns(), q.form))
 
 
 def avoidance_profile(
@@ -139,18 +141,8 @@ def avoidance_profile(
     if n < 1:
         raise ValueError("n must be >= 1")
     check_limits(n, allow_large)
-    choices = perm.star_first_choices(n)
-    workers = _workers(jobs, len(choices))
-    if workers == 1:
-        return _kernels.avoidance_profile(n, None)
-    tasks = [(n, choice) for choice in choices]
-    table = [[0] * 64 for _ in range(3)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_profile_task, tasks, chunksize=8):
-            for row in range(3):
-                for col in range(64):
-                    table[row][col] += part[row][col]
-    return table
+    parts = _fan_out("avoidance_profile", n, jobs)
+    return [[sum(cells) for cells in zip(*rows)] for rows in zip(*parts)]
 
 
 def profile_count(

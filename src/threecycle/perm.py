@@ -226,19 +226,8 @@ def star_cardinality(n: int) -> int:
     return math.factorial(3 * n) // (math.factorial(n) * 3**n)
 
 
-def star_first_choices(n: int) -> list[tuple[int, int, int]]:
-    """The first-cycle choices that split ``iterate_star(n)`` into disjoint
-    sub-streams: partners (b, c) of element 1 in lexicographic order, each
-    with the 231-form orientation before the 312-form one."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    m = 3 * n
-    return [
-        (b, c, orient)
-        for b in range(2, m + 1)
-        for c in range(b + 1, m + 1)
-        for orient in (_kernels.ORIENT_231, _kernels.ORIENT_312)
-    ]
+# the walk's first-cycle split, re-exported next to the walk it splits
+star_first_choices = _kernels.star_first_choices
 
 
 def iterate_star(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from threecycle import avoid231, avoid321, cli, oracle, series
+from threecycle import avoid231, avoid321, cli, oracle, series, words
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -47,6 +47,7 @@ CASES = [
         "enumerate_132_312_n2.txt",
         ["enumerate", "--pattern", "132", "--form", "312", "--n", "2"],
     ),
+    ("enumerate_321_n3.txt", ["enumerate", "--pattern", "321", "--n", "3"]),
     (
         "enumerate_321_n1_jsonl.txt",
         ["enumerate", "--pattern", "321", "--n", "1", "--format", "jsonl"],
@@ -111,6 +112,9 @@ def test_usage_errors_exit_2(capsys):
     assert cli.main(["count", "--pattern", "999", "--n", "1"]) == 2
     assert cli.main(["count", "--pattern", "123,123", "--n", "1"]) == 2
     assert cli.main(["count", "--pattern", "321", "--n", "0..2"]) == 2
+    capsys.readouterr()
+    assert cli.main(["count", "--pattern", "231", "--n", "5..3"]) == 2
+    assert capsys.readouterr().err == "usage error: empty n range: '5..3'\n"
     assert cli.main(["count", "--pattern", "123", "--form", "312", "--n", "2"]) == 2
     assert cli.main(["paths", "--t", "1,2", "--path", "EEN"]) == 2
     assert cli.main(["decode", "--pattern", "321", "--perm", "3 1 2"]) == 2
@@ -131,7 +135,7 @@ def test_unknown_verb_exits_2():
     assert exc.value.code == 2
 
 
-def test_resource_refusal_exits_3(capsys):
+def test_resource_refusal_exits_3(monkeypatch, capsys):
     assert cli.main(["count", "--pattern", "321", "--n", "6", "--engine", "oracle"]) == 3
     err = capsys.readouterr().err
     assert "n <= 5" in err
@@ -151,6 +155,17 @@ def test_resource_refusal_exits_3(capsys):
         == 3
     )
     capsys.readouterr()
+
+    # the Dyck-word sum refuses before it walks a word
+    def no_walk(*args):
+        raise AssertionError("walked a Dyck word")
+
+    monkeypatch.setattr(words, "dyck_words", no_walk)
+    for argv in (["count", "--pattern", "321", "--n", "14"], ["hpoly", "--n", "14"]):
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == (
+            "refused: n=14 exceeds the Dyck-word sum bound n <= 13\n"
+        )
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):
