@@ -10,7 +10,9 @@ each other:
 * an exhaustive oracle over the star set (oracle), a pattern-pruned walk
   that consults no formula, the ground truth every formula is tested against.
 
-The package is pure Python; its hot loops live in ``threecycle._kernels``.
+The package is pure Python.  ``threecycle._kernels`` holds the star walk
+with its pattern-containment test, and the staircase scan behind every z/x/y
+word and its balanced-prefix statistic.
 """
 
 from threecycle._kernels import BACKEND as _backend

@@ -1,5 +1,6 @@
 """The search layer: pattern containment, the star walk under every count,
-enumeration and profile, and the balanced-prefix statistic.
+enumeration and profile, and the staircase scan behind every z/x/y word and
+its balanced-prefix statistic.
 
 The walk places one 3-cycle per frame, and only ``_options`` orders the
 choices; the oracle splits a walk over the root's (``star_first_choices``).
@@ -230,7 +231,6 @@ def avoidance_profile(
     rows; a member is the node with no cycle left.
     """
     table = [[0] * 64 for _ in range(3)]
-    # rows[left][n231]: completion_rows for a saturated subtree
     # rows[left][n231]: completion_rows of a yielded node
     rows = [
         [completion_rows(n231, n - left, left) for n231 in range(n - left + 1)]
@@ -245,27 +245,46 @@ def avoidance_profile(
     return table
 
 
-def h_of_tset(t: Sequence[int]) -> int:
-    """Balanced-prefix statistic of the z/x/y word determined by a staircase
-    set: the number of indices i whose prefix ending at the i-th y holds
-    exactly i x's.  Input is assumed validated (strictly increasing,
-    t[i] <= 3i - 2)."""
-    n = len(t)
-    m = 3 * n
-    is_z = bytearray(m + 1)
+_Z, _X, _Y = b"zxy"  # the staircase scan's slot codes
+
+
+def tset_scan(t: Sequence[int]) -> tuple[bytearray, int]:
+    """The staircase scan: the greedy rule that turns a staircase set ``t``
+    into its z/x/y word.  A slot in ``t`` is z; scanning the other slots left
+    to right, a slot becomes x while the x and y counts are tied, and
+    otherwise becomes y exactly when the next-needed y's partner x was
+    preceded by as many z's as there are x's so far.
+
+    Returns ``(codes, h)``: the letter of each slot as an ASCII code, and the
+    balanced-prefix statistic, the number of indices i whose prefix ending
+    at the i-th y holds exactly i x's.  ``t`` is assumed valid (strictly
+    increasing, t[i] <= 3i - 2).
+
+    >>> codes, h = tset_scan((1, 3))
+    >>> codes.decode(), h
+    ('zxzyxy', 2)
+    """
+    codes = bytearray(3 * len(t))  # 0 until the scan reaches the slot
     for v in t:
-        is_z[v] = 1
-    z_at_x = [0] * n
+        codes[v - 1] = _Z
+    z_at_x = [0] * len(t)  # z_at_x[i]: the z's before the (i+1)-th x
     x = y = z = h = 0
-    for pos in range(1, m + 1):
-        if is_z[pos]:
+    for pos, code in enumerate(codes):
+        if code:
             z += 1
-            continue
-        if x == y or z_at_x[y] != x:
+        elif x == y or z_at_x[y] != x:
+            codes[pos] = _X
             z_at_x[x] = z
             x += 1
         else:
+            codes[pos] = _Y
             y += 1
             if x == y:
                 h += 1
-    return h
+    return codes, h
+
+
+def h_of_tset(t: Sequence[int]) -> int:
+    """The balanced-prefix statistic of a staircase set's word, read off
+    :func:`tset_scan`."""
+    return tset_scan(t)[1]

@@ -21,6 +21,7 @@ once, which is what encode/decode exploit.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 from threecycle import perm
@@ -170,12 +171,7 @@ def words(length: int) -> Iterator[str]:
     """All E/L/R words of the given length, lexicographic in E < L < R."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if length == 0:
-        yield ""
-        return
-    for prefix in words(length - 1):
-        for letter in LETTERS:
-            yield prefix + letter
+    return map("".join, itertools.product(LETTERS, repeat=length))
 
 
 def count_231(n: int) -> int:

@@ -75,36 +75,14 @@ def enumerate_tsets(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def word_of_tset(t: Sequence[int]) -> str:
-    """The z/x/y word of a staircase set: z on the set; scanning the other
-    slots left to right, a slot becomes x while the x and y counts are tied,
-    and otherwise becomes y exactly when the next-needed y's partner x was
-    preceded by as many z's as there are x's so far.
+    """The z/x/y word of a staircase set, as the staircase scan
+    (:func:`threecycle._kernels.tset_scan`) writes it.
 
     >>> word_of_tset((1, 2, 3, 6, 11, 14))
     'zzzxxzxyyxzyyzxxyy'
     """
     t = check_tset(t)
-    n = len(t)
-    m = 3 * n
-    in_t = bytearray(m + 1)
-    for v in t:
-        in_t[v] = 1
-    letters: list[str] = []
-    z_at_x = [0] * n
-    x = y = z = 0
-    for pos in range(1, m + 1):
-        if in_t[pos]:
-            letters.append("z")
-            z += 1
-            continue
-        if x == y or z_at_x[y] != x:
-            letters.append("x")
-            z_at_x[x] = z
-            x += 1
-        else:
-            letters.append("y")
-            y += 1
-    word = "".join(letters)
+    word = _kernels.tset_scan(t)[0].decode()
     _assert_precedence(word, t)
     return word
 
@@ -180,9 +158,7 @@ def perm_from_tset(t: Sequence[int]) -> perm.Perm:
     (5, 6, 1, 2, 3, 4)
     """
     t = check_tset(t)
-    word = word_of_tset(t)
-    h, _ = h_and_segments(word)
-    return perm_from_choices(t, (perm.FORM_312,) * h)
+    return perm_from_choices(t, (perm.FORM_312,) * _kernels.h_of_tset(t))
 
 
 def tset_min_partition(p: perm.Perm) -> tuple[int, ...]:
@@ -200,8 +176,7 @@ def enumerate_321(n: int) -> Iterator[perm.Perm]:
     if n < 1:
         raise ValueError("n must be >= 1")
     for t in enumerate_tsets(n):
-        h, _ = h_and_segments(word_of_tset(t))
-        for forms in itertools.product(FORM_CHOICES, repeat=h):
+        for forms in itertools.product(FORM_CHOICES, repeat=_kernels.h_of_tset(t)):
             yield perm_from_choices(t, forms)
 
 

@@ -12,10 +12,10 @@ import argparse
 import itertools
 import json
 import sys
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from threecycle import avoid132, avoid231, avoid321, oracle, perm, series
-from threecycle.errors import MembershipError, PermutationError, ResourceLimitError
+from threecycle.errors import ResourceLimitError
 
 
 class UsageError(Exception):
@@ -30,7 +30,7 @@ def _parse_pattern_set(text: str) -> tuple[perm.Perm, ...]:
             raise UsageError(f"empty pattern in {text!r}")
         try:
             sigma = perm.check_permutation(tuple(int(ch) for ch in token))
-        except (ValueError, PermutationError):
+        except ValueError:
             raise UsageError(f"not a pattern: {token!r}") from None
         out.append(sigma)
     if len(set(out)) != len(out):
@@ -38,18 +38,15 @@ def _parse_pattern_set(text: str) -> tuple[perm.Perm, ...]:
     return tuple(out)
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
-        if sep:
-            values = list(range(int(lo), int(hi) + 1))
-        else:
-            values = [int(lo)]
+        values = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
         raise UsageError(f"bad n or n-range: {text!r}") from None
     if not values:
         raise UsageError(f"empty n range: {text!r}")
-    if values[0] < 1:
+    if values.start < 1:
         raise UsageError(f"n values must be >= 1: {text!r}")
     return values
 
@@ -60,6 +57,19 @@ def _parse_form(text: str) -> str | None:
     if text in (perm.FORM_312, perm.FORM_231):
         return text
     raise UsageError(f"form must be all, 312 or 231: {text!r}")
+
+
+def _render(values: Iterable[int]) -> list[str]:
+    """Every value as decimal text, made before the first line is printed:
+    a value over Python's int-to-text digit limit is refused, not printed in
+    part."""
+    try:
+        return [str(v) for v in values]
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ResourceLimitError(
+            f"an answer has more than {limit} digits, Python's limit for printing"
+        ) from None
 
 
 _PATTERN_NAMES = ("123", "132", "213", "231", "312", "321")
@@ -107,22 +117,23 @@ def _cmd_count(args: argparse.Namespace) -> int:
         raise UsageError(f"patterns must have length 3: {args.pattern!r}")
     form = _parse_form(args.form)
     ns = _parse_n_range(args.n)
-    counts = []
-    for n in ns:
+
+    def count(n: int) -> int:
         if args.engine == "formula":
-            counts.append(formula_count(n, patterns, form))
-        else:
-            q = oracle.AvoidanceQuery(n, frozenset(patterns), form)
-            counts.append(
-                oracle.oracle_count(q, jobs=args.jobs, allow_large=args.allow_large)
-            )
+            return formula_count(n, patterns, form)
+        q = oracle.AvoidanceQuery(n, frozenset(patterns), form)
+        return oracle.oracle_count(q, jobs=args.jobs, allow_large=args.allow_large)
+
+    last = count(ns[-1])  # the largest n first: a refusal comes before other work
+    counts = [*map(count, ns[:-1]), last]
+    texts = _render(counts)
     if args.format == "text":
-        print(" ".join(str(c) for c in counts))
+        print(" ".join(texts))
     elif args.format == "bfile":
-        for n, c in zip(ns, counts):
+        for n, c in zip(ns, texts):
             print(f"{n} {c}")
     else:
-        for n, c in zip(ns, counts):
+        for n, c in zip(ns, counts):  # json converts c again; _render checked it fits
             record = {
                 "n": n,
                 "patterns": ["".join(str(v) for v in p) for p in sorted(patterns)],
@@ -136,7 +147,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     patterns = _parse_pattern_set(args.pattern)
     form = _parse_form(args.form)
-    for n in _parse_n_range(args.n):
+    ns = _parse_n_range(args.n)
+    # a bad pattern is a usage error before any refusal, and both come first
+    oracle.AvoidanceQuery(ns[-1], frozenset(patterns), form)
+    oracle.check_limits(ns[-1], args.allow_large)
+    for n in ns:
         q = oracle.AvoidanceQuery(n, frozenset(patterns), form)
         for p in oracle.oracle_enumerate(q, allow_large=args.allow_large):
             if args.format == "jsonl":
@@ -158,21 +173,17 @@ def _cmd_series(args: argparse.Namespace) -> int:
         "catalan": series.catalan_series,
         "motzkin": series.motzkin_series,
     }
-    s = makers[args.which](args.order)
+    texts = _render(makers[args.which](args.order).coeffs)
     if args.format == "json":
-        print(json.dumps([str(c) for c in s.coeffs]))
+        print(json.dumps(texts))
     else:
-        for n, c in enumerate(s.coeffs):
+        for n, c in enumerate(texts):
             print(f"{n}: {c}")
     return 0
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    try:
-        p = avoid231.encode(args.word)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    print(perm.format_one_line(p))
+    print(perm.format_one_line(avoid231.encode(args.word)))
     return 0
 
 
@@ -185,8 +196,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_hpoly(args: argparse.Namespace) -> int:
-    poly = avoid321.h_polynomial(args.n)
-    print(" ".join(str(c) for c in poly.coefficients))
+    print(" ".join(_render(avoid321.h_polynomial(args.n).coefficients)))
     return 0
 
 
@@ -428,10 +438,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (PermutationError, MembershipError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -178,8 +178,8 @@ def contains_pattern(p: Perm, sigma: Perm) -> bool:
     """True iff some subsequence of ``p`` is order-isomorphic to ``sigma``.
 
     A pattern longer than the permutation is never contained.  Length-3
-    patterns (the only length used by the counting modules) go through the
-    kernels; other lengths use a generic backtracking scan.
+    patterns (the only length used by the counting modules) use the star
+    walk's containment test; other lengths a generic backtracking scan.
     """
     k = len(sigma)
     if k > len(p):

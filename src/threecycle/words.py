@@ -93,10 +93,9 @@ def is_motzkin(word: str) -> bool:
     ) <= {"U", "F", "D"}
 
 
-def compositions(n: int, length: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Compositions of ``n`` (ordered tuples of positive parts), optionally of a
-    fixed ``length``; parts are chosen smallest-first so the stream is
-    lexicographic.
+def compositions(n: int) -> Iterator[tuple[int, ...]]:
+    """Compositions of ``n`` (ordered tuples of positive parts); parts are
+    chosen smallest-first so the stream is lexicographic.
 
     >>> list(compositions(3))
     [(1, 1, 1), (1, 2), (2, 1), (3,)]
@@ -107,10 +106,7 @@ def compositions(n: int, length: int | None = None) -> Iterator[tuple[int, ...]]
 
     def rec(remaining: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
-            if length is None or len(parts) == length:
-                yield tuple(parts)
-            return
-        if length is not None and len(parts) >= length:
+            yield tuple(parts)
             return
         for x in range(1, remaining + 1):
             parts.append(x)

@@ -141,6 +141,34 @@ def composition_sums_132(max_n):
     return a, [2 * v for v in b]
 
 
+def staircase_word(t):
+    """The z/x/y word of a staircase set and its balanced-prefix statistic,
+    by the greedy rule written letter by letter, apart from the library's
+    staircase scan: the reference the scan is pinned against."""
+    n = len(t)
+    in_t = bytearray(3 * n + 1)
+    for v in t:
+        in_t[v] = 1
+    letters = []
+    z_at_x = [0] * n
+    x = y = z = h = 0
+    for pos in range(1, 3 * n + 1):
+        if in_t[pos]:
+            letters.append("z")
+            z += 1
+            continue
+        if x == y or z_at_x[y] != x:
+            letters.append("x")
+            z_at_x[x] = z
+            x += 1
+        else:
+            letters.append("y")
+            y += 1
+            if x == y:
+                h += 1
+    return "".join(letters), h
+
+
 @pytest.fixture(scope="session")
 def star_sets():
     """Members of the star sets for n = 1..4, computed once via the library

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_forms, cycle_lengths, naive_contains
+from conftest import cycle_forms, cycle_lengths, naive_contains, staircase_word
 from threecycle import avoid321, oracle, perm
 
 BIG_T = (1, 2, 3, 6, 11, 14)
@@ -122,6 +122,15 @@ class TestWordAlgorithm:
         assert avoid321.word_of_tset((1, 2)) == "zzxxyy"
         assert avoid321.word_of_tset((1, 3)) == "zxzyxy"
         assert avoid321.word_of_tset((1, 4)) == "zxyzxy"
+
+    def test_words_match_reference_rule(self):
+        # every staircase set up to n=7: the word and its statistic are the
+        # letter-by-letter rule's
+        for n in range(1, 8):
+            for t in avoid321.enumerate_tsets(n):
+                word, h = staircase_word(t)
+                assert avoid321.word_of_tset(t) == word, t
+                assert avoid321.h_and_segments(word)[0] == h, t
 
     def test_letter_conditions(self):
         # value/position interleaving conditions on every set up to n=5:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from threecycle import avoid231, avoid321, cli, oracle, series, words
+from threecycle import _kernels, avoid231, avoid321, cli, oracle, series, words
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -166,6 +167,49 @@ def test_resource_refusal_exits_3(monkeypatch, capsys):
         assert capsys.readouterr().err == (
             "refused: n=14 exceeds the Dyck-word sum bound n <= 13\n"
         )
+
+
+def _fail(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (["count", "--pattern", "321", "--n", "12..14"], words, "dyck_words"),
+        (
+            ["count", "--engine", "oracle", "--pattern", "231", "--n", "4..6"],
+            _kernels,
+            "star_walk",
+        ),
+        (["enumerate", "--pattern", "123", "--n", "1..6"], _kernels, "star_walk"),
+    ],
+    ids=["count-321-formula", "count-231-oracle", "enumerate-123"],
+)
+def test_n_range_refused_before_any_work(argv, module, name, monkeypatch, capsys):
+    # the largest n is refused first: no smaller n is computed or printed
+    monkeypatch.setattr(module, name, _fail(name))
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("refused: n=")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="no int-to-text digit limit in this Python",
+)
+@pytest.mark.parametrize("fmt", ["text", "bfile", "jsonl"])
+def test_answer_too_long_to_print_exits_3(fmt, capsys):
+    # 3^9099 has 4,342 digits, over the default limit of 4,300
+    argv = ["count", "--pattern", "231", "--n", "9100"]
+    assert cli.main([*argv, "--format", fmt]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("refused: ") and "digits" in err
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):
