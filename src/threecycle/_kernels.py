@@ -1,6 +1,7 @@
 """The search layer: pattern containment, the star walk under every count,
 enumeration and profile, and the staircase scan behind every z/x/y word and
-its balanced-prefix statistic.
+its balanced-prefix statistic, with its greedy rule (``is_y_slot``), which
+the staircase automaton of :mod:`threecycle.avoid321` steps slot by slot.
 
 The walk places one 3-cycle per frame, and only ``_options`` orders the
 choices; the oracle splits a walk over the root's (``star_first_choices``).
@@ -248,12 +249,24 @@ def avoidance_profile(
 _Z, _X, _Y = b"zxy"  # the staircase scan's slot codes
 
 
+def is_y_slot(x: int, y: int, z_at_partner: int) -> bool:
+    """The greedy rule at a slot outside the staircase set, after ``x`` x's
+    and ``y`` y's: the slot is y exactly when an x waits for its y (x > y)
+    and ``z_at_partner``, the number of z's before the earliest waiting x,
+    equals x; otherwise it is x.
+
+    >>> is_y_slot(1, 0, 1), is_y_slot(1, 0, 2), is_y_slot(1, 1, 1)
+    (True, False, False)
+    """
+    return x > y and z_at_partner == x
+
+
 def tset_scan(t: Sequence[int]) -> tuple[bytearray, int]:
     """The staircase scan: the greedy rule that turns a staircase set ``t``
     into its z/x/y word.  A slot in ``t`` is z; scanning the other slots left
-    to right, a slot becomes x while the x and y counts are tied, and
-    otherwise becomes y exactly when the next-needed y's partner x was
-    preceded by as many z's as there are x's so far.
+    to right, a slot becomes x or y by :func:`is_y_slot`: x while the x and y
+    counts are tied, and otherwise y exactly when the next-needed y's partner
+    x was preceded by as many z's as there are x's so far.
 
     Returns ``(codes, h)``: the letter of each slot as an ASCII code, and the
     balanced-prefix statistic, the number of indices i whose prefix ending
@@ -272,15 +285,15 @@ def tset_scan(t: Sequence[int]) -> tuple[bytearray, int]:
     for pos, code in enumerate(codes):
         if code:
             z += 1
-        elif x == y or z_at_x[y] != x:
-            codes[pos] = _X
-            z_at_x[x] = z
-            x += 1
-        else:
+        elif is_y_slot(x, y, z_at_x[y]):  # y < len(t) at any slot outside t
             codes[pos] = _Y
             y += 1
             if x == y:
                 h += 1
+        else:
+            codes[pos] = _X
+            z_at_x[x] = z
+            x += 1
     return codes, h
 
 

@@ -296,9 +296,12 @@ def enumerate_all312(n: int) -> Iterator[perm.Perm]:
 
 def count_all312(n: int) -> int:
     """Size of the all-312 subclass: the coefficient of x^n in
-    :func:`series.series_A`, (c - 1) * m(c - 1).  Expanded, that is the sum
-    over compositions (x1..xk) of n of M[k-1] * prod C[xi]: M[k-1] Dyck
-    words per type of length k, each carrying prod C[xi] members.
+    :func:`series.series_A`, A = (c - 1) * m(c - 1).  Expanded, that is the
+    sum over compositions (x1..xk) of n of M[k-1] * prod C[xi]: M[k-1] Dyck
+    words per type of length k, each carrying prod C[xi] members.  As the
+    Motzkin series satisfies m = 1 + x m + x^2 m^2, A = u (1 + A + A^2) with
+    u = c - 1, and the series is built from that equation.  Refused above
+    ``series.ORDER_LIMIT``.
 
     >>> [count_all312(n) for n in range(1, 5)]
     [1, 3, 11, 44]
@@ -312,7 +315,7 @@ def count_132(n: int) -> int:
     """Number of 132-avoiding star permutations: the coefficient of x^n in
     :func:`series.series_B`, 2A / (1 - A).  Expanded, that is twice the sum
     over compositions (x1..xk) of n of prod a[xi], where a[m] is the all-312
-    subclass count.
+    subclass count.  Refused above ``series.ORDER_LIMIT``.
 
     >>> [count_132(n) for n in range(1, 6)]
     [2, 8, 36, 170, 824]

@@ -22,12 +22,22 @@ once, which is what encode/decode exploit.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator
 
 from threecycle import perm
-from threecycle.errors import InternalInvariantError, MembershipError
+from threecycle.errors import (
+    MAX_DIGITS,
+    InternalInvariantError,
+    MembershipError,
+    ResourceLimitError,
+)
 
 LETTERS = "ELR"
+
+#: The largest n whose count 3^(n-1) has at most ``MAX_DIGITS`` digits: the
+#: largest n with (n-1) log10(3) < MAX_DIGITS.
+COUNT_LIMIT = math.ceil(MAX_DIGITS / math.log10(3))
 
 _SEED: perm.Perm = (3, 1, 2)
 
@@ -175,11 +185,17 @@ def words(length: int) -> Iterator[str]:
 
 
 def count_231(n: int) -> int:
-    """Number of 231-avoiding star permutations: 3^(n-1).
+    """Number of 231-avoiding star permutations: 3^(n-1); refused above
+    ``COUNT_LIMIT``.
 
     >>> [count_231(n) for n in range(1, 6)]
     [1, 3, 9, 27, 81]
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > COUNT_LIMIT:
+        raise ResourceLimitError(
+            f"n={n} exceeds the 231 count bound n <= {COUNT_LIMIT}:"
+            f" 3^(n-1) would have more than {MAX_DIGITS} digits"
+        )
     return 3 ** (n - 1)

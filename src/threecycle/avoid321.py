@@ -1,8 +1,8 @@
 """321-avoiding star permutations: staircase sets, the z/x/y word algorithm,
 the all-312 construction and its lattice-path bijection, mixed-form members
 generated per balanced segment, and the two independent counting routes
-(sum of 2^h over staircase sets vs. the weighted sum over Dyck words, which
-is the h-polynomial evaluated at 2).
+(sum of 2^h over staircase sets, by the staircase automaton, vs. the weighted
+sum over Dyck words, which is the h-polynomial evaluated at 2).
 
 A staircase set is an n-subset {t1 < ... < tn} of [3n] with ti <= 3i - 2.
 It determines a word over z/x/y (z on the set, x and y placed by a greedy
@@ -21,22 +21,51 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from threecycle import _kernels, perm, words
-from threecycle.errors import InternalInvariantError, ResourceLimitError
+from threecycle.errors import MAX_DIGITS, InternalInvariantError, ResourceLimitError
 
 FORM_CHOICES = (perm.FORM_312, perm.FORM_231)
 
 #: The Dyck-word sum walks all Catalan(n) words; at this n it takes ~10 s.
 DYCK_LIMIT = 13
 
+#: The staircase automaton's states grow about 2.2-fold per n.  At this n a
+#: count takes about 10 s and 250 MB on one core, and ``count --pattern 321
+#: --n 1..TSET_LIMIT`` about 18 s.
+TSET_LIMIT = 20
+
+
+def _log10_fuss_catalan(n: int) -> float:
+    return (
+        math.lgamma(3 * n + 1) - math.lgamma(n + 1) - math.lgamma(2 * n + 1)
+    ) / math.log(10) - math.log10(2 * n + 1)
+
+
+def _fuss_limit() -> int:
+    """The largest n whose Fuss-Catalan number has at most ``MAX_DIGITS``
+    digits, that is log10 < MAX_DIGITS.  The number is below (27/4)^n, so the
+    search starts at an n that fits."""
+    n = int(MAX_DIGITS / math.log10(27 / 4))
+    while _log10_fuss_catalan(n + 1) < MAX_DIGITS:
+        n += 1
+    return n
+
+
+FUSS_LIMIT = _fuss_limit()
+
 
 def fuss_catalan(n: int) -> int:
-    """binom(3n, n) / (2n + 1), exact.
+    """binom(3n, n) / (2n + 1), exact; refused above ``FUSS_LIMIT``.
 
     >>> [fuss_catalan(n) for n in range(1, 6)]
     [1, 3, 12, 55, 273]
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > FUSS_LIMIT:
+        raise ResourceLimitError(
+            f"n={n} exceeds the Fuss-Catalan bound n <= {FUSS_LIMIT}:"
+            f" the answer would have more than {MAX_DIGITS} digits"
+        )
     return math.comb(3 * n, n) // (2 * n + 1)
 
 
@@ -180,16 +209,74 @@ def enumerate_321(n: int) -> Iterator[perm.Perm]:
             yield perm_from_choices(t, forms)
 
 
-def count_321_via_tsets(n: int) -> int:
-    """Sum of 2^h over all staircase sets (h computed by ``_kernels.h_of_tset``).
+def tset_h_sum(n: int, t: int) -> int:
+    """The sum of t^h over the staircase sets of size n, h the balanced-prefix
+    statistic of each set's z/x/y word, by the staircase automaton; refused
+    above ``TSET_LIMIT``.
 
-    >>> [count_321_via_tsets(n) for n in range(1, 5)]
+    The automaton reads the slots 1..3n left to right, and each staircase
+    set is one path through it: z on the set's slots, and on the others the
+    letter the greedy rule (:func:`threecycle._kernels.is_y_slot`) writes.
+    After a slot, a path's state is (x, y, waiting): the x and y counts so
+    far, and the z count recorded at each x that has no y yet, earliest
+    first; the z count is the slot minus x and y.  The rule reads nothing
+    else, so the paths in one state have the same continuations and are
+    merged, the state carrying the sum of t^h over them.  At each slot:
+
+    * a z is allowed while z < n, and forced when the slot is 3z + 1 (the
+      staircase bound: the (z+1)-th element is at most 3(z+1) - 2), so every
+      path is a staircase set and ends in the state (n, n, ());
+    * otherwise the rule writes x, recording z, or y, closing the earliest
+      waiting x;
+    * a y that leaves x = y balances the prefix and multiplies by t.
+
+    At t = 2 this is the 321 count, at t = 1 the Fuss-Catalan number, and at
+    t = 2^b with 2^b above the Fuss-Catalan number, its base-2^b digits are
+    the coefficients of the h-polynomial.  The states number about 2.2^n,
+    far fewer than the Fuss-Catalan(n) sets.
+
+    >>> [tset_h_sum(n, 2) for n in range(1, 5)]
     [2, 10, 60, 388]
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    h_of = _kernels.h_of_tset
-    return sum(2 ** h_of(t) for t in enumerate_tsets(n))
+    if n > TSET_LIMIT:
+        raise ResourceLimitError(
+            f"n={n} exceeds the staircase automaton bound n <= {TSET_LIMIT}"
+        )
+    is_y_slot = _kernels.is_y_slot
+    states: dict[tuple[int, int, tuple[int, ...]], int] = {(0, 0, ()): 1}
+    for slot in range(1, 3 * n + 1):
+        merged: dict[tuple[int, int, tuple[int, ...]], int] = {}
+        for (x, y, waiting), weight in states.items():
+            z = slot - 1 - x - y
+            if z < n:
+                key = (x, y, waiting)
+                merged[key] = merged.get(key, 0) + weight
+                if slot == 3 * z + 1:
+                    continue
+            # with no x waiting, x == y and the rule writes x whatever it reads
+            if is_y_slot(x, y, waiting[0] if waiting else 0):
+                y += 1
+                key = (x, y, waiting[1:])
+                if x == y:
+                    weight *= t
+            else:
+                key = (x + 1, y, waiting + (z,))
+            merged[key] = merged.get(key, 0) + weight
+        states = merged
+    return states[n, n, ()]
+
+
+def count_321_via_tsets(n: int) -> int:
+    """The 321 count as the sum of 2^h over all staircase sets, read off the
+    staircase automaton (:func:`tset_h_sum` at t = 2); refused above
+    ``TSET_LIMIT``.
+
+    >>> [count_321_via_tsets(n) for n in range(1, 5)]
+    [2, 10, 60, 388]
+    """
+    return tset_h_sum(n, 2)
 
 
 def tset_to_path(t: Sequence[int]) -> str:

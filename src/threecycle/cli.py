@@ -92,7 +92,7 @@ def formula_count(n: int, patterns: Sequence[perm.Perm], form: str | None) -> in
         if sigma in ("132", "213"):
             return avoid132.count_132(n)
         if sigma == "321":
-            return avoid321.count_321_via_dyck(n)
+            return avoid321.count_321_via_tsets(n)
         if sigma == "123":
             return oracle.closed_form_123(n)
     else:

@@ -15,3 +15,9 @@ class ResourceLimitError(RuntimeError):
 
 class InternalInvariantError(RuntimeError):
     """A structural guarantee was violated; indicates a bug, not bad input."""
+
+
+#: Python's default limit on the digits of an int turned into text
+#: (``sys.int_info.default_max_str_digits``).  A closed-form count whose answer
+#: would have more digits is refused before it is computed.
+MAX_DIGITS = 4300

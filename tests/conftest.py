@@ -141,6 +141,24 @@ def composition_sums_132(max_n):
     return a, [2 * v for v in b]
 
 
+def composed_series_A(order):
+    """The all-312 series as the paper writes it, (c - 1) * m(c - 1), by
+    Horner composition of the Motzkin series: the reference for the
+    library's coefficient-by-coefficient ``series_A``."""
+    from threecycle import series
+
+    u = series.catalan_series(order) - series.one(order)
+    return u * series.motzkin_series(order).compose(u)
+
+
+def tset_sum_by_enumeration(n):
+    """The sum of 2^h over the staircase sets of size n, one scan per set:
+    the reference for the library's staircase automaton."""
+    from threecycle import _kernels, avoid321
+
+    return sum(2 ** _kernels.h_of_tset(t) for t in avoid321.enumerate_tsets(n))
+
+
 def staircase_word(t):
     """The z/x/y word of a staircase set and its balanced-prefix statistic,
     by the greedy rule written letter by letter, apart from the library's

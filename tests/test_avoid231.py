@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from threecycle import avoid231, oracle, perm
-from threecycle.errors import MembershipError
+from threecycle.errors import MAX_DIGITS, MembershipError, ResourceLimitError
 
 EXAMPLE = perm.parse_one_line("3 1 2 12 11 10 5 4 6 9 7 8")
 
@@ -164,6 +164,12 @@ class TestWordBijection:
 class TestCount:
     def test_powers_of_three(self):
         assert [avoid231.count_231(n) for n in (1, 4, 5)] == [1, 27, 81]
+
+    def test_bound_is_the_last_n_that_fits_the_digit_limit(self):
+        limit = avoid231.COUNT_LIMIT
+        assert avoid231.count_231(limit) < 10**MAX_DIGITS <= 3**limit
+        with pytest.raises(ResourceLimitError, match="digits"):
+            avoid231.count_231(limit + 1)
 
     def test_matches_oracle(self):
         for n in (1, 2, 3, 4):

@@ -10,8 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_forms, cycle_lengths, naive_contains, staircase_word
-from threecycle import avoid321, oracle, perm
+from conftest import (
+    cycle_forms,
+    cycle_lengths,
+    naive_contains,
+    staircase_word,
+    tset_sum_by_enumeration,
+)
+from threecycle import _kernels, avoid321, oracle, perm
+from threecycle.errors import MAX_DIGITS, ResourceLimitError
 
 BIG_T = (1, 2, 3, 6, 11, 14)
 BIG_WORD = "zzzxxzxyyxzyyzxxyy"
@@ -102,6 +109,18 @@ class TestStaircaseSets:
 
     def test_fuss_catalan_values(self):
         assert [avoid321.fuss_catalan(n) for n in (2, 3, 5)] == [3, 12, 273]
+
+    def test_fuss_catalan_bound_is_the_last_n_that_fits(self, monkeypatch):
+        limit = avoid321.FUSS_LIMIT
+        past = math.comb(3 * limit + 3, limit + 1) // (2 * limit + 3)
+        assert avoid321.fuss_catalan(limit) < 10**MAX_DIGITS <= past
+
+        def no_comb(*args):
+            raise AssertionError("computed a binomial")
+
+        monkeypatch.setattr(math, "comb", no_comb)
+        with pytest.raises(ResourceLimitError, match="digits"):
+            avoid321.fuss_catalan(limit + 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -313,6 +332,47 @@ class TestEnumerate321:
             got = list(avoid321.enumerate_321(n))
             assert len(got) == len(set(got))
             assert set(got) == class_members(n)
+
+
+class TestStaircaseAutomaton:
+    def test_greedy_steps_pinned(self, monkeypatch):
+        # one rule step per state at each slot it does not fill with z.  The
+        # forced z keeps every state on a staircase set.  A lax bound admits
+        # paths that never reach the final state, so the count stays right
+        # and only the steps show it: 247,678 if z is forced a slot late,
+        # 2,012,033 if never
+        real = _kernels.is_y_slot
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(_kernels, "is_y_slot", counting)
+        assert avoid321.count_321_via_tsets(8) == 874562
+        assert len(calls) == 1004
+
+    def test_matches_sum_over_enumerated_sets(self):
+        for n in range(1, 9):
+            assert avoid321.count_321_via_tsets(n) == tset_sum_by_enumeration(n)
+
+    def test_polynomial_matches_dyck_route(self):
+        # at t = 2^b, 2^b above every coefficient, the sum's base-2^b digits
+        # are the h-polynomial's coefficients
+        for n in range(1, 11):
+            b = avoid321.fuss_catalan(n).bit_length()
+            packed = avoid321.tset_h_sum(n, 1 << b)
+            coeffs = [(packed >> (b * h)) & ((1 << b) - 1) for h in range(n + 1)]
+            assert packed >> (b * (n + 1)) == 0
+            assert tuple(coeffs) == avoid321.h_polynomial(n).coefficients, n
+
+    def test_at_one_counts_the_sets(self):
+        for n in range(1, 9):
+            assert avoid321.tset_h_sum(n, 1) == avoid321.fuss_catalan(n)
+
+    def test_rejects_n_below_one(self):
+        with pytest.raises(ValueError):
+            avoid321.count_321_via_tsets(0)
 
 
 class TestDyckRoute:

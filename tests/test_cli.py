@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -162,11 +163,17 @@ def test_resource_refusal_exits_3(monkeypatch, capsys):
         raise AssertionError("walked a Dyck word")
 
     monkeypatch.setattr(words, "dyck_words", no_walk)
-    for argv in (["count", "--pattern", "321", "--n", "14"], ["hpoly", "--n", "14"]):
-        assert cli.main(argv) == 3
-        assert capsys.readouterr().err == (
-            "refused: n=14 exceeds the Dyck-word sum bound n <= 13\n"
-        )
+    assert cli.main(["hpoly", "--n", "14"]) == 3
+    assert capsys.readouterr().err == (
+        "refused: n=14 exceeds the Dyck-word sum bound n <= 13\n"
+    )
+
+    # the staircase automaton refuses before it reads a slot
+    monkeypatch.setattr(_kernels, "is_y_slot", _fail("is_y_slot"))
+    assert cli.main(["count", "--pattern", "321", "--n", "21"]) == 3
+    assert capsys.readouterr().err == (
+        "refused: n=21 exceeds the staircase automaton bound n <= 20\n"
+    )
 
 
 def _fail(name):
@@ -179,7 +186,7 @@ def _fail(name):
 @pytest.mark.parametrize(
     "argv, module, name",
     [
-        (["count", "--pattern", "321", "--n", "12..14"], words, "dyck_words"),
+        (["count", "--pattern", "321", "--n", "19..21"], _kernels, "is_y_slot"),
         (
             ["count", "--engine", "oracle", "--pattern", "231", "--n", "4..6"],
             _kernels,
@@ -210,6 +217,56 @@ def test_answer_too_long_to_print_exits_3(fmt, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("refused: ") and "digits" in err
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (["count", "--pattern", "132", "--n", "501"], series, "catalan_numbers"),
+        (
+            ["count", "--pattern", "213", "--form", "231", "--n", "499..501"],
+            series,
+            "catalan_numbers",
+        ),
+        (["series", "--which", "A", "--order", "501"], series, "catalan_numbers"),
+        (["series", "--which", "B", "--order", "501"], series, "catalan_numbers"),
+        (["series", "--which", "catalan", "--order", "501"], None, None),
+        (["series", "--which", "motzkin", "--order", "501"], None, None),
+        (["count", "--pattern", "321", "--form", "312", "--n", "5193"], math, "comb"),
+    ],
+)
+def test_formula_bounds_refuse_before_work(argv, module, name, monkeypatch, capsys):
+    if module is not None:
+        monkeypatch.setattr(module, name, _fail(name))
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("refused: ") and "bound" in err
+
+
+def test_321_counts_past_the_dyck_bound(capsys):
+    # n = 13 was computed once by the Dyck-word sum, count_321_via_dyck
+    assert cli.main(["count", "--pattern", "321", "--n", "11..13"]) == 0
+    assert capsys.readouterr().out == "312843918 2235028210 15999423988\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="no int-to-text digit limit in this Python",
+)
+def test_answer_over_a_lowered_digit_limit_exits_3(capsys):
+    # 3^1399 has 668 digits: under the 231 bound, over a limit of 640
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert cli.main(["count", "--pattern", "231", "--n", "1400"]) == 3
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "refused: an answer has more than 640 digits, Python's limit for printing\n"
+    )
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import catalan_direct, composition_sums_132, motzkin_direct
+from conftest import (
+    catalan_direct,
+    composed_series_A,
+    composition_sums_132,
+    motzkin_direct,
+)
 from threecycle import oracle, series
+from threecycle.errors import ResourceLimitError
 
 
 class TestNumberTables:
@@ -20,9 +26,9 @@ class TestNumberTables:
         assert series.motzkin_numbers(0) == [1]
 
     def test_against_closed_forms(self):
-        cat = series.catalan_numbers(20)
-        mot = series.motzkin_numbers(20)
-        for n in range(21):
+        cat = series.catalan_numbers(100)
+        mot = series.motzkin_numbers(100)
+        for n in range(101):
             assert cat[n] == catalan_direct(n)
             assert mot[n] == motzkin_direct(n)
 
@@ -89,6 +95,15 @@ class TestGeneratingFunctions:
         assert series.series_B(5).coeffs == (0, 2, 8, 36, 170, 824)
         assert series.series_B(1).coeffs == (0, 2)
 
+    def test_matches_composed_series(self):
+        for order in range(1, 61):
+            assert series.series_A(order) == composed_series_A(order)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=61, max_value=120))
+    def test_matches_composed_series_drawn_orders(self, order):
+        assert series.series_A(order) == composed_series_A(order)
+
     def test_coefficients_match_composition_sums(self):
         a = series.series_A(20)
         b = series.series_B(20)
@@ -119,3 +134,34 @@ class TestGeneratingFunctions:
                 oracle.query(n, "132", form="312")
             )
             assert b.coefficient(n) == oracle.oracle_count(oracle.query(n, "132"))
+
+
+class TestOrderBound:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            series.series_A,
+            series.series_B,
+            series.catalan_numbers,
+            series.motzkin_numbers,
+            series.catalan_series,
+            series.motzkin_series,
+        ],
+    )
+    def test_refused_above_bound(self, make):
+        with pytest.raises(ResourceLimitError, match="series bound"):
+            make(series.ORDER_LIMIT + 1)
+
+    @pytest.mark.parametrize("make", [series.series_A, series.series_B])
+    def test_refused_before_any_work(self, make, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("built a coefficient table")
+
+        monkeypatch.setattr(series, "catalan_numbers", no_work)
+        with pytest.raises(ResourceLimitError):
+            make(series.ORDER_LIMIT + 1)
+
+    def test_tables_reach_the_bound(self):
+        order = series.ORDER_LIMIT
+        assert series.catalan_numbers(order)[-1] == catalan_direct(order)
+        assert series.motzkin_numbers(order)[-1] == motzkin_direct(order)
