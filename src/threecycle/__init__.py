@@ -40,7 +40,6 @@ from threecycle.perm import (
     parse_one_line,
     reverse_complement,
     star_cardinality,
-    star_first_choices,
 )
 from threecycle.oracle import (
     AvoidanceQuery,
@@ -86,5 +85,4 @@ __all__ = [
     "parse_one_line",
     "reverse_complement",
     "star_cardinality",
-    "star_first_choices",
 ]

@@ -1,6 +1,6 @@
 """The search layer: pattern containment, the star walk under every count,
 enumeration and profile, and the staircase scan behind every z/x/y word and
-its balanced-prefix statistic, with its greedy rule (``is_y_slot``), which
+its balanced-prefix cuts, with its greedy rule (``is_y_slot``), which
 the staircase automaton of :mod:`threecycle.avoid321` steps slot by slot.
 
 The walk places one 3-cycle per frame, and only ``_options`` orders the
@@ -261,27 +261,29 @@ def is_y_slot(x: int, y: int, z_at_partner: int) -> bool:
     return x > y and z_at_partner == x
 
 
-def tset_scan(t: Sequence[int]) -> tuple[bytearray, int]:
+def tset_scan(t: Sequence[int]) -> tuple[bytearray, tuple[int, ...]]:
     """The staircase scan: the greedy rule that turns a staircase set ``t``
     into its z/x/y word.  A slot in ``t`` is z; scanning the other slots left
     to right, a slot becomes x or y by :func:`is_y_slot`: x while the x and y
     counts are tied, and otherwise y exactly when the next-needed y's partner
     x was preceded by as many z's as there are x's so far.
 
-    Returns ``(codes, h)``: the letter of each slot as an ASCII code, and the
-    balanced-prefix statistic, the number of indices i whose prefix ending
-    at the i-th y holds exactly i x's.  ``t`` is assumed valid (strictly
-    increasing, t[i] <= 3i - 2).
+    Returns ``(codes, cuts)``: the letter of each slot as an ASCII code, and
+    the balanced-prefix cuts, the indices i, increasing, whose prefix ending
+    at the i-th y holds exactly i x's.  The cuts end the word's balanced
+    segments, so the last is n, and their number is the balanced-prefix
+    statistic h.  ``t`` is assumed valid (strictly increasing, t[i] <= 3i - 2).
 
-    >>> codes, h = tset_scan((1, 3))
-    >>> codes.decode(), h
-    ('zxzyxy', 2)
+    >>> codes, cuts = tset_scan((1, 3))
+    >>> codes.decode(), cuts
+    ('zxzyxy', (1, 2))
     """
     codes = bytearray(3 * len(t))  # 0 until the scan reaches the slot
     for v in t:
         codes[v - 1] = _Z
     z_at_x = [0] * len(t)  # z_at_x[i]: the z's before the (i+1)-th x
-    x = y = z = h = 0
+    cuts = []
+    x = y = z = 0
     for pos, code in enumerate(codes):
         if code:
             z += 1
@@ -289,15 +291,15 @@ def tset_scan(t: Sequence[int]) -> tuple[bytearray, int]:
             codes[pos] = _Y
             y += 1
             if x == y:
-                h += 1
+                cuts.append(y)
         else:
             codes[pos] = _X
             z_at_x[x] = z
             x += 1
-    return codes, h
+    return codes, tuple(cuts)
 
 
 def h_of_tset(t: Sequence[int]) -> int:
-    """The balanced-prefix statistic of a staircase set's word, read off
-    :func:`tset_scan`."""
-    return tset_scan(t)[1]
+    """The balanced-prefix statistic of a staircase set's word: the number
+    of :func:`tset_scan`'s cuts."""
+    return len(tset_scan(t)[1])

@@ -83,7 +83,7 @@ def dyck_word_of(p: perm.Perm) -> str:
 
 
 def _require_dyck(word: str) -> int:
-    if not words.is_balanced(word, "1", "2"):
+    if not word or not words.is_balanced(word, "1", "2"):
         raise ValueError(f"not a Dyck word over 1/2: {word!r}")
     return len(word) // 2
 

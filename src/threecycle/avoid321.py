@@ -28,9 +28,10 @@ FORM_CHOICES = (perm.FORM_312, perm.FORM_231)
 #: The Dyck-word sum walks all Catalan(n) words; at this n it takes ~10 s.
 DYCK_LIMIT = 13
 
-#: The staircase automaton's states grow about 2.2-fold per n.  At this n a
-#: count takes about 10 s and 250 MB on one core, and ``count --pattern 321
-#: --n 1..TSET_LIMIT`` about 18 s.
+#: The staircase automaton's states about double per n: about 2^(n+2) over
+#: all slots, at most 16,887 after one slot at n = 15.  At this n a count
+#: takes about 10 s and 250 MB on one core, and ``count --pattern 321 --n
+#: 1..TSET_LIMIT`` about 18 s.
 TSET_LIMIT = 20
 
 
@@ -110,39 +111,25 @@ def word_of_tset(t: Sequence[int]) -> str:
     >>> word_of_tset((1, 2, 3, 6, 11, 14))
     'zzzxxzxyyxzyyzxxyy'
     """
-    t = check_tset(t)
-    word = _kernels.tset_scan(t)[0].decode()
-    _assert_precedence(word, t)
-    return word
+    return _read_scan(check_tset(t))[0]
 
 
-def _assert_precedence(word: str, t: Sequence[int]) -> None:
-    """The i-th z must precede the i-th x, which must precede the i-th y."""
-    n = len(word) // 3
-    pos = {ch: [i for i, c in enumerate(word) if c == ch] for ch in "xyz"}
-    if not (len(pos["x"]) == len(pos["y"]) == len(pos["z"]) == n):
+def _read_scan(t: tuple[int, ...]) -> tuple[str, tuple[int, ...], list[int], list[int]]:
+    """One staircase scan of a checked set: its word, its balanced-prefix
+    cuts, and the x and y slots (1-based, in order).  The i-th z (slot t[i])
+    must precede the i-th x, which must precede the i-th y."""
+    codes, cuts = _kernels.tset_scan(t)
+    word = codes.decode()
+    xs = [slot for slot, ch in enumerate(word, 1) if ch == "x"]
+    ys = [slot for slot, ch in enumerate(word, 1) if ch == "y"]
+    if not len(xs) == len(ys) == len(t):
         raise InternalInvariantError(f"unbalanced word for {t}: {word}")
-    for i in range(n):
-        if not pos["z"][i] < pos["x"][i] < pos["y"][i]:
+    for i in range(len(t)):
+        if not t[i] < xs[i] < ys[i]:
             raise InternalInvariantError(
                 f"z/x/y precedence violated at index {i + 1} for {t}: {word}"
             )
-
-
-def h_and_segments(word: str) -> tuple[int, tuple[int, ...]]:
-    """Balanced-prefix statistic of a z/x/y word: the milestones are the
-    indices i whose prefix ending at the i-th y holds exactly i x's; returns
-    (h, milestones).  The last milestone is always n."""
-    x = y = 0
-    milestones = []
-    for ch in word:
-        if ch == "x":
-            x += 1
-        elif ch == "y":
-            y += 1
-            if x == y:
-                milestones.append(y)
-    return len(milestones), tuple(milestones)
+    return word, cuts, xs, ys
 
 
 def perm_from_choices(t: Sequence[int], forms: Sequence[str]) -> perm.Perm:
@@ -154,28 +141,23 @@ def perm_from_choices(t: Sequence[int], forms: Sequence[str]) -> perm.Perm:
     a 231 segment wires x -> y -> z -> x.
     """
     t = check_tset(t)
-    n = len(t)
-    word = word_of_tset(t)
-    h, milestones = h_and_segments(word)
+    _, cuts, xs, ys = _read_scan(t)
     forms = tuple(forms)
-    if len(forms) != h:
+    if len(forms) != len(cuts):
         raise ValueError(
-            f"need one form per balanced segment ({h}), got {len(forms)}"
+            f"need one form per balanced segment ({len(cuts)}), got {len(forms)}"
         )
     if any(f not in FORM_CHOICES for f in forms):
         raise ValueError(f"forms must be drawn from {FORM_CHOICES}: {forms}")
-    xpos = [i + 1 for i, ch in enumerate(word) if ch == "x"]
-    ypos = [i + 1 for i, ch in enumerate(word) if ch == "y"]
-    out = [0] * (3 * n)
-    seg = 0
-    for i in range(n):
-        if i + 1 > milestones[seg]:
-            seg += 1
-        x, y, z = t[i], xpos[i], ypos[i]
-        if forms[seg] == perm.FORM_312:
-            out[x - 1], out[z - 1], out[y - 1] = z, y, x
-        else:
-            out[x - 1], out[y - 1], out[z - 1] = y, z, x
+    out = [0] * (3 * len(t))
+    start = 0
+    for cut, form in zip(cuts, forms):
+        for x, y, z in zip(t[start:cut], xs[start:cut], ys[start:cut]):
+            if form == perm.FORM_312:
+                out[x - 1], out[z - 1], out[y - 1] = z, y, x
+            else:
+                out[x - 1], out[y - 1], out[z - 1] = y, z, x
+        start = cut
     return perm.check_permutation(out)
 
 
@@ -232,8 +214,8 @@ def tset_h_sum(n: int, t: int) -> int:
 
     At t = 2 this is the 321 count, at t = 1 the Fuss-Catalan number, and at
     t = 2^b with 2^b above the Fuss-Catalan number, its base-2^b digits are
-    the coefficients of the h-polynomial.  The states number about 2.2^n,
-    far fewer than the Fuss-Catalan(n) sets.
+    the coefficients of the h-polynomial.  The states about double per n,
+    about 2^(n+2) over all slots, far fewer than the Fuss-Catalan(n) sets.
 
     >>> [tset_h_sum(n, 2) for n in range(1, 5)]
     [2, 10, 60, 388]
@@ -365,6 +347,8 @@ def tsets_for_dyck(word: str) -> Iterator[tuple[int, ...]]:
     Every candidate is re-validated through :func:`word_of_tset`; a mismatch
     is a bug and raises rather than being skipped.
     """
+    if not word:
+        raise ValueError("the Dyck word must be non-empty")
     stats = dyck_stats(word)
     n = len(word) // 2
     # leading z's: one more than the initial run of zero gaps in r

@@ -437,6 +437,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "jobs" in args and args.jobs < 1:  # count and verify, on every engine
+            raise UsageError(f"jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -226,26 +226,17 @@ def star_cardinality(n: int) -> int:
     return math.factorial(3 * n) // (math.factorial(n) * 3**n)
 
 
-# the walk's first-cycle split, re-exported next to the walk it splits
-star_first_choices = _kernels.star_first_choices
-
-
 def iterate_star(
-    n: int,
-    first_choice: tuple[int, int, int] | None = None,
-    form: str | None = None,
-    patterns: Sequence[Perm] = (),
+    n: int, form: str | None = None, patterns: Sequence[Perm] = ()
 ) -> Iterator[Perm]:
     """Yield every permutation of [3n] composed only of 3-cycles, exactly once.
 
     Generation is direct: the smallest unplaced element picks its two cycle
     partners (pairs in lexicographic order) and one of the two cyclic
     orientations (a -> b -> c before a -> c -> b), so the stream order is
-    reproducible.  ``first_choice`` restricts the cycle of element 1 to one
-    entry of :func:`star_first_choices`; the sub-streams partition the full
-    stream.  ``form`` keeps only members whose cycles all have that form, and
-    ``patterns`` (length 3) only members avoiding them all; both cut the
-    stream without reordering it.  ``n = 0`` yields nothing.
+    reproducible.  ``form`` keeps only members whose cycles all have that
+    form, and ``patterns`` (length 3) only members avoiding them all; both
+    cut the stream without reordering it.  ``n = 0`` yields nothing.
     """
-    for vals, _, _, _ in _kernels.star_walk(n, first_choice, form, patterns):
+    for vals, _, _, _ in _kernels.star_walk(n, None, form, patterns):
         yield tuple(vals)

@@ -159,15 +159,25 @@ def tset_sum_by_enumeration(n):
     return sum(2 ** _kernels.h_of_tset(t) for t in avoid321.enumerate_tsets(n))
 
 
+def star_part(n, choice, form=None, patterns=()):
+    """The pruned star walk's members under one first-cycle choice, each
+    buffer copied as it is yielded."""
+    from threecycle import _kernels
+
+    return [tuple(p) for p, _, _, _ in _kernels.star_walk(n, choice, form, patterns)]
+
+
 def staircase_word(t):
-    """The z/x/y word of a staircase set and its balanced-prefix statistic,
-    by the greedy rule written letter by letter, apart from the library's
-    staircase scan: the reference the scan is pinned against."""
+    """The z/x/y word of a staircase set, its balanced-prefix statistic h
+    and its cuts (the y counts at which h grows), by the greedy rule written
+    letter by letter, apart from the library's staircase scan: the reference
+    the scan is pinned against."""
     n = len(t)
     in_t = bytearray(3 * n + 1)
     for v in t:
         in_t[v] = 1
     letters = []
+    cuts = []
     z_at_x = [0] * n
     x = y = z = h = 0
     for pos in range(1, 3 * n + 1):
@@ -184,7 +194,8 @@ def staircase_word(t):
             y += 1
             if x == y:
                 h += 1
-    return "".join(letters), h
+                cuts.append(y)
+    return "".join(letters), h, tuple(cuts)
 
 
 @pytest.fixture(scope="session")

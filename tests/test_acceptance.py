@@ -14,6 +14,7 @@ import pytest
 
 from conftest import composition_sums_132
 from threecycle import (
+    _kernels,
     avoid132,
     avoid231,
     avoid321,
@@ -194,7 +195,7 @@ def test_criterion_7_weighted_321_sums():
         for n in range(1, 6):
             members: list[perm.Perm] = []
             for t in avoid321.enumerate_tsets(n):
-                h, _ = avoid321.h_and_segments(avoid321.word_of_tset(t))
+                h = _kernels.h_of_tset(t)
                 for forms in itertools.product(avoid321.FORM_CHOICES, repeat=h):
                     members.append(avoid321.perm_from_choices(t, forms))
             assert all(perm.avoids(p, (3, 2, 1)) for p in members)

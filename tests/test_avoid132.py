@@ -93,6 +93,10 @@ class TestType:
         with pytest.raises(ValueError):
             avoid132.type_of("2112")
 
+    def test_rejects_empty_word(self):
+        with pytest.raises(ValueError):
+            avoid132.type_of("")
+
 
 class TestMotzkinCorrespondence:
     def test_worked_example(self):
@@ -118,6 +122,10 @@ class TestMotzkinCorrespondence:
         with pytest.raises(ValueError):
             avoid132.dyck11_to_motzkin("1122")
 
+    def test_backward_rejects_empty_word(self):
+        with pytest.raises(ValueError):
+            avoid132.dyck11_to_motzkin("")
+
 
 class TestExpandContract:
     def test_worked_example(self):
@@ -140,6 +148,14 @@ class TestExpandContract:
     def test_expand_checks_lengths(self):
         with pytest.raises(ValueError):
             avoid132.expand_type("12", (1, 1))
+
+    def test_expand_rejects_empty_word(self):
+        with pytest.raises(ValueError):
+            avoid132.expand_type("", ())
+
+    def test_contract_rejects_empty_word(self):
+        with pytest.raises(ValueError):
+            avoid132.contract_type("")
 
 
 class TestEnumerateByType:

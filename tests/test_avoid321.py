@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from conftest import (
     tset_sum_by_enumeration,
 )
 from threecycle import _kernels, avoid321, oracle, perm
-from threecycle.errors import MAX_DIGITS, ResourceLimitError
+from threecycle.errors import MAX_DIGITS, InternalInvariantError, ResourceLimitError
 
 BIG_T = (1, 2, 3, 6, 11, 14)
 BIG_WORD = "zzzxxzxyyxzyyzxxyy"
@@ -62,7 +63,7 @@ def staircase_sets(draw, max_n):
 def sets_with_forms(draw, max_n):
     """A staircase set and one drawn form per balanced segment of its word."""
     t = draw(staircase_sets(max_n))
-    h, _ = avoid321.h_and_segments(avoid321.word_of_tset(t))
+    h = _kernels.h_of_tset(t)
     form = st.sampled_from(avoid321.FORM_CHOICES)
     forms = draw(st.lists(form, min_size=h, max_size=h))
     return t, tuple(forms)
@@ -147,9 +148,9 @@ class TestWordAlgorithm:
         # letter-by-letter rule's
         for n in range(1, 8):
             for t in avoid321.enumerate_tsets(n):
-                word, h = staircase_word(t)
+                word, h, _ = staircase_word(t)
                 assert avoid321.word_of_tset(t) == word, t
-                assert avoid321.h_and_segments(word)[0] == h, t
+                assert _kernels.h_of_tset(t) == h, t
 
     def test_letter_conditions(self):
         # value/position interleaving conditions on every set up to n=5:
@@ -169,6 +170,25 @@ class TestWordAlgorithm:
                         x_between_z = t[j] < xpos[i] < t[j + 1]
                         if y_between_x or x_between_z:
                             assert y_between_x == x_between_z
+
+    @pytest.mark.parametrize(
+        "t,word,match",
+        [
+            ((1,), "zxx", "unbalanced"),
+            ((1,), "zyx", "precedence violated at index 1"),  # y before x
+            ((1, 4), "zxyxzy", "precedence violated at index 2"),  # x before z
+        ],
+        ids=["unbalanced", "y-before-x", "x-before-z"],
+    )
+    def test_faulty_scan_is_a_bug(self, t, word, match, monkeypatch):
+        def faulty(_t):
+            return bytearray(word.encode()), (len(t),)
+
+        monkeypatch.setattr(_kernels, "tset_scan", faulty)
+        with pytest.raises(InternalInvariantError, match=match):
+            avoid321.word_of_tset(t)
+        with pytest.raises(InternalInvariantError, match=match):
+            avoid321.perm_from_choices(t, (perm.FORM_312,))
 
 
 class TestAll312Construction:
@@ -249,16 +269,21 @@ class TestLatticePaths:
 
 class TestBalancedSegments:
     def test_examples(self):
-        assert avoid321.h_and_segments("zzxxyyzxyzzxzxyxyy") == (3, (2, 3, 6))
-        assert avoid321.h_and_segments("zxy") == (1, (1,))
-        assert avoid321.h_and_segments("zzxxyy") == (1, (2,))
+        # the scan's cuts for the sets behind zzxxyyzxyzzxzxyxyy, zxy, zzxxyy
+        for t, word, cuts in (
+            ((1, 2, 7, 10, 11, 13), "zzxxyyzxyzzxzxyxyy", (2, 3, 6)),
+            ((1,), "zxy", (1,)),
+            ((1, 2), "zzxxyy", (2,)),
+        ):
+            codes, got = _kernels.tset_scan(t)
+            assert (codes.decode(), got) == (word, cuts), t
 
     def test_last_milestone_is_n(self):
         for n in range(1, 6):
             for t in avoid321.enumerate_tsets(n):
-                h, milestones = avoid321.h_and_segments(avoid321.word_of_tset(t))
-                assert h == len(milestones)
-                assert milestones[-1] == n
+                cuts = _kernels.tset_scan(t)[1]
+                assert len(cuts) == _kernels.h_of_tset(t)
+                assert cuts[-1] == n
 
 
 class TestFormChoices:
@@ -298,7 +323,7 @@ class TestFormChoices:
         for n in range(1, 5):
             seen = set()
             for t in avoid321.enumerate_tsets(n):
-                h, _ = avoid321.h_and_segments(avoid321.word_of_tset(t))
+                h = _kernels.h_of_tset(t)
                 fiber = {
                     avoid321.perm_from_choices(t, forms)
                     for forms in itertools.product(avoid321.FORM_CHOICES, repeat=h)
@@ -332,6 +357,11 @@ class TestEnumerate321:
             got = list(avoid321.enumerate_321(n))
             assert len(got) == len(set(got))
             assert set(got) == class_members(n)
+
+    def test_order_pinned_n4(self):
+        golden = Path(__file__).parent / "golden" / "enumerate_321_construction_n4.txt"
+        got = "".join(perm.format_one_line(p) + "\n" for p in avoid321.enumerate_321(4))
+        assert got == golden.read_text()
 
 
 class TestStaircaseAutomaton:
@@ -402,6 +432,10 @@ class TestDyckRoute:
         assert set(avoid321.tsets_for_dyck(DYCK_EXAMPLE)) == NINE_TSETS
         assert list(avoid321.tsets_for_dyck("xy")) == [(1,)]
         assert set(avoid321.tsets_for_dyck("xyxy")) == {(1, 3), (1, 4)}
+
+    def test_tsets_for_dyck_rejects_empty_word(self):
+        with pytest.raises(ValueError):
+            list(avoid321.tsets_for_dyck(""))
 
     def test_fibers_partition_staircase_sets(self):
         from threecycle import words

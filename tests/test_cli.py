@@ -131,6 +131,14 @@ def test_usage_errors_exit_2(capsys):
         assert "--engine" not in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_refused_on_formula_engine(jobs, capsys):
+    assert cli.main(["count", "--pattern", "321", "--n", "3", "--jobs", jobs]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage error: jobs must be >= 1, got {jobs}\n"
+
+
 def test_unknown_verb_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -18,6 +18,7 @@ from conftest import (
     select,
     staircase_word,
     star_by_filter,
+    star_part,
 )
 from threecycle import _kernels, avoid321, perm
 
@@ -84,7 +85,7 @@ class TestBackend:
         # pruned ones included: counts and profiles add up, and the pruned
         # streams concatenate to the whole pruned stream in order
         for n in (2, 3):
-            choices = perm.star_first_choices(n)
+            choices = _kernels.star_first_choices(n)
             for patterns, _ in QUERIES:
                 for form in FORMS:
                     total = backend.count_avoiders(n, patterns, form)
@@ -97,7 +98,7 @@ class TestBackend:
                     pieces = [
                         p
                         for choice in choices
-                        for p in perm.iterate_star(n, choice, form, patterns)
+                        for p in star_part(n, choice, form, patterns)
                     ]
                     assert pieces == whole, (n, patterns, form)
             table = [[0] * 64 for _ in range(3)]
@@ -113,6 +114,14 @@ class TestBackend:
         for n in range(1, 8):
             for t in avoid321.enumerate_tsets(n):
                 assert backend.h_of_tset(t) == staircase_word(t)[1], t
+
+    def test_scan_cuts_match_word_walk(self, backend):
+        # the cuts are the y counts at which the reference counts h
+        for n in range(1, 8):
+            for t in avoid321.enumerate_tsets(n):
+                word, _, cuts = staircase_word(t)
+                codes, got = backend.tset_scan(t)
+                assert (codes.decode(), got) == (word, cuts), t
 
     def test_invalid_first_choice_rejected(self, backend):
         with pytest.raises(ValueError):
@@ -155,8 +164,8 @@ def test_saturating_profile_matches_leaf_histogram():
     assert _kernels.PROFILE_PATTERNS == PATTERNS3
     for n in (1, 2, 3):
         whole = [[0] * 64 for _ in range(3)]
-        for choice in perm.star_first_choices(n):
-            want = leaf_histogram(perm.iterate_star(n, choice))
+        for choice in _kernels.star_first_choices(n):
+            want = leaf_histogram(star_part(n, choice))
             assert _kernels.avoidance_profile(n, choice) == want, (n, choice)
             for row in range(3):
                 for col in range(64):
