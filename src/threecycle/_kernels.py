@@ -8,7 +8,8 @@ choices; the oracle splits a walk over the root's (``star_first_choices``).
 
 Conventions: permutations are 1-based one-line sequences; a 3-cycle placed as
 a -> b -> c with a < b < c realizes the pattern 231, while a -> c -> b
-realizes 312.  ``ORIENT_231`` and ``ORIENT_312`` name those two orientations.
+realizes 312.  The walk names each orientation by its form, ``FORM_231`` or
+``FORM_312``.
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
-BACKEND = "python"
+FORM_231 = "231"
+FORM_312 = "312"
 
-ORIENT_231 = 1
-ORIENT_312 = 2
-
-Option = tuple[int, int, int, int]  # a cycle choice (a, b, c, orient), 0-based
+Option = tuple[int, int, int, str]  # a cycle choice (a, b, c, form), 0-based
 
 #: Fixed pattern order for avoidance-profile bit masks (bit i set = avoids
 #: PROFILE_PATTERNS[i]).
@@ -56,13 +55,10 @@ def contains_pattern3(values: Sequence[int], pattern: Sequence[int]) -> bool:
     return False
 
 
-_ORIENTS = {None: (ORIENT_231, ORIENT_312), "231": (ORIENT_231,), "312": (ORIENT_312,)}
-
-
-def _options(perm: list[int], orients: tuple[int, ...]) -> Iterator[Option]:
+def _options(perm: list[int], forms: tuple[str, ...]) -> Iterator[Option]:
     """The next cycle's choices on the buffer ``perm`` (0 = unplaced): the
     smallest unplaced ``a``, partners ``b < c`` in lexicographic order, then
-    ``orients`` in turn.  Read lazily: clear a choice before drawing the next."""
+    ``forms`` in turn.  Read lazily: clear a choice before drawing the next."""
     a = perm.index(0)
     m = len(perm)
     for b in range(a + 1, m):
@@ -71,28 +67,28 @@ def _options(perm: list[int], orients: tuple[int, ...]) -> Iterator[Option]:
         for c in range(b + 1, m):
             if perm[c]:
                 continue
-            for orient in orients:
-                yield a, b, c, orient
+            for form in forms:
+                yield a, b, c, form
 
 
-def star_first_choices(n: int) -> list[tuple[int, int, int]]:
-    """The root's choices, 1-based ``(b, c, orient)`` in walk order; their
+def star_first_choices(n: int) -> list[tuple[int, int, str]]:
+    """The root's choices, 1-based ``(b, c, form)`` in walk order; their
     walks partition the star walk at ``n``.
 
     >>> star_first_choices(1)
-    [(2, 3, 1), (2, 3, 2)]
+    [(2, 3, '231'), (2, 3, '312')]
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     return [
-        (b + 1, c + 1, orient)
-        for _, b, c, orient in _options([0] * (3 * n), (ORIENT_231, ORIENT_312))
+        (b + 1, c + 1, form)
+        for _, b, c, form in _options([0] * (3 * n), (FORM_231, FORM_312))
     ]
 
 
 def star_walk(
     n: int,
-    first: tuple[int, int, int] | None = None,
+    first: tuple[int, int, str] | None = None,
     form: str | None = None,
     patterns: Sequence[Sequence[int]] = (),
     prune: bool = True,
@@ -126,9 +122,9 @@ def star_walk(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if form not in _ORIENTS:
+    if form not in (None, FORM_231, FORM_312):
         raise ValueError(f"unknown form filter: {form!r}")
-    orients = _ORIENTS[form]
+    forms = (FORM_231, FORM_312) if form is None else (form,)
     perm = [0] * (3 * n)  # perm[i - 1] is the image of i; 0 while i is unplaced
     tests = [(1 << i, tuple(p)) for i, p in enumerate(patterns)]
     full = (1 << len(tests)) - 1 if tests and not prune else -1
@@ -137,9 +133,9 @@ def star_walk(
         depth: int, n231: int, mask: int, options: Iterable[Option]
     ) -> Iterator[tuple[list[int], int, int, int]]:
         # place each option as cycle number ``depth``, then clear it
-        for a, b, c, orient in options:
+        for a, b, c, cycle_form in options:
             seen231 = n231
-            if orient == ORIENT_231:
+            if cycle_form == FORM_231:
                 perm[a], perm[b], perm[c] = b + 1, c + 1, a + 1
                 seen231 += 1
             else:
@@ -156,16 +152,16 @@ def star_walk(
                 if seen == full or depth == n:
                     yield perm, seen231, seen, n - depth
                 else:
-                    yield from walk(depth + 1, seen231, seen, _options(perm, orients))
+                    yield from walk(depth + 1, seen231, seen, _options(perm, forms))
             perm[a] = perm[b] = perm[c] = 0
 
     if n == 0:
         return
     if first is None:
-        options: Iterable[Option] = _options(perm, orients)
+        options: Iterable[Option] = _options(perm, forms)
     elif tuple(first) in star_first_choices(n):
-        b, c, orient = first
-        options = [(0, b - 1, c - 1, orient)] if orient in orients else []
+        b, c, first_form = first
+        options = [(0, b - 1, c - 1, first_form)] if first_form in forms else []
     else:
         raise ValueError(f"invalid first-cycle choice {first} for n={n}")
     yield from walk(1, 0, 0, options)
@@ -175,7 +171,7 @@ def count_avoiders(
     n: int,
     patterns: Sequence[Sequence[int]],
     form: str | None = None,
-    first: tuple[int, int, int] | None = None,
+    first: tuple[int, int, str] | None = None,
 ) -> int:
     """Count permutations of [3n] built only from 3-cycles that avoid every
     pattern in ``patterns`` (each of length 3), with cycle forms restricted by
@@ -213,7 +209,7 @@ def completion_rows(n231: int, placed: int, left: int) -> tuple[int, int, int]:
 
 
 def avoidance_profile(
-    n: int, first: tuple[int, int, int] | None = None
+    n: int, first: tuple[int, int, str] | None = None
 ) -> list[list[int]]:
     """The 3-cycle-only permutations of [3n] histogrammed by (form class,
     avoidance mask), from one walk of the star set.

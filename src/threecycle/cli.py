@@ -32,6 +32,8 @@ def _parse_pattern_set(text: str) -> tuple[perm.Perm, ...]:
             sigma = perm.check_permutation(tuple(int(ch) for ch in token))
         except ValueError:
             raise UsageError(f"not a pattern: {token!r}") from None
+        if len(sigma) != 3:
+            raise UsageError(f"patterns must have length 3: {text!r}")
         out.append(sigma)
     if len(set(out)) != len(out):
         raise UsageError(f"duplicate patterns in {text!r}")
@@ -113,8 +115,6 @@ def formula_count(n: int, patterns: Sequence[perm.Perm], form: str | None) -> in
 
 def _cmd_count(args: argparse.Namespace) -> int:
     patterns = _parse_pattern_set(args.pattern)
-    if any(len(sigma) != 3 for sigma in patterns):
-        raise UsageError(f"patterns must have length 3: {args.pattern!r}")
     form = _parse_form(args.form)
     ns = _parse_n_range(args.n)
 
@@ -188,8 +188,6 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    if args.pattern != "231":
-        raise UsageError("only the 231 bijection has a word decoding")
     p = perm.parse_one_line(args.perm)
     print(avoid231.decode(p))
     return 0
@@ -330,8 +328,9 @@ def _select_checks(text: str) -> tuple[Check, ...]:
     if len(names) == 1 and names[0] in _PATTERN_NAMES:
         return tuple(check for check in CHECKS if names[0] in check.selected_by)
     if len(set(names)) == len(names) == 2 and set(names) <= set(_PATTERN_NAMES):
-        passed = f"pair {text}: closed-form=oracle for n=1..{{last}}"
-        return (_sweep_check(f"pair {text}", (), [(text, None)], passed),)
+        pair = ",".join(names)
+        passed = f"pair {pair}: closed-form=oracle for n=1..{{last}}"
+        return (_sweep_check(f"pair {pair}", (), [(pair, None)], passed),)
     raise UsageError(
         f"verify takes all, one of {', '.join(_PATTERN_NAMES)}, or two distinct"
         f" of them joined by a comma, not {text!r}"
@@ -417,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="231-avoiding permutation -> E/L/R word")
     p.add_argument("--perm", required=True, help='one-line notation, e.g. "6 5 1 2 4 3"')
-    p.add_argument("--pattern", default="231")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("hpoly", help="balanced-prefix polynomial coefficients")

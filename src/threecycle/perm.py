@@ -19,12 +19,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from threecycle import _kernels
+from threecycle._kernels import FORM_231, FORM_312
 from threecycle.errors import PermutationError
 
 Perm = tuple[int, ...]
-
-FORM_312 = "312"
-FORM_231 = "231"
 
 
 def check_permutation(values: Iterable[int]) -> Perm:
@@ -175,39 +173,12 @@ def parse_cycles(text: str) -> Perm:
 
 
 def contains_pattern(p: Perm, sigma: Perm) -> bool:
-    """True iff some subsequence of ``p`` is order-isomorphic to ``sigma``.
-
-    A pattern longer than the permutation is never contained.  Length-3
-    patterns (the only length used by the counting modules) use the star
-    walk's containment test; other lengths a generic backtracking scan.
-    """
-    k = len(sigma)
-    if k > len(p):
-        return False
-    if k == 3:
-        return bool(_kernels.contains_pattern3(p, sigma))
-    return _contains_general(p, sigma)
-
-
-def _contains_general(p: Perm, sigma: Perm) -> bool:
-    k = len(sigma)
-    m = len(p)
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        j = len(chosen)
-        if j == k:
-            return True
-        for idx in range(start, m - (k - j) + 1):
-            v = p[idx]
-            if all((v > chosen[i]) == (sigma[j] > sigma[i]) for i in range(j)):
-                chosen.append(v)
-                if extend(idx + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0)
+    """True iff some subsequence of ``p`` is order-isomorphic to ``sigma``, a
+    pattern of length 3 (the only length the paper uses; others raise
+    ValueError), by the star walk's containment test."""
+    if len(sigma) != 3:
+        raise ValueError(f"patterns must have length 3: {tuple(sigma)}")
+    return _kernels.contains_pattern3(p, sigma)
 
 
 def avoids(p: Perm, *patterns: Perm) -> bool:

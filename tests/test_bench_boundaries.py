@@ -1,9 +1,11 @@
-"""The benchmark's tracer wraps named attributes of the package; each name it
-pins must stay, or a traced benchmark run breaks.  The tracer is loaded from
-its file, as the benchmark loads it, and nothing in it is run."""
+"""The benchmark's tracer wraps named attributes of the package, and its
+scripts call into the package; each name they use must stay, or a benchmark
+run breaks.  The tracer is loaded from its file, as the benchmark loads it,
+and nothing in it is run; the scripts are only parsed."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -11,8 +13,19 @@ from pathlib import Path
 import pytest
 
 import threecycle
+from conftest import naive_contains
+from threecycle import perm
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
+SCRIPTS = ("run.py", "make_expected.py")
+
+
+def _resolve(module_name, path):
+    target = importlib.import_module(f"threecycle.{module_name}")
+    for part in path.split("."):
+        target = getattr(target, part)
+    return target
 
 
 def _boundaries():
@@ -26,13 +39,55 @@ def _boundaries():
     "module_name,attrs", [(b[0], b[1]) for b in _boundaries()], ids=lambda v: v
 )
 def test_boundary_resolves(module_name, attrs):
-    module = importlib.import_module(f"threecycle.{module_name}")
     for path in attrs.split():
-        target = module
-        for part in path.split("."):
-            target = getattr(target, part)
-        assert callable(target), (module_name, path)
+        assert callable(_resolve(module_name, path)), (module_name, path)
 
 
 def test_kernel_backend_is_named():
     assert isinstance(threecycle.kernel_backend(), str)
+
+
+def _package_reads(tree):
+    """Every ``<module>.<attr>`` in ``tree`` whose module was imported by
+    ``from threecycle import <module>``."""
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "threecycle"
+        for alias in node.names
+    }
+    return {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+
+
+def test_bench_reads_resolve():
+    reads = set()
+    for name in SCRIPTS:
+        reads |= _package_reads(ast.parse((BENCH / name).read_text()))
+    assert reads
+    # make_expected.py evaluates h_polynomial's result
+    reads.add(("avoid321", "HPolynomial.evaluate"))
+    for module_name, path in sorted(reads):
+        assert callable(_resolve(module_name, path)), (module_name, path)
+
+
+def test_contains_probe_patterns():
+    # bench/run.py's containment probe calls perm.contains_pattern with each
+    # of its PATTERNS, written as digit strings
+    tree = ast.parse((BENCH / "run.py").read_text())
+    (names,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["PATTERNS"]
+    ]
+    assert len(names) == 6
+    p = perm.parse_cycles("(1,2,4)(3,6,5)")
+    for name in names:
+        sigma = tuple(int(ch) for ch in name)
+        assert perm.contains_pattern(p, sigma) == naive_contains(p, sigma)

@@ -119,16 +119,24 @@ def test_usage_errors_exit_2(capsys):
     assert capsys.readouterr().err == "usage error: empty n range: '5..3'\n"
     assert cli.main(["count", "--pattern", "123", "--form", "312", "--n", "2"]) == 2
     assert cli.main(["paths", "--t", "1,2", "--path", "EEN"]) == 2
-    assert cli.main(["decode", "--pattern", "321", "--perm", "3 1 2"]) == 2
     oracle_argv = ["count", "--pattern", "321", "--n", "2", "--engine", "oracle"]
     assert cli.main([*oracle_argv, "--jobs", "0"]) == 2
     capsys.readouterr()
-    for engine in ("formula", "oracle"):
-        argv = ["count", "--pattern", "12", "--n", "1", "--engine", engine]
+    for argv in [
+        ["count", "--pattern", "12", "--n", "1", "--engine", "formula"],
+        ["count", "--pattern", "12", "--n", "1", "--engine", "oracle"],
+        ["enumerate", "--pattern", "12", "--n", "1"],
+        ["enumerate", "--pattern", "1234", "--n", "1"],
+    ]:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert "patterns must have length 3" in err
+        assert "usage error: patterns must have length 3" in err
         assert "--engine" not in err
+    # decode has only the 231 bijection, so it takes no --pattern
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decode", "--pattern", "321", "--perm", "3 1 2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -352,3 +360,11 @@ def test_verify_rejects_bad_pattern_before_sweeping(pattern, profile_calls, caps
     err = capsys.readouterr().err
     assert "one of 123, 132, 213, 231, 312, 321" in err
     assert "--engine" not in err
+
+
+def test_verify_pair_label_ignores_spaces(capsys):
+    assert cli.main(["verify", "--pattern", "321,132", "--max-n", "2"]) == 0
+    unspaced = capsys.readouterr().out
+    assert cli.main(["verify", "--pattern", "321, 132", "--max-n", "2"]) == 0
+    assert capsys.readouterr().out == unspaced
+    assert unspaced.startswith("pair 321,132: ")

@@ -191,9 +191,9 @@ def test_triple_splits_times_orientations_is_star_cardinality():
     "cycles,first,n231,rows",
     [
         # (1,5,2)(3,6,4) is one-line 5 1 6 3 2 4 so far: all six patterns
-        ("(1,5,2)(3,6,4)", (2, 5, _kernels.ORIENT_312), 0, (30, 10, 0)),
-        ("(1,2,5)(3,4,6)", (2, 5, _kernels.ORIENT_231), 2, (30, 0, 10)),
-        ("(1,2,5)(3,6,4)", (2, 5, _kernels.ORIENT_231), 1, (40, 0, 0)),
+        ("(1,5,2)(3,6,4)", (2, 5, _kernels.FORM_312), 0, (30, 10, 0)),
+        ("(1,2,5)(3,4,6)", (2, 5, _kernels.FORM_231), 2, (30, 0, 10)),
+        ("(1,2,5)(3,6,4)", (2, 5, _kernels.FORM_231), 1, (40, 0, 0)),
     ],
     ids=["all-312", "all-231", "mixed"],
 )

@@ -115,13 +115,13 @@ class TestPatterns:
         p = tuple(values)
         assert perm.contains_pattern(p, sigma) == naive_contains(p, sigma)
 
-    @given(
-        perms_upto8,
-        st.permutations([1, 2, 3, 4]).map(tuple),
-    )
-    def test_general_length_matches_naive(self, values, sigma):
-        p = tuple(values)
-        assert perm.contains_pattern(p, sigma) == naive_contains(p, sigma)
+    @pytest.mark.parametrize("sigma", [(2, 1), (1, 3, 2, 4)])
+    def test_other_lengths_refused(self, sigma):
+        p = (2, 3, 1, 5, 6, 4)  # avoids 321, so avoids reaches sigma
+        with pytest.raises(ValueError, match="patterns must have length 3"):
+            perm.contains_pattern(p, sigma)
+        with pytest.raises(ValueError, match="patterns must have length 3"):
+            perm.avoids(p, (3, 2, 1), sigma)
 
 
 class TestSymmetries:
