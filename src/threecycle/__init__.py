@@ -11,8 +11,8 @@ each other:
   that consults no formula, the ground truth every formula is tested against.
 
 The package is pure Python.  ``threecycle._kernels`` holds the star walk
-with its pattern-containment test, and the staircase scan behind every z/x/y
-word and its balanced-prefix statistic.
+with its one-pass pattern-containment scan, and the staircase scan behind
+every z/x/y word and its balanced-prefix statistic.
 """
 
 from threecycle.errors import (

@@ -3,8 +3,11 @@ enumeration and profile, and the staircase scan behind every z/x/y word and
 its balanced-prefix cuts, with its greedy rule (``is_y_slot``), which
 the staircase automaton of :mod:`threecycle.avoid321` steps slot by slot.
 
-The walk places one 3-cycle per frame, and only ``_options`` orders the
-choices; the oracle splits a walk over the root's (``star_first_choices``).
+Containment is one left-to-right scan (``contained_patterns``) that finds
+every length-3 pattern at once, as a bit mask over ``PROFILE_PATTERNS``,
+from bit sets of the values left and right of each entry.  The walk places
+one 3-cycle per frame, and only ``_options`` orders the choices; the oracle
+splits a walk over the root's (``star_first_choices``).
 
 Conventions: permutations are 1-based one-line sequences; a 3-cycle placed as
 a -> b -> c with a < b < c realizes the pattern 231, while a -> c -> b
@@ -22,8 +25,9 @@ FORM_312 = "312"
 
 Option = tuple[int, int, int, str]  # a cycle choice (a, b, c, form), 0-based
 
-#: Fixed pattern order for avoidance-profile bit masks (bit i set = avoids
-#: PROFILE_PATTERNS[i]).
+#: Fixed pattern order for every pattern bit mask: bit i of a containment
+#: mask is set when PROFILE_PATTERNS[i] is contained, of a profile column
+#: when it is avoided.
 PROFILE_PATTERNS = (
     (1, 2, 3),
     (1, 3, 2),
@@ -34,25 +38,79 @@ PROFILE_PATTERNS = (
 )
 
 
+_PATTERN_BITS = {p: 1 << i for i, p in enumerate(PROFILE_PATTERNS)}
+
+
+def pattern_mask(patterns: Iterable[Sequence[int]]) -> int:
+    """The mask of ``patterns``, each a permutation of 1..3; anything else
+    raises ValueError.
+
+    >>> pattern_mask([(3, 2, 1), (1, 2, 3)])
+    33
+    """
+    mask = 0
+    for p in patterns:
+        bit = _PATTERN_BITS.get(tuple(p))
+        if bit is None:
+            raise ValueError(
+                f"patterns must have length 3 (a permutation of 1..3): {tuple(p)}"
+            )
+        mask |= bit
+    return mask
+
+
+def contained_patterns(values: Iterable[int], bits: int, wanted: int) -> int:
+    """The mask of the ``wanted`` patterns that ``values`` contain, in one
+    left-to-right scan.  ``values`` are distinct positive ints, 0 entries
+    are skipped, and ``bits`` has bit ``v`` set for each value ``v``.
+
+    At each value ``v`` the values to its left and right split into those
+    below and above ``v`` (``ll, lh, rl, rh``), and ``v`` is the middle
+    entry of a 123 when ``ll`` and ``rh`` are both non-empty, of a 321 for
+    ``lh`` and ``rl``, of a 132 when min ``ll`` < max ``rl``, of a 231 when
+    min ``rl`` < max ``ll``, of a 213 when min ``lh`` < max ``rh`` and of a
+    312 when min ``rh`` < max ``lh``; a minimum is a lowest set bit.  The
+    scan stops once every wanted pattern is found.
+
+    >>> contained_patterns((2, 3, 1), 0b1110, 63)  # 231 only
+    8
+    """
+    found = left = 0
+    right = bits
+    for v in values:
+        if not v:
+            continue
+        bit = 1 << v
+        right ^= bit
+        ll = left & (bit - 1)
+        lh = left ^ ll
+        rl = right & (bit - 1)
+        rh = right ^ rl
+        if ll:
+            if rh:
+                found |= 1  # 123
+            if ll & -ll < rl:
+                found |= 2  # 132
+        if lh:
+            if lh & -lh < rh:
+                found |= 4  # 213
+            if rl:
+                found |= 32  # 321
+        if rl and rl & -rl < ll:
+            found |= 8  # 231
+        if rh and rh & -rh < lh:
+            found |= 16  # 312
+        if found & wanted == wanted:
+            break
+        left |= bit
+    return found & wanted
+
+
 def contains_pattern3(values: Sequence[int], pattern: Sequence[int]) -> bool:
-    """True iff some length-3 subsequence of ``values`` is order-isomorphic to
-    ``pattern``.  Early-exits on the first witness."""
-    pa, pb, pc = pattern
-    ab = pa < pb
-    bc = pb < pc
-    ac = pa < pc
-    m = len(values)
-    for i in range(m - 2):
-        vi = values[i]
-        for j in range(i + 1, m - 1):
-            vj = values[j]
-            if (vi < vj) != ab:
-                continue
-            for k in range(j + 1, m):
-                vk = values[k]
-                if (vj < vk) == bc and (vi < vk) == ac:
-                    return True
-    return False
+    """True iff some length-3 subsequence of ``values``, a permutation of
+    1..m, is order-isomorphic to ``pattern``, a permutation of 1..3."""
+    wanted = pattern_mask((pattern,))
+    return bool(contained_patterns(values, (2 << len(values)) - 2, wanted))
 
 
 def _options(perm: list[int], forms: tuple[str, ...]) -> Iterator[Option]:
@@ -104,9 +162,12 @@ def star_walk(
     over all such choices partition the whole walk.
 
     Each node carries the mask of the patterns the entries placed so far
-    contain (bit i for ``patterns[i]``).  A placed entry never changes, so an
+    contain: bit i stands for ``PROFILE_PATTERNS[i]``, whatever the order of
+    ``patterns`` (each a permutation of 1..3; anything else raises
+    ValueError before the walk starts).  A placed entry never changes, so an
     occurrence among the placed entries is one in every permutation below:
-    the mask only grows, and a node tests only the patterns not yet in it.
+    the mask only grows, and a node's one :func:`contained_patterns` scan
+    asks only for the patterns not yet in it.
 
     With ``prune`` (the default) the patterns are avoided: a subtree is
     dropped at its first contained pattern, so the walk yields exactly the
@@ -125,14 +186,16 @@ def star_walk(
     if form not in (None, FORM_231, FORM_312):
         raise ValueError(f"unknown form filter: {form!r}")
     forms = (FORM_231, FORM_312) if form is None else (form,)
+    want = pattern_mask(patterns)
+    full = want if want and not prune else -1
     perm = [0] * (3 * n)  # perm[i - 1] is the image of i; 0 while i is unplaced
-    tests = [(1 << i, tuple(p)) for i, p in enumerate(patterns)]
-    full = (1 << len(tests)) - 1 if tests and not prune else -1
 
     def walk(
-        depth: int, n231: int, mask: int, options: Iterable[Option]
+        depth: int, n231: int, mask: int, placed: int, options: Iterable[Option]
     ) -> Iterator[tuple[list[int], int, int, int]]:
-        # place each option as cycle number ``depth``, then clear it
+        # place each option as cycle number ``depth``, then clear it; the
+        # placed values are the placed positions, so ``placed`` (bit v for
+        # value v) grows by the cycle's three
         for a, b, c, cycle_form in options:
             seen231 = n231
             if cycle_form == FORM_231:
@@ -140,19 +203,19 @@ def star_walk(
                 seen231 += 1
             else:
                 perm[a], perm[b], perm[c] = c + 1, a + 1, b + 1
+            bits = placed | 2 << a | 2 << b | 2 << c
             seen = mask
-            if tests:
-                placed = [v for v in perm if v]
-                for bit, p in tests:
-                    if not seen & bit and contains_pattern3(placed, p):
-                        seen |= bit
-                        if prune:
-                            break
+            # a node is visited only below a parent neither pruned nor
+            # saturated, so some pattern is still wanted: one scan per node
+            if want:
+                seen |= contained_patterns(perm, bits, want & ~mask)
             if not (prune and seen):
                 if seen == full or depth == n:
                     yield perm, seen231, seen, n - depth
                 else:
-                    yield from walk(depth + 1, seen231, seen, _options(perm, forms))
+                    yield from walk(
+                        depth + 1, seen231, seen, bits, _options(perm, forms)
+                    )
             perm[a] = perm[b] = perm[c] = 0
 
     if n == 0:
@@ -164,7 +227,7 @@ def star_walk(
         options = [(0, b - 1, c - 1, first_form)] if first_form in forms else []
     else:
         raise ValueError(f"invalid first-cycle choice {first} for n={n}")
-    yield from walk(1, 0, 0, options)
+    yield from walk(1, 0, 0, 0, options)
 
 
 def count_avoiders(

@@ -217,7 +217,8 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 class Check(NamedTuple):
     """A row of the verify suite: for each n in ``ns(max_n)`` the values
     ``sides(n, profile)`` returns must be equal.  ``profile`` is the shared
-    ``oracle.avoidance_profile(n)`` table if the row ``sweeps``, else None."""
+    ``oracle.avoidance_profile(n)`` table (all n's swept together by
+    ``oracle.avoidance_profiles``) if the row ``sweeps``, else None."""
 
     label: str
     selected_by: tuple[str, ...]  # single --pattern names; "all" selects every row
@@ -342,10 +343,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("--max-n must be >= 1")
     checks = _select_checks(args.pattern)
     oracle.check_limits(args.max_n, args.allow_large)
-    profiles = {
-        n: oracle.avoidance_profile(n, jobs=args.jobs, allow_large=args.allow_large)
-        for n in range(1, args.max_n + 1)
-    }
+    sizes = range(1, args.max_n + 1)
+    tables = oracle.avoidance_profiles(sizes, args.jobs, args.allow_large)
+    profiles = dict(zip(sizes, tables))
     failed = False
     for check in checks:
         ns = check.ns(args.max_n)

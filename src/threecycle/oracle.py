@@ -4,23 +4,26 @@ pattern-avoiding 3-cycle-only permutations, plus the degenerate closed forms
 
 Counts and enumerations are an exact pruned walk over the star set
 (``_kernels.star_walk``): a branch is dropped as soon as the entries placed
-so far contain an avoided pattern.  That loses no member, since a placed entry
-never changes, so an occurrence among the placed entries is one in every
-permutation below them.  The avoidance profile runs the same walk unpruned
-and counts a subtree whose placed entries already contain all six patterns
-without walking it (``_kernels.avoidance_profile``).  No counting shortcut
-from the formula modules is consulted, so these results can serve as the
-independent side of every formula-vs-oracle check.
+so far contain an avoided pattern, found by one linear containment scan per
+node.  That loses no member, since a placed entry never changes, so an
+occurrence among the placed entries is one in every permutation below them.
+The avoidance profile runs the same walk unpruned and counts a subtree whose
+placed entries already contain all six patterns without walking it
+(``_kernels.avoidance_profile``).  No counting shortcut from the formula
+modules is consulted, so these results can serve as the independent side of
+every formula-vs-oracle check.
 
 Sizes are bounded: n <= SOFT_LIMIT without the override flag, and n <=
 HARD_LIMIT unconditionally (the star set grows by a factor ~270 per step).
-Parallel runs use at most as many worker processes as there are tasks or
-CPUs, whatever ``jobs`` asks for.
+Parallel runs split each walk over its first-cycle choices and use at most
+as many worker processes as there are tasks or CPUs, whatever ``jobs`` asks
+for; the profiles of several n (``avoidance_profiles``) share one pool.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -107,18 +110,20 @@ def _task(args: tuple):
     return getattr(_kernels, name)(*call)
 
 
-def _fan_out(name: str, n: int, jobs: int, *rest) -> list:
-    """The parts of ``_kernels.<name>(n, *rest, first)``: the whole walk
-    (``first`` None) run in this process, or with more than one worker one
-    part per first-cycle choice, over a process pool.  The kernel is looked
-    up by name when it runs, so a rebound attribute is the one called."""
-    choices = _kernels.star_first_choices(n)
-    workers = _workers(jobs, len(choices))
+def _fan_out(name: str, ns: Sequence[int], jobs: int, *rest) -> list[list]:
+    """For each n in ``ns``, the parts of ``_kernels.<name>(n, *rest, first)``:
+    the whole walk (``first`` None) run in this process, or with more than
+    one worker one part per first-cycle choice, every n's parts mapped over
+    one process pool.  The kernel is looked up by name when it runs, so a
+    rebound attribute is the one called."""
+    choices = [_kernels.star_first_choices(n) for n in ns]
+    tasks = [(name, n, *rest, c) for n, cs in zip(ns, choices) for c in cs]
+    workers = _workers(jobs, len(tasks))
     if workers == 1:
-        return [getattr(_kernels, name)(n, *rest, None)]
-    tasks = [(name, n, *rest, choice) for choice in choices]
+        return [[getattr(_kernels, name)(n, *rest, None)] for n in ns]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_task, tasks, chunksize=8))
+        results = pool.map(_task, tasks, chunksize=8)
+        return [list(itertools.islice(results, len(cs))) for cs in choices]
 
 
 def oracle_count(
@@ -128,7 +133,22 @@ def oracle_count(
     partitioned over first-cycle choices and merged by addition, so the result
     is independent of worker count and schedule."""
     check_limits(q.n, allow_large)
-    return sum(_fan_out("count_avoiders", q.n, jobs, q.sorted_patterns(), q.form))
+    (parts,) = _fan_out("count_avoiders", [q.n], jobs, q.sorted_patterns(), q.form)
+    return sum(parts)
+
+
+def avoidance_profiles(
+    ns: Sequence[int], jobs: int = 1, allow_large: bool = False
+) -> list[list[list[int]]]:
+    """The :func:`avoidance_profile` table of each n in ``ns``, in order; with
+    ``jobs > 1`` every n's parts run on one process pool."""
+    if not ns or min(ns) < 1:
+        raise ValueError("n must be >= 1")
+    check_limits(max(ns), allow_large)
+    return [
+        [[sum(cells) for cells in zip(*rows)] for rows in zip(*parts)]
+        for parts in _fan_out("avoidance_profile", ns, jobs)
+    ]
 
 
 def avoidance_profile(
@@ -138,11 +158,7 @@ def avoidance_profile(
     cell, the star permutations in it; see :func:`profile_count` for reading
     the table.  Much cheaper than one :func:`oracle_count` per query when many
     queries share the same ``n``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    check_limits(n, allow_large)
-    parts = _fan_out("avoidance_profile", n, jobs)
-    return [[sum(cells) for cells in zip(*rows)] for rows in zip(*parts)]
+    return avoidance_profiles([n], jobs, allow_large)[0]
 
 
 def profile_count(

@@ -174,15 +174,16 @@ def parse_cycles(text: str) -> Perm:
 
 def contains_pattern(p: Perm, sigma: Perm) -> bool:
     """True iff some subsequence of ``p`` is order-isomorphic to ``sigma``, a
-    pattern of length 3 (the only length the paper uses; others raise
-    ValueError), by the star walk's containment test."""
-    if len(sigma) != 3:
-        raise ValueError(f"patterns must have length 3: {tuple(sigma)}")
+    permutation of 1..3 (the only patterns the paper uses; others raise
+    ValueError), by the star walk's containment scan."""
     return _kernels.contains_pattern3(p, sigma)
 
 
 def avoids(p: Perm, *patterns: Perm) -> bool:
-    return not any(contains_pattern(p, sigma) for sigma in patterns)
+    """True iff ``p`` contains none of ``patterns`` (permutations of 1..3),
+    all tested in one scan."""
+    wanted = _kernels.pattern_mask(patterns)
+    return not _kernels.contained_patterns(p, (2 << len(p)) - 2, wanted)
 
 
 def star_cardinality(n: int) -> int:

@@ -334,11 +334,11 @@ def profile_calls(monkeypatch):
     """Stand in for the profile sweep and record the sizes it is asked for."""
     calls = []
 
-    def record(n, jobs=1, allow_large=False):
-        calls.append(n)
-        return [[0] * 64 for _ in range(3)]
+    def record(ns, jobs=1, allow_large=False):
+        calls.extend(ns)
+        return [[[0] * 64 for _ in range(3)] for _ in ns]
 
-    monkeypatch.setattr(oracle, "avoidance_profile", record)
+    monkeypatch.setattr(oracle, "avoidance_profiles", record)
     return calls
 
 

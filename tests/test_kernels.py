@@ -9,6 +9,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     PATTERN_SETS,
@@ -220,26 +222,90 @@ def test_saturated_prefix_split(cycles, first, n231, rows):
 
 
 @pytest.mark.parametrize(
-    "run,calls",
+    "run,scans,asked",
     [
-        (lambda: _kernels.avoidance_profile(3), 8056),
-        (lambda: _kernels.count_avoiders(3, [(3, 2, 1)]), 1556),
+        (lambda: _kernels.avoidance_profile(3), 2696, 8056),
+        (lambda: _kernels.count_avoiders(3, [(3, 2, 1)]), 1556, 1556),
+        (lambda: _kernels.avoidance_profile(4), 102526, 163820),
+        (lambda: _kernels.count_avoiders(4, [(3, 2, 1)]), 26678, 26678),
     ],
-    ids=["profile", "count-321"],
+    ids=["profile", "count-321", "profile-n4", "count-321-n4"],
 )
-def test_walk_containment_tests_pinned(run, calls, monkeypatch):
+def test_walk_containment_tests_pinned(run, scans, asked, monkeypatch):
     # the results above do not show how much work the walk does; the number
-    # of containment tests does.  A node tests only the patterns its mask
-    # does not hold yet, and a pruned node stops at its first hit, so losing
-    # the mask (or the early exit) raises these counts.
-    real = _kernels.contains_pattern3
-    seen = 0
+    # of containment scans (one per node visited) and of patterns they are
+    # asked for do.  Walking a saturated subtree, or a subtree that already
+    # contains an avoided pattern, raises the scans; losing the mask of the
+    # patterns already contained raises the patterns asked for.
+    real = _kernels.contained_patterns
+    seen = [0, 0]
 
-    def counting(values, pattern):
-        nonlocal seen
-        seen += 1
-        return real(values, pattern)
+    def counting(values, bits, wanted):
+        seen[0] += 1
+        seen[1] += bin(wanted).count("1")
+        return real(values, bits, wanted)
 
-    monkeypatch.setattr(_kernels, "contains_pattern3", counting)
+    monkeypatch.setattr(_kernels, "contained_patterns", counting)
     run()
-    assert seen == calls
+    assert seen == [scans, asked]
+
+
+def naive_mask(values):
+    """The mask of PATTERNS3 that the nonzero entries of ``values`` contain,
+    by naive_contains."""
+    placed = [v for v in values if v]
+    return sum(
+        1 << i for i, sigma in enumerate(PATTERNS3) if naive_contains(placed, sigma)
+    )
+
+
+def test_scan_matches_naive_on_every_permutation_and_wanted_set():
+    # the scan stops once every wanted pattern is found: it must never stop
+    # before, nor report a pattern that was not wanted
+    for m in range(8):
+        bits = (2 << m) - 2
+        for p in itertools.permutations(range(1, m + 1)):
+            contained = naive_mask(p)
+            for wanted in range(64):
+                got = _kernels.contained_patterns(p, bits, wanted)
+                assert got == contained & wanted, (p, wanted)
+
+
+@given(
+    st.lists(st.integers(1, 18), unique=True, max_size=18),
+    st.lists(st.integers(0, 18), max_size=6),
+    st.integers(0, 63),
+)
+def test_scan_matches_naive_on_partial_placements(values, holes, wanted):
+    # distinct values with gaps, and unplaced (0) entries anywhere, as in a
+    # star-walk buffer
+    bits = sum(1 << v for v in values)
+    for at in holes:
+        values.insert(at, 0)
+    contained = naive_mask(values)
+    assert _kernels.contained_patterns(values, bits, wanted) == contained & wanted
+
+
+def test_walk_mask_bits_follow_profile_patterns():
+    # bit i of a yielded mask is PROFILE_PATTERNS[i], whatever the order or
+    # repetition of the walk's patterns
+    patterns = [(3, 2, 1), (1, 2, 3), (3, 2, 1)]
+    masks = {
+        tuple(vals): mask
+        for vals, _, mask, _ in _kernels.star_walk(2, None, None, patterns, False)
+    }
+    for vals, mask in masks.items():
+        assert mask == naive_mask(vals) & 33, vals
+
+
+@pytest.mark.parametrize(
+    "pattern", [(1, 2), (1, 2, 3, 4), (1, 1, 2), (1, 2, 4), (0, 5, 9), "123"]
+)
+def test_malformed_patterns_refused_before_walking(pattern):
+    with pytest.raises(ValueError, match="patterns must have length 3"):
+        _kernels.contains_pattern3((1, 2, 3), pattern)
+    walk = _kernels.star_walk(2, None, None, [(3, 2, 1), pattern])
+    with pytest.raises(ValueError, match="patterns must have length 3"):
+        next(walk)
+    with pytest.raises(ValueError, match="patterns must have length 3"):
+        _kernels.count_avoiders(1, [pattern])

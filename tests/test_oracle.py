@@ -8,7 +8,7 @@ import itertools
 import pytest
 
 from conftest import PATTERN_SETS, mark_members, select
-from threecycle import oracle, perm
+from threecycle import cli, oracle, perm
 from threecycle.errors import ResourceLimitError
 
 ALL_PATTERNS = [tuple(p) for p in itertools.permutations((1, 2, 3))]
@@ -108,6 +108,20 @@ class TestCount:
     def test_profile_parallel_merge(self):
         assert oracle.avoidance_profile(2, jobs=2) == oracle.avoidance_profile(2)
 
+    def test_profiles_parallel_merge_per_n(self):
+        # every n's parts come back on one pool and merge into its own table,
+        # in the order the sizes were given
+        want = [oracle.avoidance_profile(n) for n in (3, 1, 2)]
+        assert oracle.avoidance_profiles([3, 1, 2], jobs=2) == want
+        assert oracle.avoidance_profiles([3, 1, 2]) == want
+
+    def test_profiles_refuse_bad_sizes(self):
+        for ns in ([], [2, 0]):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                oracle.avoidance_profiles(ns)
+        with pytest.raises(ResourceLimitError, match="n <= 5"):
+            oracle.avoidance_profiles([1, 6])
+
 
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records the pool size asked for and
@@ -148,6 +162,15 @@ class TestWorkers:
         assert oracle.avoidance_profile(2, jobs=100000) == oracle.avoidance_profile(2)
         assert oracle.avoidance_profile(1, jobs=100000) == oracle.avoidance_profile(1)
         assert pool_sizes == [4, 3, 2, 4, 2]
+
+    def test_verify_sweeps_every_n_on_one_pool(self, pool_sizes, capsys):
+        # 2 + 20 + 56 first-cycle tasks for n = 1..3 on one pool of 2
+        tables = oracle.avoidance_profiles(range(1, 4), jobs=2)
+        assert tables == [oracle.avoidance_profile(n) for n in range(1, 4)]
+        assert pool_sizes == [2]
+        assert cli.main(["verify", "--max-n", "3", "--jobs", "2"]) == 0
+        assert pool_sizes == [2, 2]
+        assert capsys.readouterr().out.endswith("PASS\n")
 
     def test_one_cpu_runs_in_process(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)

@@ -123,6 +123,19 @@ class TestPatterns:
         with pytest.raises(ValueError, match="patterns must have length 3"):
             perm.avoids(p, (3, 2, 1), sigma)
 
+    @pytest.mark.parametrize("sigma", [(1, 1, 2), (1, 2, 4), (0, 5, 9)])
+    def test_non_permutation_patterns_refused(self, sigma):
+        with pytest.raises(ValueError, match="patterns must have length 3"):
+            perm.contains_pattern((1, 2, 3), sigma)
+        with pytest.raises(ValueError, match="patterns must have length 3"):
+            perm.avoids((1, 2, 3), sigma)
+
+    @given(perms_upto8, st.sets(st.sampled_from(PATTERNS3)))
+    def test_avoids_matches_naive_scan_random(self, values, patterns):
+        p = tuple(values)
+        want = not any(naive_contains(p, sigma) for sigma in patterns)
+        assert perm.avoids(p, *patterns) == want
+
 
 class TestSymmetries:
     def test_inverse_examples(self):
