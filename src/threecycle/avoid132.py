@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from threecycle import perm, series, words
 from threecycle.errors import InternalInvariantError, MembershipError
@@ -294,32 +294,47 @@ def enumerate_all312(n: int) -> Iterator[perm.Perm]:
             yield perm_from_dyck_word(word, fills)
 
 
-def count_all312(n: int) -> int:
+def _coefficients(
+    make: Callable[[int], series.IntegerSeries], n: int | range
+) -> int | list[int]:
+    """Coefficient n of the series ``make(n)``; for an increasing range of n,
+    the coefficient of every n in it, all read off one series of the
+    range's largest order."""
+    ns = n if isinstance(n, range) else range(n, n + 1)
+    if not ns or ns.start < 1 or ns.step < 1:
+        raise ValueError("n must be >= 1, or an increasing range of such n")
+    f = make(ns[-1])
+    return [f.coefficient(k) for k in ns] if isinstance(n, range) else f.coefficient(n)
+
+
+def count_all312(n: int | range) -> int | list[int]:
     """Size of the all-312 subclass: the coefficient of x^n in
     :func:`series.series_A`, A = (c - 1) * m(c - 1).  Expanded, that is the
     sum over compositions (x1..xk) of n of M[k-1] * prod C[xi]: M[k-1] Dyck
     words per type of length k, each carrying prod C[xi] members.  As the
     Motzkin series satisfies m = 1 + x m + x^2 m^2, A = u (1 + A + A^2) with
-    u = c - 1, and the series is built from that equation.  Refused above
-    ``series.ORDER_LIMIT``.
+    u = c - 1, and the series is built from that equation.  Given an
+    increasing range of n, the sizes for every n in it, off one series.
+    Refused above ``series.ORDER_LIMIT``.
 
     >>> [count_all312(n) for n in range(1, 5)]
     [1, 3, 11, 44]
+    >>> count_all312(range(1, 5))
+    [1, 3, 11, 44]
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return series.series_A(n).coefficient(n)
+    return _coefficients(series.series_A, n)
 
 
-def count_132(n: int) -> int:
+def count_132(n: int | range) -> int | list[int]:
     """Number of 132-avoiding star permutations: the coefficient of x^n in
     :func:`series.series_B`, 2A / (1 - A).  Expanded, that is twice the sum
     over compositions (x1..xk) of n of prod a[xi], where a[m] is the all-312
-    subclass count.  Refused above ``series.ORDER_LIMIT``.
+    subclass count.  Given an increasing range of n, the numbers for every n
+    in it, off one series.  Refused above ``series.ORDER_LIMIT``.
 
     >>> [count_132(n) for n in range(1, 6)]
     [2, 8, 36, 170, 824]
+    >>> count_132(range(3, 6))
+    [36, 170, 824]
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return series.series_B(n).coefficient(n)
+    return _coefficients(series.series_B, n)

@@ -77,40 +77,48 @@ def _render(values: Iterable[int]) -> list[str]:
 _PATTERN_NAMES = ("123", "132", "213", "231", "312", "321")
 
 
-def formula_count(n: int, patterns: Sequence[perm.Perm], form: str | None) -> int:
-    """Dispatch to the closed-form/bijective counting route; raises UsageError
-    for combinations the formulas do not cover."""
+def formula_counts(
+    ns: range, patterns: Sequence[perm.Perm], form: str | None
+) -> list[int]:
+    """The counts for every n in ``ns`` by the closed-form/bijective routes;
+    raises UsageError for combinations the formulas do not cover.  The 132
+    and 213 routes read every n off one series of the largest order; the
+    others compute the largest n first.  Either way a refusal comes before
+    any other work."""
     patterns = tuple(patterns)
     if len(patterns) == 2:
         if form is not None:
             raise UsageError("no formula for pattern pairs with a form filter")
-        return oracle.closed_form_pair(n, patterns)
+        return _largest_first(ns, lambda n: oracle.closed_form_pair(n, patterns))
     if len(patterns) != 1:
         raise UsageError("formula engine handles one pattern or a pair")
     sigma = "".join(str(v) for v in patterns[0])
+    if sigma in ("132", "213"):
+        # all-312 and all-231 subclasses are equinumerous by symmetry
+        return (avoid132.count_132 if form is None else avoid132.count_all312)(ns)
+    if sigma == "321":
+        route = avoid321.count_321_via_tsets if form is None else avoid321.fuss_catalan
+        return _largest_first(ns, route)
+    if sigma in ("231", "312"):
+        # a cycle of the pattern's own form contains the pattern
+        return _largest_first(ns, avoid231.count_231 if form != sigma else lambda n: 0)
     if form is None:
-        if sigma in ("231", "312"):
-            return avoid231.count_231(n)
-        if sigma in ("132", "213"):
-            return avoid132.count_132(n)
-        if sigma == "321":
-            return avoid321.count_321_via_tsets(n)
-        if sigma == "123":
-            return oracle.closed_form_123(n)
-    else:
-        if sigma in ("132", "213"):
-            # all-312 and all-231 subclasses are equinumerous by symmetry
-            return avoid132.count_all312(n)
-        if sigma == "321":
-            return avoid321.fuss_catalan(n)
-        if sigma == "231":
-            return avoid231.count_231(n) if form == perm.FORM_312 else 0
-        if sigma == "312":
-            return avoid231.count_231(n) if form == perm.FORM_231 else 0
+        return _largest_first(ns, oracle.closed_form_123)
     raise UsageError(
-        f"no formula for pattern {sigma} with form {form or 'all'};"
+        f"no formula for pattern {sigma} with form {form};"
         " use --engine oracle"
     )
+
+
+def _largest_first(ns: range, route: Callable[[int], int]) -> list[int]:
+    """``route`` of each n in ``ns``, the largest n computed first."""
+    last = route(ns[-1])
+    return [*map(route, ns[:-1]), last]
+
+
+def formula_count(n: int, patterns: Sequence[perm.Perm], form: str | None) -> int:
+    """:func:`formula_counts` for one n."""
+    return formula_counts(range(n, n + 1), patterns, form)[0]
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -118,14 +126,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
     form = _parse_form(args.form)
     ns = _parse_n_range(args.n)
 
-    def count(n: int) -> int:
-        if args.engine == "formula":
-            return formula_count(n, patterns, form)
+    def oracle_count(n: int) -> int:
         q = oracle.AvoidanceQuery(n, frozenset(patterns), form)
         return oracle.oracle_count(q, jobs=args.jobs, allow_large=args.allow_large)
 
-    last = count(ns[-1])  # the largest n first: a refusal comes before other work
-    counts = [*map(count, ns[:-1]), last]
+    if args.engine == "formula":
+        counts = formula_counts(ns, patterns, form)
+    else:
+        counts = _largest_first(ns, oracle_count)
     texts = _render(counts)
     if args.format == "text":
         print(" ".join(texts))
@@ -300,6 +308,7 @@ CHECKS = (
         _series_identity_sides,
         "identity: series B*(1-A) = 2A to order {last}",
     ),
+    # the per-word Dyck sum pins the Dyck-path transfer that "Dyck identity" reads
     Check(
         "route check 321",
         ("321",),
@@ -307,6 +316,7 @@ CHECKS = (
         lambda n, _profile: (
             avoid321.count_321_via_tsets(n),
             avoid321.count_321_via_dyck(n),
+            avoid321.dyck_h_sum(n, 2),
         ),
         "route check 321: staircase sum = Dyck sum = f(2) for n=1..{last}",
     ),

@@ -105,8 +105,9 @@ class IntegerSeries:
 
 
 #: The largest order the series routes compute.  At this order
-#: ``series_B`` takes about 0.3 s on one core, and the range query over
-#: every n up to it, ``count --pattern 132 --n 1..ORDER_LIMIT``, about 23 s.
+#: ``series_B`` takes about 0.3 s on one core, and so does the range query
+#: over every n up to it, ``count --pattern 132 --n 1..ORDER_LIMIT``, which
+#: reads every n off that one series.
 ORDER_LIMIT = 500
 
 

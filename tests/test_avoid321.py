@@ -488,3 +488,40 @@ class TestDyckRoute:
             assert avoid321.fuss_catalan(n) == oracle.oracle_count(
                 oracle.query(n, "321", form="312")
             )
+
+
+class TestDyckTransfer:
+    def test_matches_the_per_word_sum(self):
+        for n in range(1, 11):
+            poly = avoid321.h_polynomial(n)
+            for t in (1, 2, 3):
+                assert avoid321.dyck_h_sum(n, t) == poly.evaluate(t), (n, t)
+
+    def test_matches_the_staircase_automaton(self):
+        for n in range(1, 13):
+            assert avoid321.dyck_h_sum(n, 2) == avoid321.tset_h_sum(n, 2), n
+
+    def test_identity_walks_no_word(self, monkeypatch):
+        from threecycle import words
+
+        def fail(*args):
+            raise AssertionError("walked a Dyck word")
+
+        monkeypatch.setattr(words, "dyck_words", fail)
+        monkeypatch.setattr(avoid321, "dyck_stats", fail)
+        assert all(avoid321.dyck_identity_check(n) for n in range(1, 13))
+
+    def test_rejects_n_below_one(self):
+        with pytest.raises(ValueError):
+            avoid321.dyck_h_sum(0, 1)
+
+    def test_refused_before_any_work(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("closed a pair")
+
+        monkeypatch.setattr(math, "comb", fail)
+        n = avoid321.TSET_LIMIT + 1
+        with pytest.raises(ResourceLimitError, match=f"n={n} exceeds"):
+            avoid321.dyck_h_sum(n, 1)
+        with pytest.raises(ResourceLimitError):
+            avoid321.dyck_identity_check(n)

@@ -260,6 +260,42 @@ def test_formula_bounds_refuse_before_work(argv, module, name, monkeypatch, caps
     assert err.startswith("refused: ") and "bound" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["count", "--pattern", "132"], "series_B"),
+        (["count", "--pattern", "213", "--form", "231"], "series_A"),
+        (["count", "--pattern", "132", "--form", "312"], "series_A"),
+    ],
+)
+def test_132_range_reads_one_series(argv, name, monkeypatch, capsys):
+    per_n = []
+    for n in range(3, 13):
+        assert cli.main([*argv, "--n", str(n)]) == 0
+        per_n.append(capsys.readouterr().out.strip())
+    real = getattr(series, name)
+    orders = []
+
+    def counting(order):
+        orders.append(order)
+        return real(order)
+
+    monkeypatch.setattr(series, name, counting)
+    assert cli.main([*argv, "--n", "3..12"]) == 0
+    assert capsys.readouterr().out.split() == per_n
+    assert orders == [12]
+
+
+def test_verify_pins_the_dyck_transfer(monkeypatch, capsys):
+    # a wrong transfer shows in both rows that read it
+    real = avoid321.dyck_h_sum
+    monkeypatch.setattr(avoid321, "dyck_h_sum", lambda n, t: real(n, t) + (n == 5))
+    assert cli.main(["verify", "--pattern", "321", "--max-n", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "route check 321: MISMATCH [(5, 2606, 2606, 2607)]\n" in out
+    assert "Dyck identity: MISMATCH [(5, False, True)]\n" in out
+
+
 def test_321_counts_past_the_dyck_bound(capsys):
     # n = 13 was computed once by the Dyck-word sum, count_321_via_dyck
     assert cli.main(["count", "--pattern", "321", "--n", "11..13"]) == 0
