@@ -6,8 +6,10 @@ the staircase automaton of :mod:`threecycle.avoid321` steps slot by slot.
 Containment is one left-to-right scan (``contained_patterns``) that finds
 every length-3 pattern at once, as a bit mask over ``PROFILE_PATTERNS``,
 from bit sets of the values left and right of each entry.  The walk places
-one 3-cycle per frame, and only ``_options`` orders the choices; the oracle
-splits a walk over the root's (``star_first_choices``).
+one 3-cycle per frame, and only ``_options`` orders the choices.  Counts and
+the profile walk only the root cycles 1 -> b -> c and read the 1 -> c -> b
+half off its inverses (``inverse_mask``); the oracle splits them over the
+root's partner pairs (``star_pairs``).
 
 Conventions: permutations are 1-based one-line sequences; a 3-cycle placed as
 a -> b -> c with a < b < c realizes the pattern 231, while a -> c -> b
@@ -17,6 +19,7 @@ realizes 312.  The walk names each orientation by its form, ``FORM_231`` or
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
@@ -129,19 +132,45 @@ def _options(perm: list[int], forms: tuple[str, ...]) -> Iterator[Option]:
                 yield a, b, c, form
 
 
-def star_first_choices(n: int) -> list[tuple[int, int, str]]:
-    """The root's choices, 1-based ``(b, c, form)`` in walk order; their
-    walks partition the star walk at ``n``.
+def star_pairs(n: int) -> list[tuple[int, int]]:
+    """The root's partner pairs, 1-based ``(b, c)`` in walk order: the root
+    cycle is 1 -> b -> c or 1 -> c -> b, and the walks under all pairs and
+    both orientations partition the star walk at ``n``.
 
-    >>> star_first_choices(1)
-    [(2, 3, '231'), (2, 3, '312')]
+    >>> star_pairs(1), len(star_pairs(2))
+    ([(2, 3)], 10)
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return [
-        (b + 1, c + 1, form)
-        for _, b, c, form in _options([0] * (3 * n), (FORM_231, FORM_312))
-    ]
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return list(itertools.combinations(range(2, 3 * n + 1), 2))
+
+
+def inverse_mask(mask: int) -> int:
+    """The pattern mask of the inverses of ``mask``'s patterns.  231 and 312
+    are each other's inverse and the other four are their own, so bits 3
+    and 4 swap; a permutation contains a pattern exactly when its inverse
+    contains the pattern's inverse.
+
+    >>> inverse_mask(8), inverse_mask(16), inverse_mask(33)  # 231, 312, 123+321
+    (16, 8, 33)
+    """
+    return mask & ~24 | mask >> 1 & 8 | mask << 1 & 16
+
+
+def _inverse_form(form: str | None) -> str | None:
+    # inverting a 3-cycle reverses it: a -> b -> c becomes a -> c -> b
+    return {FORM_231: FORM_312, FORM_312: FORM_231}.get(form, form)
+
+
+def _patterns(mask: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(p for i, p in enumerate(PROFILE_PATTERNS) if mask >> i & 1)
+
+
+def _roots(n: int, pair: tuple[int, int] | None) -> list[tuple]:
+    """The 231-form root choices (``star_walk``'s ``first``) of ``pair``'s
+    half of the walk; every pair's for None."""
+    pairs = star_pairs(n) if pair is None else [tuple(pair)]
+    return [(*p, FORM_231) for p in pairs]
 
 
 def star_walk(
@@ -157,9 +186,9 @@ def star_walk(
     Each cycle is one frame: it draws its choices from :func:`_options` (the
     smallest unplaced element, its partners in lexicographic order, a -> b ->
     c before a -> c -> b), so the order is reproducible.  ``form`` ("231" or
-    "312") allows only one orientation.  ``first``, one entry of
-    :func:`star_first_choices`, is the only choice at the root; the walks
-    over all such choices partition the whole walk.
+    "312") allows only one orientation.  ``first``, a root choice ``(b, c,
+    form)`` with ``(b, c)`` in :func:`star_pairs`, is the only choice at the
+    root; the walks over all such choices partition the whole walk.
 
     Each node carries the mask of the patterns the entries placed so far
     contain: bit i stands for ``PROFILE_PATTERNS[i]``, whatever the order of
@@ -222,7 +251,11 @@ def star_walk(
         return
     if first is None:
         options: Iterable[Option] = _options(perm, forms)
-    elif tuple(first) in star_first_choices(n):
+    elif (
+        len(first) == 3
+        and 1 < first[0] < first[1] <= 3 * n
+        and first[2] in (FORM_231, FORM_312)
+    ):
         b, c, first_form = first
         options = [(0, b - 1, c - 1, first_form)] if first_form in forms else []
     else:
@@ -234,13 +267,33 @@ def count_avoiders(
     n: int,
     patterns: Sequence[Sequence[int]],
     form: str | None = None,
-    first: tuple[int, int, str] | None = None,
+    pair: tuple[int, int] | None = None,
 ) -> int:
     """Count permutations of [3n] built only from 3-cycles that avoid every
     pattern in ``patterns`` (each of length 3), with cycle forms restricted by
-    ``form`` (None, "312" or "231"), in the part of the walk that ``first``
-    (see :func:`star_walk`) selects; the parts' counts sum to the whole."""
-    return sum(1 for _ in star_walk(n, first, form, patterns))
+    ``form`` (None, "312" or "231"), among those whose root cycle uses the
+    partners ``pair`` (see :func:`star_pairs`; every pair for None); the
+    pairs' counts sum to the whole.
+
+    Only the 1 -> b -> c root is walked.  Inversion maps the members with
+    root 1 -> c -> b onto those with root 1 -> b -> c, and a member avoiding
+    ``patterns`` under ``form`` onto one avoiding their inverses
+    (:func:`inverse_mask`) under the inverse form, so that walk counts the
+    other half.  When the inverses are the patterns and the form, one walk
+    counts both halves.
+    """
+    want = pattern_mask(patterns)
+    mirror = (inverse_mask(want), _inverse_form(form))
+
+    def half(mask: int, half_form: str | None) -> int:
+        return sum(
+            1
+            for first in _roots(n, pair)
+            for _ in star_walk(n, first, half_form, _patterns(mask))
+        )
+
+    count = half(want, form)
+    return 2 * count if mirror == (want, form) else count + half(*mirror)
 
 
 def triple_splits(k: int) -> int:
@@ -271,11 +324,11 @@ def completion_rows(n231: int, placed: int, left: int) -> tuple[int, int, int]:
     return (each << left) - all312 - all231, all312, all231
 
 
-def avoidance_profile(
-    n: int, first: tuple[int, int, str] | None = None
-) -> list[list[int]]:
+def avoidance_profile(n: int, pair: tuple[int, int] | None = None) -> list[list[int]]:
     """The 3-cycle-only permutations of [3n] histogrammed by (form class,
-    avoidance mask), from one walk of the star set.
+    avoidance mask), from one walk of the star set; only those whose root
+    cycle uses the partners ``pair`` (see :func:`star_pairs`) unless it is
+    None.
 
     Returns a 3 x 64 table: row 0 counts permutations with mixed cycle forms,
     row 1 all-312, row 2 all-231; column ``mask`` has bit i set when the
@@ -289,20 +342,31 @@ def avoidance_profile(
     already contain all six patterns is not walked: all of its completions
     land in column 0.  :func:`completion_rows` splits a yielded node over the
     rows; a member is the node with no cycle left.
+
+    Only the 1 -> b -> c root is walked.  The inverses of those members are
+    the members with root 1 -> c -> b: inversion swaps rows 1 and 2 and, in
+    each column, the 231 and 312 bits (:func:`inverse_mask`), so the table
+    adds that relabelled copy of the walked half.
     """
-    table = [[0] * 64 for _ in range(3)]
+    half = [[0] * 64 for _ in range(3)]
     # rows[left][n231]: completion_rows of a yielded node
     rows = [
         [completion_rows(n231, n - left, left) for n231 in range(n - left + 1)]
         for left in range(n + 1)
     ]
-    for _, n231, contained, left in star_walk(n, first, None, PROFILE_PATTERNS, False):
-        col = 63 ^ contained
-        mixed, all312, all231 = rows[left][n231]
-        table[0][col] += mixed
-        table[1][col] += all312
-        table[2][col] += all231
-    return table
+    for first in _roots(n, pair):
+        for _, n231, contained, left in star_walk(
+            n, first, None, PROFILE_PATTERNS, False
+        ):
+            col = 63 ^ contained
+            mixed, all312, all231 = rows[left][n231]
+            half[0][col] += mixed
+            half[1][col] += all312
+            half[2][col] += all231
+    return [
+        [cells[col] + mirror[inverse_mask(col)] for col in range(64)]
+        for cells, mirror in zip(half, (half[0], half[2], half[1]))
+    ]
 
 
 _Z, _X, _Y = b"zxy"  # the staircase scan's slot codes

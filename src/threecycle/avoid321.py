@@ -32,10 +32,10 @@ DYCK_LIMIT = 13
 
 #: The staircase automaton's states about double per n: about 2^(n+2) over
 #: all slots, at most 16,887 after one slot at n = 15.  At this n a count
-#: takes about 10 s and 250 MB on one core, and ``count --pattern 321 --n
-#: 1..TSET_LIMIT`` about 18 s.  The Dyck-path transfer (:func:`dyck_h_sum`)
-#: has about as many states and shares the bound: at n = 20 it takes about
-#: 13 s and 310 MB.
+#: takes about 10 s and 250 MB on one core, and so does ``count --pattern 321
+#: --n 1..TSET_LIMIT``, which reads every n off that one pass.  The Dyck-path
+#: transfer (:func:`dyck_h_sum`) has about as many states and shares the
+#: bound: at n = 20 it takes about 13 s and 310 MB.
 TSET_LIMIT = 20
 
 
@@ -195,9 +195,10 @@ def enumerate_321(n: int) -> Iterator[perm.Perm]:
             yield perm_from_choices(t, forms)
 
 
-def tset_h_sum(n: int, t: int) -> int:
+def tset_h_sum(n: int | range, t: int) -> int | list[int]:
     """The sum of t^h over the staircase sets of size n, h the balanced-prefix
-    statistic of each set's z/x/y word, by the staircase automaton; refused
+    statistic of each set's z/x/y word, by the staircase automaton; for an
+    increasing range of n, the sum for every n in it, off one pass.  Refused
     above ``TSET_LIMIT``.
 
     The automaton reads the slots 1..3n left to right, and each staircase
@@ -209,7 +210,7 @@ def tset_h_sum(n: int, t: int) -> int:
     else, so the paths in one state have the same continuations and are
     merged, the state carrying the sum of t^h over them.  At each slot:
 
-    * a z is allowed while z < n, and forced when the slot is 3z + 1 (the
+    * a z is allowed while z < n (the largest n of a range), and forced when the slot is 3z + 1 (the
       staircase bound: the (z+1)-th element is at most 3(z+1) - 2), so every
       path is a staircase set and ends in the state (n, n, ());
     * otherwise the rule writes x, recording z, or y, closing the earliest
@@ -221,22 +222,32 @@ def tset_h_sum(n: int, t: int) -> int:
     the coefficients of the h-polynomial.  The states about double per n,
     about 2^(n+2) over all slots, far fewer than the Fuss-Catalan(n) sets.
 
+    The pass for the largest n of a range holds every smaller n': after slot
+    3n', the state (n', n', ()) carries exactly the paths of the pass for n'.
+    A path reaching it has n' z's, and the z count only grows, so the cap
+    z < n never acted on it.
+
     >>> [tset_h_sum(n, 2) for n in range(1, 5)]
     [2, 10, 60, 388]
+    >>> tset_h_sum(range(1, 5), 2)
+    [2, 10, 60, 388]
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > TSET_LIMIT:
+    ns = n if isinstance(n, range) else range(n, n + 1)
+    if not ns or ns.start < 1 or ns.step < 1:
+        raise ValueError("n must be >= 1, or an increasing range of such n")
+    top = ns[-1]
+    if top > TSET_LIMIT:
         raise ResourceLimitError(
-            f"n={n} exceeds the staircase automaton bound n <= {TSET_LIMIT}"
+            f"n={top} exceeds the staircase automaton bound n <= {TSET_LIMIT}"
         )
     is_y_slot = _kernels.is_y_slot
+    sums = []
     states: dict[tuple[int, int, tuple[int, ...]], int] = {(0, 0, ()): 1}
-    for slot in range(1, 3 * n + 1):
+    for slot in range(1, 3 * top + 1):
         merged: dict[tuple[int, int, tuple[int, ...]], int] = {}
         for (x, y, waiting), weight in states.items():
             z = slot - 1 - x - y
-            if z < n:
+            if z < top:
                 key = (x, y, waiting)
                 merged[key] = merged.get(key, 0) + weight
                 if slot == 3 * z + 1:
@@ -251,16 +262,21 @@ def tset_h_sum(n: int, t: int) -> int:
                 key = (x + 1, y, waiting + (z,))
             merged[key] = merged.get(key, 0) + weight
         states = merged
-    return states[n, n, ()]
+        if slot % 3 == 0 and slot // 3 in ns:
+            sums.append(states[slot // 3, slot // 3, ()])
+    return sums if isinstance(n, range) else sums[0]
 
 
-def count_321_via_tsets(n: int) -> int:
+def count_321_via_tsets(n: int | range) -> int | list[int]:
     """The 321 count as the sum of 2^h over all staircase sets, read off the
-    staircase automaton (:func:`tset_h_sum` at t = 2); refused above
+    staircase automaton (:func:`tset_h_sum` at t = 2); given an increasing
+    range of n, the counts for every n in it, off one pass.  Refused above
     ``TSET_LIMIT``.
 
     >>> [count_321_via_tsets(n) for n in range(1, 5)]
     [2, 10, 60, 388]
+    >>> count_321_via_tsets(range(2, 5))
+    [10, 60, 388]
     """
     return tset_h_sum(n, 2)
 

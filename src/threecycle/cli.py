@@ -82,9 +82,9 @@ def formula_counts(
 ) -> list[int]:
     """The counts for every n in ``ns`` by the closed-form/bijective routes;
     raises UsageError for combinations the formulas do not cover.  The 132
-    and 213 routes read every n off one series of the largest order; the
-    others compute the largest n first.  Either way a refusal comes before
-    any other work."""
+    and 213 routes read every n off one series of the largest order, the
+    321 route off one automaton pass; the others compute the largest n
+    first.  Either way a refusal comes before any other work."""
     patterns = tuple(patterns)
     if len(patterns) == 2:
         if form is not None:
@@ -97,8 +97,9 @@ def formula_counts(
         # all-312 and all-231 subclasses are equinumerous by symmetry
         return (avoid132.count_132 if form is None else avoid132.count_all312)(ns)
     if sigma == "321":
-        route = avoid321.count_321_via_tsets if form is None else avoid321.fuss_catalan
-        return _largest_first(ns, route)
+        if form is None:
+            return avoid321.count_321_via_tsets(ns)
+        return _largest_first(ns, avoid321.fuss_catalan)
     if sigma in ("231", "312"):
         # a cycle of the pattern's own form contains the pattern
         return _largest_first(ns, avoid231.count_231 if form != sigma else lambda n: 0)

@@ -9,15 +9,19 @@ node.  That loses no member, since a placed entry never changes, so an
 occurrence among the placed entries is one in every permutation below them.
 The avoidance profile runs the same walk unpruned and counts a subtree whose
 placed entries already contain all six patterns without walking it
-(``_kernels.avoidance_profile``).  No counting shortcut from the formula
-modules is consulted, so these results can serve as the independent side of
-every formula-vs-oracle check.
+(``_kernels.avoidance_profile``).  Counts and profiles walk only the members
+whose root cycle is 1 -> b -> c: their inverses are the members with root
+1 -> c -> b, and a permutation contains a pattern exactly when its inverse
+contains the pattern's inverse, so the other half is read off the walked one.
+No counting shortcut from the formula modules is consulted, so these results
+can serve as the independent side of every formula-vs-oracle check.
 
 Sizes are bounded: n <= SOFT_LIMIT without the override flag, and n <=
 HARD_LIMIT unconditionally (the star set grows by a factor ~270 per step).
-Parallel runs split each walk over its first-cycle choices and use at most
-as many worker processes as there are tasks or CPUs, whatever ``jobs`` asks
-for; the profiles of several n (``avoidance_profiles``) share one pool.
+Parallel runs split each walk over the root's partner pairs (b, c), one task
+covering both orientations, and use at most as many worker processes as
+there are tasks or CPUs, whatever ``jobs`` asks for; the profiles of several
+n (``avoidance_profiles``) share one pool.
 """
 
 from __future__ import annotations
@@ -111,27 +115,27 @@ def _task(args: tuple):
 
 
 def _fan_out(name: str, ns: Sequence[int], jobs: int, *rest) -> list[list]:
-    """For each n in ``ns``, the parts of ``_kernels.<name>(n, *rest, first)``:
-    the whole walk (``first`` None) run in this process, or with more than
-    one worker one part per first-cycle choice, every n's parts mapped over
-    one process pool.  The kernel is looked up by name when it runs, so a
+    """For each n in ``ns``, the parts of ``_kernels.<name>(n, *rest, pair)``:
+    the whole walk (``pair`` None) run in this process, or with more than one
+    worker one part per root partner pair, every n's parts mapped over one
+    process pool.  The kernel is looked up by name when it runs, so a
     rebound attribute is the one called."""
-    choices = [_kernels.star_first_choices(n) for n in ns]
-    tasks = [(name, n, *rest, c) for n, cs in zip(ns, choices) for c in cs]
+    pairs = [_kernels.star_pairs(n) for n in ns]
+    tasks = [(name, n, *rest, p) for n, ps in zip(ns, pairs) for p in ps]
     workers = _workers(jobs, len(tasks))
     if workers == 1:
         return [[getattr(_kernels, name)(n, *rest, None)] for n in ns]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         results = pool.map(_task, tasks, chunksize=8)
-        return [list(itertools.islice(results, len(cs))) for cs in choices]
+        return [list(itertools.islice(results, len(ps))) for ps in pairs]
 
 
 def oracle_count(
     q: AvoidanceQuery, jobs: int = 1, allow_large: bool = False
 ) -> int:
     """Cardinality of :func:`oracle_enumerate`; with ``jobs > 1`` the count is
-    partitioned over first-cycle choices and merged by addition, so the result
-    is independent of worker count and schedule."""
+    partitioned over the root's partner pairs and merged by addition, so the
+    result is independent of worker count and schedule."""
     check_limits(q.n, allow_large)
     (parts,) = _fan_out("count_avoiders", [q.n], jobs, q.sorted_patterns(), q.form)
     return sum(parts)

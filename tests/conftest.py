@@ -159,6 +159,14 @@ def tset_sum_by_enumeration(n):
     return sum(2 ** _kernels.h_of_tset(t) for t in avoid321.enumerate_tsets(n))
 
 
+def first_choices(n):
+    """The star walk's root choices ``(b, c, form)`` in walk order: each
+    partner pair with 231 before 312."""
+    from threecycle import _kernels
+
+    return [(b, c, f) for b, c in _kernels.star_pairs(n) for f in ("231", "312")]
+
+
 def star_part(n, choice, form=None, patterns=()):
     """The pruned star walk's members under one first-cycle choice, each
     buffer copied as it is yielded."""

@@ -286,6 +286,24 @@ def test_132_range_reads_one_series(argv, name, monkeypatch, capsys):
     assert orders == [12]
 
 
+def test_321_range_reads_one_pass(monkeypatch, capsys):
+    per_n = []
+    for n in range(1, 11):
+        assert cli.main(["count", "--pattern", "321", "--n", str(n)]) == 0
+        per_n.append(capsys.readouterr().out.strip())
+    real = avoid321.tset_h_sum
+    sizes = []
+
+    def counting(n, t):
+        sizes.append(n)
+        return real(n, t)
+
+    monkeypatch.setattr(avoid321, "tset_h_sum", counting)
+    assert cli.main(["count", "--pattern", "321", "--n", "1..10"]) == 0
+    assert capsys.readouterr().out.split() == per_n
+    assert sizes == [range(1, 11)]
+
+
 def test_verify_pins_the_dyck_transfer(monkeypatch, capsys):
     # a wrong transfer shows in both rows that read it
     real = avoid321.dyck_h_sum
@@ -344,10 +362,13 @@ def test_decode_rejects_non_member(capsys):
 BREAKERS = {
     "bijection 231": (avoid231, "encode", lambda real: lambda word: real("")),
     "series identity": (series, "series_B", lambda real: series.series_A),
+    # the route takes one n or, from the formula engine, a range of n
     "route check 321": (
         avoid321,
         "count_321_via_tsets",
-        lambda real: lambda n: real(n) + 1,
+        lambda real: lambda n: (
+            [c + 1 for c in real(n)] if isinstance(n, range) else real(n) + 1
+        ),
     ),
     "Dyck identity": (avoid321, "dyck_identity_check", lambda real: lambda n: False),
 }

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import (
     PATTERN_SETS,
     PATTERNS3,
+    first_choices,
     mark_members,
     naive_contains,
     select,
@@ -83,33 +84,29 @@ class TestBackend:
             assert sum(sum(row) for row in table) == perm.star_cardinality(n)
 
     def test_first_choice_partition_sums(self, backend):
-        # the first-cycle sub-walks partition every walk, form-restricted and
-        # pruned ones included: counts and profiles add up, and the pruned
-        # streams concatenate to the whole pruned stream in order
+        # the root choices partition every walk, form-restricted and pruned
+        # ones included: the pruned streams concatenate to the whole pruned
+        # stream in order, and the partner pairs' counts and profiles, each
+        # covering both orientations, add up
         for n in (2, 3):
-            choices = _kernels.star_first_choices(n)
+            pairs = _kernels.star_pairs(n)
             for patterns, _ in QUERIES:
                 for form in FORMS:
                     total = backend.count_avoiders(n, patterns, form)
                     parts = sum(
-                        backend.count_avoiders(n, patterns, form, choice)
-                        for choice in choices
+                        backend.count_avoiders(n, patterns, form, pair)
+                        for pair in pairs
                     )
                     assert parts == total, (n, patterns, form)
                     whole = list(perm.iterate_star(n, form=form, patterns=patterns))
                     pieces = [
                         p
-                        for choice in choices
+                        for choice in first_choices(n)
                         for p in star_part(n, choice, form, patterns)
                     ]
                     assert pieces == whole, (n, patterns, form)
-            table = [[0] * 64 for _ in range(3)]
-            for choice in choices:
-                part = backend.avoidance_profile(n, choice)
-                for row in range(3):
-                    for col in range(64):
-                        table[row][col] += part[row][col]
-            assert table == backend.avoidance_profile(n)
+            parts = [backend.avoidance_profile(n, pair) for pair in pairs]
+            assert add_tables(*parts) == backend.avoidance_profile(n)
 
     def test_h_of_tset_matches_word_walk(self, backend):
         # against the letter-by-letter reference, not the scan it wraps
@@ -161,18 +158,60 @@ def leaf_histogram(members):
     return table
 
 
+def add_tables(*tables):
+    return [[sum(cells) for cells in zip(*rows)] for rows in zip(*tables)]
+
+
 def test_saturating_profile_matches_leaf_histogram():
     # the conftest pattern order is the profile's column order
     assert _kernels.PROFILE_PATTERNS == PATTERNS3
     for n in (1, 2, 3):
-        whole = [[0] * 64 for _ in range(3)]
-        for choice in _kernels.star_first_choices(n):
-            want = leaf_histogram(star_part(n, choice))
-            assert _kernels.avoidance_profile(n, choice) == want, (n, choice)
-            for row in range(3):
-                for col in range(64):
-                    whole[row][col] += want[row][col]
-        assert _kernels.avoidance_profile(n) == whole, n
+        parts = []
+        for b, c in _kernels.star_pairs(n):
+            members = star_part(n, (b, c, "231")) + star_part(n, (b, c, "312"))
+            parts.append(leaf_histogram(members))
+            assert _kernels.avoidance_profile(n, (b, c)) == parts[-1], (n, b, c)
+        assert _kernels.avoidance_profile(n) == add_tables(*parts), n
+
+
+def inverse_patterns(mask):
+    """The mask of the inverses of ``mask``'s patterns, by perm.inverse."""
+    return sum(
+        1 << PATTERNS3.index(perm.inverse(sigma))
+        for i, sigma in enumerate(PATTERNS3)
+        if mask >> i & 1
+    )
+
+
+def inverted_histogram(table):
+    """``table`` relabelled as the histogram of the inverse members: rows 1
+    (all-312) and 2 (all-231) swap, and each column's avoided patterns are
+    replaced by their inverses."""
+    out = [[0] * 64 for _ in range(3)]
+    for row, to_row in enumerate((0, 2, 1)):
+        for col in range(64):
+            out[to_row][inverse_patterns(col)] += table[row][col]
+    return out
+
+
+def test_inverse_half_mirrors_walked_half():
+    # the 1 -> c -> b half of each pair is the inverse image of the walked
+    # 1 -> b -> c half, so the kernel's pair counts, which walk only the
+    # latter, match both orientations' members (the pair profiles are
+    # checked against both halves' leaves above)
+    for n in (1, 2, 3):
+        for b, c in _kernels.star_pairs(n):
+            walked = star_part(n, (b, c, "231"))
+            mirrored = star_part(n, (b, c, "312"))
+            assert sorted(map(perm.inverse, walked)) == sorted(mirrored)
+            hist = inverted_histogram(leaf_histogram(walked))
+            assert leaf_histogram(mirrored) == hist, (n, b, c)
+            marked = mark_members(walked + mirrored)
+            for patterns in PATTERN_SETS:
+                for form in FORMS:
+                    want = len(select(marked, patterns, form))
+                    got = _kernels.count_avoiders(n, patterns, form, (b, c))
+                    assert got == want, (n, b, c, patterns, form)
 
 
 def test_profile_n4_golden():
@@ -224,10 +263,10 @@ def test_saturated_prefix_split(cycles, first, n231, rows):
 @pytest.mark.parametrize(
     "run,scans,asked",
     [
-        (lambda: _kernels.avoidance_profile(3), 2696, 8056),
-        (lambda: _kernels.count_avoiders(3, [(3, 2, 1)]), 1556, 1556),
-        (lambda: _kernels.avoidance_profile(4), 102526, 163820),
-        (lambda: _kernels.count_avoiders(4, [(3, 2, 1)]), 26678, 26678),
+        (lambda: _kernels.avoidance_profile(3), 1348, 4028),
+        (lambda: _kernels.count_avoiders(3, [(3, 2, 1)]), 778, 778),
+        (lambda: _kernels.avoidance_profile(4), 51263, 81910),
+        (lambda: _kernels.count_avoiders(4, [(3, 2, 1)]), 13339, 13339),
     ],
     ids=["profile", "count-321", "profile-n4", "count-321-n4"],
 )
@@ -235,8 +274,9 @@ def test_walk_containment_tests_pinned(run, scans, asked, monkeypatch):
     # the results above do not show how much work the walk does; the number
     # of containment scans (one per node visited) and of patterns they are
     # asked for do.  Walking a saturated subtree, or a subtree that already
-    # contains an avoided pattern, raises the scans; losing the mask of the
-    # patterns already contained raises the patterns asked for.
+    # contains an avoided pattern, or the 1 -> c -> b root half that the
+    # inverses give, raises the scans; losing the mask of the patterns
+    # already contained raises the patterns asked for.
     real = _kernels.contained_patterns
     seen = [0, 0]
 

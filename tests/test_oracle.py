@@ -155,16 +155,17 @@ class TestWorkers:
     def test_pool_bounded_by_cpus_and_tasks(self, pool_sizes):
         q = oracle.query(2, "321")
         serial = oracle.oracle_count(q)
-        # 20 first-cycle tasks at n = 2, 2 at n = 1, 4 CPUs
+        # 10 partner-pair tasks at n = 2, 4 CPUs; the 1 task at n = 1 runs in
+        # this process
         assert oracle.oracle_count(q, jobs=100000) == serial
         assert oracle.oracle_count(q, jobs=3) == serial
         assert oracle.oracle_count(oracle.query(1, "321"), jobs=100000) == 2
         assert oracle.avoidance_profile(2, jobs=100000) == oracle.avoidance_profile(2)
         assert oracle.avoidance_profile(1, jobs=100000) == oracle.avoidance_profile(1)
-        assert pool_sizes == [4, 3, 2, 4, 2]
+        assert pool_sizes == [4, 3, 4]
 
     def test_verify_sweeps_every_n_on_one_pool(self, pool_sizes, capsys):
-        # 2 + 20 + 56 first-cycle tasks for n = 1..3 on one pool of 2
+        # 1 + 10 + 28 partner-pair tasks for n = 1..3 on one pool of 2
         tables = oracle.avoidance_profiles(range(1, 4), jobs=2)
         assert tables == [oracle.avoidance_profile(n) for n in range(1, 4)]
         assert pool_sizes == [2]

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import naive_contains, star_by_filter, star_part
-from threecycle import _kernels, perm
+from conftest import first_choices, naive_contains, star_by_filter, star_part
+from threecycle import perm
 from threecycle.errors import PermutationError
 
 PATTERNS3 = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
@@ -215,7 +215,7 @@ class TestStarGenerator:
 
     def test_first_choice_substreams_partition(self):
         full = list(perm.iterate_star(2))
-        pieces = [star_part(2, c) for c in _kernels.star_first_choices(2)]
+        pieces = [star_part(2, c) for c in first_choices(2)]
         flat = [p for piece in pieces for p in piece]
         assert len(flat) == len(full)
         assert set(flat) == set(full)
