@@ -109,13 +109,6 @@ def contained_patterns(values: Iterable[int], bits: int, wanted: int) -> int:
     return found & wanted
 
 
-def contains_pattern3(values: Sequence[int], pattern: Sequence[int]) -> bool:
-    """True iff some length-3 subsequence of ``values``, a permutation of
-    1..m, is order-isomorphic to ``pattern``, a permutation of 1..3."""
-    wanted = pattern_mask((pattern,))
-    return bool(contained_patterns(values, (2 << len(values)) - 2, wanted))
-
-
 def _options(perm: list[int], forms: tuple[str, ...]) -> Iterator[Option]:
     """The next cycle's choices on the buffer ``perm`` (0 = unplaced): the
     smallest unplaced ``a``, partners ``b < c`` in lexicographic order, then

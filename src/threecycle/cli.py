@@ -129,7 +129,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
     def oracle_count(n: int) -> int:
         q = oracle.AvoidanceQuery(n, frozenset(patterns), form)
-        return oracle.oracle_count(q, jobs=args.jobs, allow_large=args.allow_large)
+        return oracle.oracle_count(q, jobs=args.jobs)
 
     if args.engine == "formula":
         counts = formula_counts(ns, patterns, form)
@@ -159,10 +159,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     ns = _parse_n_range(args.n)
     # a bad pattern is a usage error before any refusal, and both come first
     oracle.AvoidanceQuery(ns[-1], frozenset(patterns), form)
-    oracle.check_limits(ns[-1], args.allow_large)
+    oracle.check_limits(ns[-1])
     for n in ns:
         q = oracle.AvoidanceQuery(n, frozenset(patterns), form)
-        for p in oracle.oracle_enumerate(q, allow_large=args.allow_large):
+        for p in oracle.oracle_enumerate(q):
             if args.format == "jsonl":
                 record = {
                     "n": n,
@@ -298,7 +298,7 @@ CHECKS = (
     Check(
         "bijection 231",
         ("231", "312"),
-        lambda max_n: range(1, min(max_n, 4) + 1),
+        lambda max_n: range(1, max_n + 1),
         _encode_image_sides,
         "bijection 231: encode image matches oracle for n=1..{last}",
     ),
@@ -353,9 +353,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
     checks = _select_checks(args.pattern)
-    oracle.check_limits(args.max_n, args.allow_large)
+    oracle.check_limits(args.max_n)
     sizes = range(1, args.max_n + 1)
-    tables = oracle.avoidance_profiles(sizes, args.jobs, args.allow_large)
+    tables = oracle.avoidance_profiles(sizes, args.jobs)
     profiles = dict(zip(sizes, tables))
     failed = False
     for check in checks:
@@ -380,21 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
-        p.add_argument(
-            "--allow-large",
-            action="store_true",
-            help=f"override the soft exhaustive-search bound n <= {oracle.SOFT_LIMIT}",
-        )
-
     p = sub.add_parser("count", help="count avoiders for n or an n-range")
     p.add_argument("--pattern", required=True, help='e.g. "321" or a pair "132,213"')
     p.add_argument("--n", required=True, help='size parameter, e.g. "4" or "1..5"')
     p.add_argument("--form", default="all", help="cycle form filter: all, 312 or 231")
     p.add_argument("--engine", choices=("formula", "oracle"), default="formula")
     p.add_argument("--format", choices=("text", "jsonl", "bfile"), default="text")
-    add_common(p)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("enumerate", help="list the avoiders themselves")
@@ -402,17 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True)
     p.add_argument("--form", default="all")
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
-    p.add_argument(
-        "--allow-large",
-        action="store_true",
-        help=f"override the soft exhaustive-search bound n <= {oracle.SOFT_LIMIT}",
-    )
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="formula-vs-oracle and identity suites")
     p.add_argument("--pattern", default="all", help="a pattern, a pair, or 'all'")
     p.add_argument("--max-n", type=int, default=4)
-    add_common(p)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("series", help="print generating-function coefficients")

@@ -16,8 +16,8 @@ contains the pattern's inverse, so the other half is read off the walked one.
 No counting shortcut from the formula modules is consulted, so these results
 can serve as the independent side of every formula-vs-oracle check.
 
-Sizes are bounded: n <= SOFT_LIMIT without the override flag, and n <=
-HARD_LIMIT unconditionally (the star set grows by a factor ~270 per step).
+Sizes are bounded by one constant, n <= WALK_LIMIT, checked before any
+work; no flag lifts it (the star set grows by a factor ~270 per step).
 Parallel runs split each walk over the root's partner pairs (b, c), one task
 covering both orientations, and use at most as many worker processes as
 there are tasks or CPUs, whatever ``jobs`` asks for; the profiles of several
@@ -35,8 +35,7 @@ from typing import Iterator, Sequence
 from threecycle import _kernels, perm
 from threecycle.errors import ResourceLimitError
 
-SOFT_LIMIT = 5
-HARD_LIMIT = 6
+WALK_LIMIT = 6
 
 FORMS = (None, perm.FORM_312, perm.FORM_231)
 
@@ -78,25 +77,20 @@ def query(n: int, patterns: str | Sequence[str], form: str | None = None) -> Avo
     return AvoidanceQuery(n, parsed, form)
 
 
-def check_limits(n: int, allow_large: bool) -> None:
-    """Refuse an exhaustive run at size ``n`` over the soft bound (unless
-    ``allow_large``) or over the hard bound, with ResourceLimitError."""
-    if n > HARD_LIMIT:
+def check_limits(n: int) -> None:
+    """Refuse an exhaustive run at size ``n`` over WALK_LIMIT with
+    ResourceLimitError."""
+    if n > WALK_LIMIT:
         raise ResourceLimitError(
-            f"n={n} exceeds the hard bound n <= {HARD_LIMIT} "
+            f"n={n} exceeds the bound n <= {WALK_LIMIT} "
             f"(the star set has {perm.star_cardinality(n)} members)"
         )
-    if n > SOFT_LIMIT and not allow_large:
-        raise ResourceLimitError(
-            f"n={n} exceeds the soft bound n <= {SOFT_LIMIT}; "
-            "pass allow_large=True (CLI: --allow-large) to override"
-        )
 
 
-def oracle_enumerate(q: AvoidanceQuery, allow_large: bool = False) -> Iterator[perm.Perm]:
+def oracle_enumerate(q: AvoidanceQuery) -> Iterator[perm.Perm]:
     """Every member of the star set matching ``q``, in the deterministic order
     of the direct generator, each exactly once."""
-    check_limits(q.n, allow_large)
+    check_limits(q.n)
     yield from perm.iterate_star(q.n, form=q.form, patterns=q.sorted_patterns())
 
 
@@ -130,39 +124,33 @@ def _fan_out(name: str, ns: Sequence[int], jobs: int, *rest) -> list[list]:
         return [list(itertools.islice(results, len(ps))) for ps in pairs]
 
 
-def oracle_count(
-    q: AvoidanceQuery, jobs: int = 1, allow_large: bool = False
-) -> int:
+def oracle_count(q: AvoidanceQuery, jobs: int = 1) -> int:
     """Cardinality of :func:`oracle_enumerate`; with ``jobs > 1`` the count is
     partitioned over the root's partner pairs and merged by addition, so the
     result is independent of worker count and schedule."""
-    check_limits(q.n, allow_large)
+    check_limits(q.n)
     (parts,) = _fan_out("count_avoiders", [q.n], jobs, q.sorted_patterns(), q.form)
     return sum(parts)
 
 
-def avoidance_profiles(
-    ns: Sequence[int], jobs: int = 1, allow_large: bool = False
-) -> list[list[list[int]]]:
+def avoidance_profiles(ns: Sequence[int], jobs: int = 1) -> list[list[list[int]]]:
     """The :func:`avoidance_profile` table of each n in ``ns``, in order; with
     ``jobs > 1`` every n's parts run on one process pool."""
     if not ns or min(ns) < 1:
         raise ValueError("n must be >= 1")
-    check_limits(max(ns), allow_large)
+    check_limits(max(ns))
     return [
         [[sum(cells) for cells in zip(*rows)] for rows in zip(*parts)]
         for parts in _fan_out("avoidance_profile", ns, jobs)
     ]
 
 
-def avoidance_profile(
-    n: int, jobs: int = 1, allow_large: bool = False
-) -> list[list[int]]:
+def avoidance_profile(n: int, jobs: int = 1) -> list[list[int]]:
     """One exhaustive sweep counting, for every (form class, avoidance mask)
     cell, the star permutations in it; see :func:`profile_count` for reading
     the table.  Much cheaper than one :func:`oracle_count` per query when many
     queries share the same ``n``."""
-    return avoidance_profiles([n], jobs, allow_large)[0]
+    return avoidance_profiles([n], jobs)[0]
 
 
 def profile_count(

@@ -176,7 +176,7 @@ def contains_pattern(p: Perm, sigma: Perm) -> bool:
     """True iff some subsequence of ``p`` is order-isomorphic to ``sigma``, a
     permutation of 1..3 (the only patterns the paper uses; others raise
     ValueError), by the star walk's containment scan."""
-    return _kernels.contains_pattern3(p, sigma)
+    return not avoids(p, sigma)
 
 
 def avoids(p: Perm, *patterns: Perm) -> bool:

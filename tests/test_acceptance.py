@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass line with
 its runtime.  Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to
-see the lines inline).  The n=5 oracle sweep is gated behind RUN_N5=1.
+see the lines inline).  The n=5 oracle sweep is gated behind RUN_N5=1, and
+the n=6 verify run against its golden file behind RUN_N6=1.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ import itertools
 import math
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -71,7 +73,7 @@ def _oracle_equivalence(ns, jobs=1):
     # the fifteen pairs and the three flagged subclasses
     swept = [check for check in cli.CHECKS if check.sweeps]
     for n in ns:
-        table = oracle.avoidance_profile(n, jobs=jobs, allow_large=True)
+        table = oracle.avoidance_profile(n, jobs=jobs)
         for check in swept:
             sides = check.sides(n, table)
             assert all(side == sides[0] for side in sides), (n, check.label, sides)
@@ -89,11 +91,23 @@ def test_criterion_2_oracle_equivalence():
 
 @pytest.mark.skipif(
     not os.environ.get("RUN_N5"),
-    reason="n=5 oracle sweep runs behind the override flag (set RUN_N5=1)",
+    reason="n=5 oracle sweep takes seconds, opt in with RUN_N5=1",
 )
 def test_criterion_2_oracle_equivalence_n5():
-    with _Timer(2, "oracle equivalence n=5 (override)", 300.0):
+    with _Timer(2, "oracle equivalence n=5", 300.0):
         _oracle_equivalence([5], jobs=os.cpu_count() or 1)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("RUN_N6"),
+    reason="verify --max-n 6 takes about a minute, opt in with RUN_N6=1",
+)
+def test_verify_n6_golden(capsys):
+    jobs = str(os.cpu_count() or 1)
+    with _Timer(2, "verify --max-n 6", 600.0):
+        assert cli.main(["verify", "--max-n", "6", "--jobs", jobs]) == 0
+        out = capsys.readouterr().out
+    assert out == (Path(__file__).parent / "golden" / "verify_all_n6.txt").read_text()
 
 
 def test_criterion_3_bijection_231():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
@@ -154,25 +155,10 @@ def test_unknown_verb_exits_2():
 
 
 def test_resource_refusal_exits_3(monkeypatch, capsys):
-    assert cli.main(["count", "--pattern", "321", "--n", "6", "--engine", "oracle"]) == 3
-    err = capsys.readouterr().err
-    assert "n <= 5" in err
-    assert (
-        cli.main(
-            [
-                "count",
-                "--pattern",
-                "321",
-                "--n",
-                "7",
-                "--engine",
-                "oracle",
-                "--allow-large",
-            ]
-        )
-        == 3
-    )
-    capsys.readouterr()
+    assert cli.main(["count", "--pattern", "321", "--n", "7", "--engine", "oracle"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "n <= 6" in err
 
     # the Dyck-word sum refuses before it walks a word
     def no_walk(*args):
@@ -204,11 +190,11 @@ def _fail(name):
     [
         (["count", "--pattern", "321", "--n", "19..21"], _kernels, "is_y_slot"),
         (
-            ["count", "--engine", "oracle", "--pattern", "231", "--n", "4..6"],
+            ["count", "--engine", "oracle", "--pattern", "231", "--n", "4..7"],
             _kernels,
             "star_walk",
         ),
-        (["enumerate", "--pattern", "123", "--n", "1..6"], _kernels, "star_walk"),
+        (["enumerate", "--pattern", "123", "--n", "1..7"], _kernels, "star_walk"),
     ],
     ids=["count-321-formula", "count-231-oracle", "enumerate-123"],
 )
@@ -391,7 +377,7 @@ def profile_calls(monkeypatch):
     """Stand in for the profile sweep and record the sizes it is asked for."""
     calls = []
 
-    def record(ns, jobs=1, allow_large=False):
+    def record(ns, jobs=1):
         calls.extend(ns)
         return [[[0] * 64 for _ in range(3)] for _ in ns]
 
@@ -399,13 +385,49 @@ def profile_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize(
-    "argv", [["--max-n", "6"], ["--max-n", "7", "--allow-large"]]
-)
+@pytest.mark.parametrize("argv", [["--max-n", "7"], ["--max-n", "7", "--jobs", "2"]])
 def test_verify_refuses_large_max_n_before_sweeping(argv, profile_calls, capsys):
     assert cli.main(["verify", *argv]) == 3
     assert profile_calls == []
     assert capsys.readouterr().err.startswith("refused: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--pattern", "321", "--n", "2", "--engine", "oracle"],
+        ["enumerate", "--pattern", "321", "--n", "2"],
+        ["verify", "--max-n", "2"],
+    ],
+    ids=["count", "enumerate", "verify"],
+)
+def test_no_flag_lifts_the_walk_bound(argv, capsys):
+    # one bound, oracle.WALK_LIMIT, and no flag that overrides it
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--allow-large"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--allow-large" in err
+
+
+def test_help_names_no_ignored_option():
+    parser = cli.build_parser()
+    (verbs,) = [
+        action.choices
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert {"count", "enumerate", "verify"} <= set(verbs)
+    for verb, sub in verbs.items():
+        assert "allow" not in sub.format_help(), verb
+
+
+def test_readme_bounds_table_names_the_walk_limit():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    rows = [line for line in readme.splitlines() if line.startswith("| exhaustive")]
+    assert len(rows) == 1, rows
+    assert f"`n <= {oracle.WALK_LIMIT}`" in rows[0]
 
 
 @pytest.mark.parametrize(

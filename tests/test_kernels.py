@@ -42,11 +42,13 @@ QUERIES = [
 @pytest.mark.parametrize("backend", [_kernels], ids=["python"])
 class TestBackend:
     def test_contains_pattern3_exhaustive_small(self, backend):
+        # the one containment entry point, perm.contains_pattern, over the
+        # kernel's scan
         patterns = list(itertools.permutations((1, 2, 3)))
         for m in (3, 4, 5):
             for p in itertools.permutations(range(1, m + 1)):
                 for sigma in patterns:
-                    assert backend.contains_pattern3(p, sigma) == naive_contains(
+                    assert perm.contains_pattern(p, sigma) == naive_contains(
                         p, sigma
                     )
 
@@ -343,7 +345,7 @@ def test_walk_mask_bits_follow_profile_patterns():
 )
 def test_malformed_patterns_refused_before_walking(pattern):
     with pytest.raises(ValueError, match="patterns must have length 3"):
-        _kernels.contains_pattern3((1, 2, 3), pattern)
+        _kernels.pattern_mask([pattern])
     walk = _kernels.star_walk(2, None, None, [(3, 2, 1), pattern])
     with pytest.raises(ValueError, match="patterns must have length 3"):
         next(walk)

@@ -119,8 +119,8 @@ class TestCount:
         for ns in ([], [2, 0]):
             with pytest.raises(ValueError, match="n must be >= 1"):
                 oracle.avoidance_profiles(ns)
-        with pytest.raises(ResourceLimitError, match="n <= 5"):
-            oracle.avoidance_profiles([1, 6])
+        with pytest.raises(ResourceLimitError, match="n <= 6"):
+            oracle.avoidance_profiles([1, 7])
 
 
 class RecordingPool:
@@ -189,17 +189,18 @@ class TestWorkers:
 
 
 class TestLimits:
-    def test_soft_limit_refusal_names_bound(self):
-        with pytest.raises(ResourceLimitError, match="n <= 5"):
-            oracle.oracle_count(oracle.query(6, "321"))
-
     def test_hard_limit_refusal(self):
         with pytest.raises(ResourceLimitError, match="n <= 6"):
-            oracle.oracle_count(oracle.query(7, "321"), allow_large=True)
+            oracle.oracle_count(oracle.query(7, "321"))
 
     def test_enumerate_respects_limits(self):
         with pytest.raises(ResourceLimitError):
-            next(oracle.oracle_enumerate(oracle.query(6, "321")))
+            next(oracle.oracle_enumerate(oracle.query(7, "321")))
+
+    def test_bound_itself_is_allowed(self):
+        # the check alone: no n = 6 walk runs here
+        assert oracle.WALK_LIMIT == 6
+        oracle.check_limits(oracle.WALK_LIMIT)
 
 
 class TestClosedForms:
