@@ -11,7 +11,7 @@ each other:
   that consults no formula, the ground truth every formula is tested against.
 
 The package is pure Python.  ``threecycle._kernels`` holds the star walk
-with its one-pass pattern-containment scan, and the staircase scan behind
+with its one-pattern containment scans, and the staircase scan behind
 every z/x/y word and its balanced-prefix statistic.
 """
 

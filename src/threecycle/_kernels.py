@@ -3,9 +3,10 @@ enumeration and profile, and the staircase scan behind every z/x/y word and
 its balanced-prefix cuts, with its greedy rule (``is_y_slot``), which
 the staircase automaton of :mod:`threecycle.avoid321` steps slot by slot.
 
-Containment is one left-to-right scan (``contained_patterns``) that finds
-every length-3 pattern at once, as a bit mask over ``PROFILE_PATTERNS``,
-from bit sets of the values left and right of each entry.  The walk places
+Containment (``contained_patterns``) is one scan per wanted length-3
+pattern, for 123, 132 and 213 over the values and for their reverses over
+the values reversed, each from bit sets of the values left and right of each
+entry; it answers with a bit mask over ``PROFILE_PATTERNS``.  The walk places
 one 3-cycle per frame, and only ``_options`` orders the choices.  Counts and
 the profile walk only the root cycles 1 -> b -> c and read the 1 -> c -> b
 half off its inverses (``inverse_mask``); the oracle splits them over the
@@ -62,51 +63,77 @@ def pattern_mask(patterns: Iterable[Sequence[int]]) -> int:
     return mask
 
 
-def contained_patterns(values: Iterable[int], bits: int, wanted: int) -> int:
-    """The mask of the ``wanted`` patterns that ``values`` contain, in one
-    left-to-right scan.  ``values`` are distinct positive ints, 0 entries
+def _has_123(values: Iterable[int], bits: int) -> bool:
+    low = right = bits  # low: the least value to the left as a bit, or bits
+    for v in filter(None, values):
+        bit = 1 << v
+        right ^= bit
+        if low < bit < right:  # ll and rh
+            return True
+        low = bit if bit < low else low
+    return False
+
+
+def _has_132(values: Iterable[int], bits: int) -> bool:
+    low = right = bits  # as for 123; rl < bit, so rl > low says ll is not empty
+    for v in filter(None, values):
+        bit = 1 << v
+        right ^= bit
+        if right & (bit - 1) > low:
+            return True
+        low = bit if bit < low else low
+    return False
+
+
+def _has_213(values: Iterable[int], bits: int) -> bool:
+    left, right = 0, bits
+    for v in filter(None, values):
+        bit = 1 << v
+        right ^= bit
+        lh = left & -bit
+        if lh and lh & -lh < right:  # a bit of right above lowbit(lh) is in rh
+            return True
+        left |= bit
+    return False
+
+
+#: bit -> (scan, reversed?): the scans of 123, 132 and 213, and over the
+#: reversed values, of their reverses 321, 231 and 312
+_SCANS = {1: (_has_123, False), 2: (_has_132, False), 4: (_has_213, False)}
+_SCANS.update({32: (_has_123, True), 8: (_has_132, True), 16: (_has_213, True)})
+
+
+def contained_patterns(values: Sequence[int], bits: int, wanted: int) -> int:
+    """The mask of the ``wanted`` patterns that ``values`` contain, one scan
+    per wanted pattern.  ``values`` are distinct positive ints, 0 entries
     are skipped, and ``bits`` has bit ``v`` set for each value ``v``.
 
     At each value ``v`` the values to its left and right split into those
     below and above ``v`` (``ll, lh, rl, rh``), and ``v`` is the middle
-    entry of a 123 when ``ll`` and ``rh`` are both non-empty, of a 321 for
-    ``lh`` and ``rl``, of a 132 when min ``ll`` < max ``rl``, of a 231 when
-    min ``rl`` < max ``ll``, of a 213 when min ``lh`` < max ``rh`` and of a
-    312 when min ``rh`` < max ``lh``; a minimum is a lowest set bit.  The
-    scan stops once every wanted pattern is found.
+    entry of a pattern exactly when ``lowbit(X) < Y``, a lowest set bit
+    compared with an int (so X is not empty)::
+
+        pattern  123  132  213  231  312  321
+        X        ll   ll   lh   rl   rh   rl
+        Y        rh   rl   rh   ll   lh   lh
+
+    For 123 and 321 that is "both sets non-empty".  Reversing the values
+    maps 321, 231 and 312 onto 123, 132 and 213, so three scans, each
+    stopping at its first hit, run over ``values`` or ``reversed(values)``.
 
     >>> contained_patterns((2, 3, 1), 0b1110, 63)  # 231 only
     8
+    >>> contained_patterns((3, 2, 1), 0b1110, 32)  # 321: a 123 reversed
+    32
     """
-    found = left = 0
-    right = bits
-    for v in values:
-        if not v:
-            continue
-        bit = 1 << v
-        right ^= bit
-        ll = left & (bit - 1)
-        lh = left ^ ll
-        rl = right & (bit - 1)
-        rh = right ^ rl
-        if ll:
-            if rh:
-                found |= 1  # 123
-            if ll & -ll < rl:
-                found |= 2  # 132
-        if lh:
-            if lh & -lh < rh:
-                found |= 4  # 213
-            if rl:
-                found |= 32  # 321
-        if rl and rl & -rl < ll:
-            found |= 8  # 231
-        if rh and rh & -rh < lh:
-            found |= 16  # 312
-        if found & wanted == wanted:
-            break
-        left |= bit
-    return found & wanted
+    if wanted in _SCANS:
+        scan, backwards = _SCANS[wanted]
+        return wanted if scan(reversed(values) if backwards else values, bits) else 0
+    return sum(
+        bit
+        for bit, (scan, backwards) in _SCANS.items()
+        if wanted & bit and scan(reversed(values) if backwards else values, bits)
+    )
 
 
 def _options(perm: list[int], forms: tuple[str, ...]) -> Iterator[Option]:
@@ -188,7 +215,7 @@ def star_walk(
     ``patterns`` (each a permutation of 1..3; anything else raises
     ValueError before the walk starts).  A placed entry never changes, so an
     occurrence among the placed entries is one in every permutation below:
-    the mask only grows, and a node's one :func:`contained_patterns` scan
+    the mask only grows, and a node's one :func:`contained_patterns` call
     asks only for the patterns not yet in it.
 
     With ``prune`` (the default) the patterns are avoided: a subtree is
@@ -228,7 +255,7 @@ def star_walk(
             bits = placed | 2 << a | 2 << b | 2 << c
             seen = mask
             # a node is visited only below a parent neither pruned nor
-            # saturated, so some pattern is still wanted: one scan per node
+            # saturated, so some pattern is still wanted: one call per node
             if want:
                 seen |= contained_patterns(perm, bits, want & ~mask)
             if not (prune and seen):

@@ -158,11 +158,9 @@ def profile_count(
     patterns: Sequence[perm.Perm],
     form: str | None = None,
 ) -> int:
-    """Extract one avoidance count from an :func:`avoidance_profile` table."""
-    order = {p: i for i, p in enumerate(_kernels.PROFILE_PATTERNS)}
-    required = 0
-    for sigma in patterns:
-        required |= 1 << order[tuple(sigma)]
+    """Extract one avoidance count from an :func:`avoidance_profile` table;
+    a pattern that is not a permutation of 1..3 raises ValueError."""
+    required = _kernels.pattern_mask(patterns)
     if form is None:
         rows: tuple[int, ...] = (0, 1, 2)
     elif form == perm.FORM_312:

@@ -181,7 +181,7 @@ def contains_pattern(p: Perm, sigma: Perm) -> bool:
 
 def avoids(p: Perm, *patterns: Perm) -> bool:
     """True iff ``p`` contains none of ``patterns`` (permutations of 1..3),
-    all tested in one scan."""
+    all tested in one :func:`threecycle._kernels.contained_patterns` call."""
     wanted = _kernels.pattern_mask(patterns)
     return not _kernels.contained_patterns(p, (2 << len(p)) - 2, wanted)
 

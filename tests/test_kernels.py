@@ -269,8 +269,17 @@ def test_saturated_prefix_split(cycles, first, n231, rows):
         (lambda: _kernels.count_avoiders(3, [(3, 2, 1)]), 778, 778),
         (lambda: _kernels.avoidance_profile(4), 51263, 81910),
         (lambda: _kernels.count_avoiders(4, [(3, 2, 1)]), 13339, 13339),
+        (lambda: _kernels.count_avoiders(4, [(1, 3, 2)]), 22959, 22959),
+        (lambda: _kernels.count_avoiders(4, [(2, 1, 3)]), 16855, 16855),
     ],
-    ids=["profile", "count-321", "profile-n4", "count-321-n4"],
+    ids=[
+        "profile",
+        "count-321",
+        "profile-n4",
+        "count-321-n4",
+        "count-132-n4",
+        "count-213-n4",
+    ],
 )
 def test_walk_containment_tests_pinned(run, scans, asked, monkeypatch):
     # the results above do not show how much work the walk does; the number
@@ -292,6 +301,46 @@ def test_walk_containment_tests_pinned(run, scans, asked, monkeypatch):
     assert seen == [scans, asked]
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: perm.avoids((2, 4, 1, 3), (1, 3, 2)),
+        lambda: list(perm.iterate_star(2, patterns=[(2, 1, 3)])),
+        lambda: _kernels.count_avoiders(2, [(2, 3, 1)]),
+        lambda: _kernels.avoidance_profile(2),
+    ],
+    ids=["avoids", "iterate_star", "count_avoiders", "avoidance_profile"],
+)
+def test_one_pattern_scans_run_only_inside_contained_patterns(run, monkeypatch):
+    # the pinned scan counts above see a node only through the module's
+    # contained_patterns: every caller looks it up there, and the one-pattern
+    # scans run only from inside it
+    real = _kernels.contained_patterns
+    calls = [0]
+    inside = [False]
+
+    def counting(values, bits, wanted):
+        calls[0] += 1
+        inside[0] = True
+        try:
+            return real(values, bits, wanted)
+        finally:
+            inside[0] = False
+
+    def guarded(scan):
+        def run_scan(values, bits):
+            assert inside[0], "a one-pattern scan ran outside contained_patterns"
+            return scan(values, bits)
+
+        return run_scan
+
+    scans = {bit: (guarded(scan), rev) for bit, (scan, rev) in _kernels._SCANS.items()}
+    monkeypatch.setattr(_kernels, "_SCANS", scans)
+    monkeypatch.setattr(_kernels, "contained_patterns", counting)
+    run()
+    assert calls[0] > 0
+
+
 def naive_mask(values):
     """The mask of PATTERNS3 that the nonzero entries of ``values`` contain,
     by naive_contains."""
@@ -311,6 +360,29 @@ def test_scan_matches_naive_on_every_permutation_and_wanted_set():
             for wanted in range(64):
                 got = _kernels.contained_patterns(p, bits, wanted)
                 assert got == contained & wanted, (p, wanted)
+
+
+def walk_like_buffers():
+    """Every permutation of 1..6 with one 0 inserted at each index, and every
+    permutation of 1..5 with two 0s inserted, as the walk's buffers hold
+    unplaced entries."""
+    for p in itertools.permutations(range(1, 7)):
+        for at in range(7):
+            yield p[:at] + (0,) + p[at:]
+    for p in itertools.permutations(range(1, 6)):
+        for i, j in itertools.combinations_with_replacement(range(6), 2):
+            yield p[:i] + (0,) + p[i:j] + (0,) + p[j:]
+
+
+def test_one_pattern_scans_on_walk_like_buffers():
+    # each one-bit mask runs one scan, forwards for 123, 132 and 213 and over
+    # the reversed values for 231, 312 and 321; the full mask runs all six
+    for values in walk_like_buffers():
+        bits = sum(1 << v for v in values if v)
+        contained = naive_mask(values)
+        for wanted in (1, 2, 4, 8, 16, 32, 63):
+            got = _kernels.contained_patterns(values, bits, wanted)
+            assert got == contained & wanted, (values, wanted)
 
 
 @given(

@@ -105,6 +105,13 @@ class TestCount:
                 q = oracle.AvoidanceQuery(n, frozenset(pair))
                 assert oracle.profile_count(table, pair) == oracle.oracle_count(q)
 
+    @pytest.mark.parametrize("pattern", [(1, 2), (1, 2, 4), (3, 2, 1, 4)])
+    def test_profile_count_refuses_malformed_pattern(self, pattern):
+        # the shared mask rule, not a KeyError from a private lookup
+        table = oracle.avoidance_profile(1)
+        with pytest.raises(ValueError, match="patterns must have length 3"):
+            oracle.profile_count(table, [(3, 2, 1), pattern])
+
     def test_profile_parallel_merge(self):
         assert oracle.avoidance_profile(2, jobs=2) == oracle.avoidance_profile(2)
 
