@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from threecycle import perm, series, words
 from threecycle.errors import InternalInvariantError, MembershipError
@@ -27,8 +26,7 @@ from threecycle.errors import InternalInvariantError, MembershipError
 _PATTERN_132: perm.Perm = (1, 3, 2)
 
 
-@dataclass(frozen=True)
-class TPartition:
+class TPartition(NamedTuple):
     """Values split by in-cycle rank: minima, middles, maxima (each sorted)."""
 
     t1: tuple[int, ...]

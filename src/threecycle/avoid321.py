@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from threecycle import _kernels, perm, words
 from threecycle.errors import MAX_DIGITS, InternalInvariantError, ResourceLimitError
@@ -37,6 +36,11 @@ DYCK_LIMIT = 13
 #: transfer (:func:`dyck_h_sum`) has about as many states and shares the
 #: bound: at n = 20 it takes about 13 s and 310 MB.
 TSET_LIMIT = 20
+
+#: Listing the staircase sets themselves (:func:`enumerate_tsets`, ``paths
+#: --n``) makes all Fuss-Catalan(n) of them, about 5.5 times more per n: at
+#: this n, 1,430,715 sets, and ``paths --n`` prints 80 MB in about 11 s.
+TSET_LIST_LIMIT = 10
 
 
 def _log10_fuss_catalan(n: int) -> float:
@@ -90,9 +94,15 @@ def check_tset(t: Sequence[int]) -> tuple[int, ...]:
 
 
 def enumerate_tsets(n: int) -> Iterator[tuple[int, ...]]:
-    """All staircase sets of size n, lexicographic; Fuss-Catalan many."""
+    """All staircase sets of size n, lexicographic; Fuss-Catalan many.
+    Refused with ResourceLimitError above ``TSET_LIST_LIMIT``, before the
+    first set."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > TSET_LIST_LIMIT:
+        raise ResourceLimitError(
+            f"n={n} exceeds the staircase-set listing bound n <= {TSET_LIST_LIMIT}"
+        )
     t: list[int] = []
 
     def rec(i: int) -> Iterator[tuple[int, ...]]:
@@ -318,8 +328,7 @@ def path_to_tset(path: str) -> tuple[int, ...]:
     return check_tset(t)
 
 
-@dataclass(frozen=True)
-class DyckStats:
+class DyckStats(NamedTuple):
     """Statistics of a Dyck word over x/y: the balanced-prefix count h, and
     the gap vectors r (y's between consecutive x's) and s (x's between
     consecutive y's)."""
@@ -424,8 +433,7 @@ def count_321_via_dyck(n: int) -> int:
     return h_polynomial(n).evaluate(2)
 
 
-@dataclass(frozen=True)
-class HPolynomial:
+class HPolynomial(NamedTuple):
     """The balanced-prefix generating polynomial for one n: coefficient h is
     the total binomial weight of the Dyck words with that statistic.
     Evaluating at 1 gives the Fuss-Catalan number; at 2, the size of the

@@ -2,15 +2,21 @@
 bijection round-trips, and the lattice-path correspondence.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-refusal.  Output is deterministic byte for byte, including across worker
+refusal, 141 output cut off by a closed pipe (128 + SIGPIPE, what a shell
+reports for a program a broken pipe kills), e.g. ``threecycle paths --n 9 |
+head``.  Output is deterministic byte for byte, including across worker
 counts, so it can be diffed or golden-filed.
+
+A call imports only what every verb needs: ``json`` is imported where JSON
+is printed (``_print_json``), and the process pool's machinery where a pool
+starts (:mod:`threecycle.oracle`).
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
+import os
 import sys
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -72,6 +78,14 @@ def _render(values: Iterable[int]) -> list[str]:
         raise ResourceLimitError(
             f"an answer has more than {limit} digits, Python's limit for printing"
         ) from None
+
+
+def _print_json(value: object) -> None:
+    """``value`` as one line of JSON, keys sorted.  ``json`` is imported
+    here, so only a call that prints JSON loads it."""
+    import json
+
+    print(json.dumps(value, sort_keys=True))
 
 
 _PATTERN_NAMES = ("123", "132", "213", "231", "312", "321")
@@ -149,7 +163,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
                 "form": form,
                 "count": c,
             }
-            print(json.dumps(record, sort_keys=True))
+            _print_json(record)
     return 0
 
 
@@ -169,7 +183,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                     "perm": list(p),
                     "cycles": perm.format_cycles(p),
                 }
-                print(json.dumps(record, sort_keys=True))
+                _print_json(record)
             else:
                 print(perm.format_one_line(p))
     return 0
@@ -184,7 +198,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     }
     texts = _render(makers[args.which](args.order).coeffs)
     if args.format == "json":
-        print(json.dumps(texts))
+        _print_json(texts)
     else:
         for n, c in enumerate(texts):
             print(f"{n}: {c}")
@@ -429,19 +443,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The exit code when the reader of stdout closes it first.
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if "jobs" in args and args.jobs < 1:  # count and verify, on every engine
             raise UsageError(f"jobs must be >= 1, got {args.jobs}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # what is left in the buffer goes to the null device, so the
+        # interpreter's last flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

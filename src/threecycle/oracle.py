@@ -21,16 +21,16 @@ work; no flag lifts it (the star set grows by a factor ~270 per step).
 Parallel runs split each walk over the root's partner pairs (b, c), one task
 covering both orientations, and use at most as many worker processes as
 there are tasks or CPUs, whatever ``jobs`` asks for; the profiles of several
-n (``avoidance_profiles``) share one pool.
+n (``avoidance_profiles``) share one pool.  The pool machinery
+(``concurrent.futures``, and with it ``multiprocessing`` and ``logging``) is
+imported only when a pool starts, so a run in one process never loads it.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import os
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from threecycle import _kernels, perm
 from threecycle.errors import ResourceLimitError
@@ -40,29 +40,39 @@ WALK_LIMIT = 6
 FORMS = (None, perm.FORM_312, perm.FORM_231)
 
 
-@dataclass(frozen=True)
-class AvoidanceQuery:
-    """A counting/enumeration request: size parameter ``n``, a non-empty set
-    of distinct length-3 patterns, and an optional restriction of every cycle
-    to one form ("312" or "231"; None means unrestricted)."""
-
+class _AvoidanceQueryFields(NamedTuple):
     n: int
     patterns: frozenset[perm.Perm]
     form: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+
+class AvoidanceQuery(_AvoidanceQueryFields):
+    """A counting/enumeration request: size parameter ``n``, a non-empty set
+    of distinct length-3 patterns, and an optional restriction of every cycle
+    to one form ("312" or "231"; None means unrestricted)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, n: int, patterns: frozenset[perm.Perm], form: str | None = None
+    ) -> AvoidanceQuery:
+        if n < 1:
             raise ValueError("n must be >= 1")
-        patterns = frozenset(tuple(p) for p in self.patterns)
+        patterns = frozenset(tuple(p) for p in patterns)
         if not patterns:
             raise ValueError("pattern set must be non-empty")
         for sigma in patterns:
             perm.check_permutation(sigma)
             if len(sigma) != 3:
                 raise ValueError(f"oracle patterns must have length 3: {sigma}")
-        if self.form not in FORMS:
-            raise ValueError(f"form must be one of {FORMS}, got {self.form!r}")
-        object.__setattr__(self, "patterns", patterns)
+        if form not in FORMS:
+            raise ValueError(f"form must be one of {FORMS}, got {form!r}")
+        return super().__new__(cls, n, patterns, form)
+
+    @classmethod
+    def _make(cls, iterable) -> AvoidanceQuery:
+        # _replace builds through _make, which would skip the checks above
+        return cls(*iterable)
 
     def sorted_patterns(self) -> tuple[perm.Perm, ...]:
         return tuple(sorted(self.patterns))
@@ -119,6 +129,8 @@ def _fan_out(name: str, ns: Sequence[int], jobs: int, *rest) -> list[list]:
     workers = _workers(jobs, len(tasks))
     if workers == 1:
         return [[getattr(_kernels, name)(n, *rest, None)] for n in ns]
+    import concurrent.futures  # only here: a run in one process never loads it
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         results = pool.map(_task, tasks, chunksize=8)
         return [list(itertools.islice(results, len(ps))) for ps in pairs]

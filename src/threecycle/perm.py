@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from threecycle import _kernels
 from threecycle._kernels import FORM_231, FORM_312
@@ -78,8 +77,7 @@ def reverse_complement(p: Perm) -> Perm:
     return tuple(m + 1 - v for v in reversed(p))
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
+class CycleDecomposition(NamedTuple):
     """Disjoint cycles of a permutation.
 
     Each cycle starts at its smallest element and cycles are ordered by that

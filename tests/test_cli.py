@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 from threecycle import _kernels, avoid231, avoid321, cli, oracle, series, words
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 CASES = [
     ("count_321_text.txt", ["count", "--pattern", "321", "--n", "1..5"]),
@@ -423,11 +426,65 @@ def test_help_names_no_ignored_option():
         assert "allow" not in sub.format_help(), verb
 
 
-def test_readme_bounds_table_names_the_walk_limit():
+def _readme_bounds_row(start):
     readme = (Path(__file__).parent.parent / "README.md").read_text()
-    rows = [line for line in readme.splitlines() if line.startswith("| exhaustive")]
+    rows = [line for line in readme.splitlines() if line.startswith(start)]
     assert len(rows) == 1, rows
-    assert f"`n <= {oracle.WALK_LIMIT}`" in rows[0]
+    return rows[0]
+
+
+def test_readme_bounds_table_names_the_walk_limit():
+    assert f"`n <= {oracle.WALK_LIMIT}`" in _readme_bounds_row("| exhaustive")
+
+
+def test_paths_listing_refused_before_any_line(capsys):
+    limit = avoid321.TSET_LIST_LIMIT
+    assert f"`n <= {limit}`" in _readme_bounds_row("| `paths --n`")
+    assert cli.main(["paths", "--n", str(limit + 1)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"refused: n={limit + 1} exceeds the staircase-set listing bound n <= {limit}\n"
+    )
+
+
+def test_closed_stdout_exits_quietly():
+    # paths --n 7 prints 7,752 lines, about 300 KB, more than a pipe and the
+    # stream's buffer hold, so the CLI is still writing when the reader closes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "threecycle.cli", "paths", "--n", "7"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first == b"1,2,3,4,5,6,7 EEEEEEEEEEEEEENNNNNNN\n"
+    assert err == b""
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
+
+
+def test_import_loads_only_what_every_verb_needs():
+    # -S: no site module, so no .pth file can load these ahead of the import
+    unwanted = [
+        "dataclasses",
+        "inspect",
+        "concurrent.futures",
+        "multiprocessing",
+        "logging",
+        "json",
+    ]
+    code = "import sys, threecycle.cli; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *unwanted],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout == "\n"
 
 
 @pytest.mark.parametrize(

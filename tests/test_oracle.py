@@ -3,6 +3,7 @@ and the degenerate closed forms."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 
 import pytest
@@ -16,13 +17,13 @@ ALL_PATTERNS = [tuple(p) for p in itertools.permutations((1, 2, 3))]
 
 class TestQueries:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be >= 1"):
             oracle.AvoidanceQuery(0, frozenset({(2, 3, 1)}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pattern set must be non-empty"):
             oracle.AvoidanceQuery(1, frozenset())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="oracle patterns must have length 3"):
             oracle.AvoidanceQuery(1, frozenset({(1, 2, 3, 4)}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="form must be one of"):
             oracle.AvoidanceQuery(1, frozenset({(2, 3, 1)}), form="213")
 
     def test_query_helper(self):
@@ -153,9 +154,9 @@ class TestWorkers:
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
         RecordingPool.sizes = []
-        monkeypatch.setattr(
-            oracle.concurrent.futures, "ProcessPoolExecutor", RecordingPool
-        )
+        # oracle imports the pool machinery when a pool starts, and reads
+        # the executor off concurrent.futures then
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
         return RecordingPool.sizes
 
