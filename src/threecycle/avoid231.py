@@ -2,21 +2,29 @@
 
 A 231-avoiding permutation built from n 3-cycles grows to one built from
 n+1 3-cycles in exactly three ways, named by where the new cycle lands
-relative to the cycle of the current maximum:
+relative to the cycle of the current maximum.  Let a < b be the two
+non-final positions of that cycle (the third is always the last position
+m).  Each letter puts its three new entries at the same three indices as
+positions and as values:
 
-* E appends the three new entries at the end;
-* L puts them immediately before position a, immediately before position b,
-  and at the end;
-* R puts them immediately before position a, immediately after position b,
-  and at the end;
+* E uses m+1, m+2 and m+3;
+* L uses a, b+1 and m+3;
+* R uses a, b+2 and m+3.
 
-where a < b are the two non-final positions of the cycle containing the
-maximum (the third is always the last position).  The new entries always
-descend-then-rise in the relative order 312; their values are forced by the
-slots (E: the three new maxima; L: {a, b+1, new maximum}; R: {a, b+2, new
-maximum}), and the old entries are re-ranked order-preservingly around them.
-Iterating the three operations from the seed 312 reaches every member exactly
-once, which is what encode/decode exploit.
+So the old entries keep their relative order, as positions and as values,
+and a letter only has to place three new elements A, M and H, with the
+cycle A -> H -> M -> A, into one linear order of elements:
+
+* E puts A, M and H at the end;
+* L puts A just before the previous A, M just before the previous M, and H
+  at the end;
+* R does the same, but puts M just after the previous M.
+
+The seed 312 is E on the empty order.  Numbering the order once at the end
+gives the positions, and iterating the three letters from the seed reaches
+every member exactly once, which is what encode/decode exploit.  Encode
+and the peel in decode take time linear in the word's length; decode first
+checks membership, whose 231 scan is the one superlinear step.
 """
 
 from __future__ import annotations
@@ -39,8 +47,6 @@ LETTERS = "ELR"
 #: largest n with (n-1) log10(3) < MAX_DIGITS.
 COUNT_LIMIT = math.ceil(MAX_DIGITS / math.log10(3))
 
-_SEED: perm.Perm = (3, 1, 2)
-
 
 def _require_member(p: perm.Perm) -> None:
     m = len(p)
@@ -52,15 +58,14 @@ def _require_member(p: perm.Perm) -> None:
         raise MembershipError(f"contains the pattern 231: {p}")
 
 
-def anchor(p: perm.Perm, validate: bool = True) -> tuple[int, int]:
+def anchor(p: perm.Perm) -> tuple[int, int]:
     """Positions (a, b), a < b, of the two non-final elements of the cycle
     containing the maximum of a 231-avoiding star permutation.
 
     The maximum m sits at position a, value a sits at position b, and value b
     sits at position m.
     """
-    if validate:
-        _require_member(p)
+    _require_member(p)
     m = len(p)
     a = p.index(m) + 1
     b = p[m - 1]
@@ -71,36 +76,10 @@ def anchor(p: perm.Perm, validate: bool = True) -> tuple[int, int]:
     return a, b
 
 
-def _insert(p: perm.Perm, letter: str, validate: bool = True) -> perm.Perm:
+def _insert(p: perm.Perm, letter: str) -> perm.Perm:
     if letter not in LETTERS:
         raise ValueError(f"letter must be one of {LETTERS!r}: {letter!r}")
-    if validate:
-        _require_member(p)
-    m = len(p)
-    a, b = anchor(p, validate=False)
-    if letter == "E":
-        new_values = {m + 1, m + 2, m + 3}
-    elif letter == "L":
-        new_values = {a, b + 1, m + 3}
-    else:
-        new_values = {a, b + 2, m + 3}
-    lo, mid, hi = sorted(new_values)
-    # order-preserving re-rank of the old entries around the new values
-    fresh = [v for v in range(1, m + 4) if v not in new_values]
-    out: list[int] = []
-    for pos in range(1, m + 1):
-        if letter != "E" and pos == a:
-            out.append(hi)
-        if letter == "L" and pos == b:
-            out.append(lo)
-        out.append(fresh[p[pos - 1] - 1])
-        if letter == "R" and pos == b:
-            out.append(lo)
-    if letter == "E":
-        out.extend((hi, lo, mid))
-    else:
-        out.append(mid)
-    return tuple(out)
+    return encode(decode(p) + letter)
 
 
 def insert_E(p: perm.Perm) -> perm.Perm:
@@ -119,61 +98,98 @@ def insert_R(p: perm.Perm) -> perm.Perm:
     return _insert(p, "R")
 
 
-def decode_step(p: perm.Perm, validate: bool = True) -> tuple[perm.Perm, str]:
+def decode_step(p: perm.Perm) -> tuple[perm.Perm, str]:
     """Undo the unique insertion that produced ``p``; returns the smaller
-    member and the letter.  Requires ``len(p) >= 6``."""
+    member and the letter.  Requires ``len(p) >= 6``.
+
+    >>> decode_step((6, 5, 1, 2, 4, 3))
+    ((3, 1, 2), 'L')
+    """
     m = len(p)
     if m < 6 or m % 3:
         raise MembershipError(f"length {m} leaves nothing to decode")
-    if validate:
-        _require_member(p)
-    a, b = anchor(p, validate=False)
-    if b == m - 1:
-        return p[:m - 3], "E"
-    v = m - 1  # the second-largest value; its cycle tells L from R apart
-    cycle_of_v = {v, p[v - 1], p[p[v - 1] - 1]}
-    if cycle_of_v == {a + 1, b + 1, v}:
-        letter = "L"
-    elif cycle_of_v == {a + 1, b - 1, v}:
-        letter = "R"
-    else:
-        raise InternalInvariantError(
-            f"cycle of {v} matches neither insertion shape in {p}"
-        )
-    removed = (a, b, m)
-    rank = {}
-    shift = 0
-    for value in range(1, m + 1):
-        if value in removed:
-            shift += 1
-        else:
-            rank[value] = value - shift
-    tau = tuple(rank[value] for value in p if value not in removed)
-    return tau, letter
+    w = decode(p)
+    return encode(w[:-1]), w[-1]
 
 
 def encode(word: str) -> perm.Perm:
-    """Fold the letters of ``word`` over the seed 312; a word of length n-1
-    yields the 231-avoiding member of size 3n it names."""
+    """The 231-avoiding member of size 3n that a word of length n-1 names:
+    each letter places its A, M and H in one linked order, and the
+    positions are numbered once at the end.
+
+    >>> encode("EL")
+    (3, 1, 2, 9, 8, 4, 5, 7, 6)
+    """
     bad = set(word) - set(LETTERS)
     if bad:
         raise ValueError(f"word letters must be in {LETTERS!r}: {sorted(bad)}")
-    p = _SEED
-    for letter in word:
-        # closure guarantees intermediate membership, so skip re-validation
-        p = _insert(p, letter, validate=False)
-    return p
+    size = 3 * len(word) + 3
+    # elements 1..size in order of creation, so the previous letter's A and M
+    # are a - 3 and m - 3; 0 is the sentinel closing the order, so linking
+    # before 0 appends
+    nxt = [0] * (size + 1)
+    prv = [0] * (size + 1)
+    image = [0] * (size + 1)
+    for i, letter in enumerate("E" + word):  # the seed 312 is E on nothing
+        a, m, h = 3 * i + 1, 3 * i + 2, 3 * i + 3
+        image[a], image[h], image[m] = h, m, a
+        if letter == "E":
+            rights = (0, 0, 0)
+        else:
+            # A goes in before the previous A, which precedes the previous M,
+            # so placing A leaves nxt[m - 3] as it is read here
+            rights = (a - 3, m - 3 if letter == "L" else nxt[m - 3], 0)
+        for x, right in zip((a, m, h), rights):
+            left = prv[right]
+            nxt[left] = prv[right] = x
+            prv[x], nxt[x] = left, right
+    rank = [0] * (size + 1)
+    order = []
+    x = nxt[0]
+    while x:
+        order.append(x)
+        rank[x] = len(order)
+        x = nxt[x]
+    return tuple(rank[image[x]] for x in order)
 
 
 def decode(p: perm.Perm) -> str:
-    """The unique word that :func:`encode` maps to ``p``."""
+    """The unique word that :func:`encode` maps to ``p``: peel one cycle
+    A -> H -> M -> A per letter, H the last position, off a linked order of
+    the positions.
+
+    >>> decode((3, 1, 2, 9, 8, 4, 5, 7, 6))
+    'EL'
+    """
     _require_member(p)
+    m = len(p)
+    # positions 1..m linked in order; 0 is the sentinel closing the order
+    nxt = list(range(1, m + 2))
+    nxt[m] = 0
+    prv = list(range(-1, m))
+    prv[0] = m
     letters: list[str] = []
-    while len(p) > 3:
-        p, letter = decode_step(p, validate=False)
+    for _ in range(m // 3 - 1):
+        h = prv[0]
+        mid = p[h - 1]
+        a = p[mid - 1]
+        # the previous letter's cycle, whose H now sits just before h
+        prev_mid = p[prv[h] - 1]
+        prev_a = p[prev_mid - 1]
+        if nxt[mid] == h:
+            letter = "E"
+        elif nxt[mid] == prev_mid and nxt[a] == prev_a:
+            letter = "L"
+        elif prv[mid] == prev_mid and nxt[a] == prev_a:
+            letter = "R"
+        else:
+            raise InternalInvariantError(
+                f"cycle of {h} matches no insertion shape in {p}"
+            )
         letters.append(letter)
-    if p != _SEED:
-        raise InternalInvariantError(f"decode bottomed out at {p}, not the seed")
+        for x in (a, mid, h):
+            nxt[prv[x]] = nxt[x]
+            prv[nxt[x]] = prv[x]
     return "".join(reversed(letters))
 
 

@@ -206,6 +206,37 @@ def staircase_word(t):
     return "".join(letters), h, tuple(cuts)
 
 
+def insert_by_rerank(p, letter):
+    """One E/L/R insertion as the paper states it: the three new entries go
+    in at their slots with their forced values, and the old entries are
+    re-ranked order-preservingly around them.  The reference the library's
+    linked-order encoding is pinned against."""
+    m = len(p)
+    a = p.index(m) + 1  # the maximum's position
+    b = p[m - 1]  # the position holding value a
+    new_values = {
+        "E": {m + 1, m + 2, m + 3},
+        "L": {a, b + 1, m + 3},
+        "R": {a, b + 2, m + 3},
+    }[letter]
+    lo, mid, hi = sorted(new_values)
+    fresh = [v for v in range(1, m + 4) if v not in new_values]
+    out = []
+    for pos in range(1, m + 1):
+        if letter != "E" and pos == a:
+            out.append(hi)
+        if letter == "L" and pos == b:
+            out.append(lo)
+        out.append(fresh[p[pos - 1] - 1])
+        if letter == "R" and pos == b:
+            out.append(lo)
+    if letter == "E":
+        out.extend((hi, lo, mid))
+    else:
+        out.append(mid)
+    return tuple(out)
+
+
 @pytest.fixture(scope="session")
 def star_sets():
     """Members of the star sets for n = 1..4, computed once via the library

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
+from conftest import insert_by_rerank, naive_contains
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,7 +15,7 @@ from threecycle.errors import MAX_DIGITS, MembershipError, ResourceLimitError
 
 EXAMPLE = perm.parse_one_line("3 1 2 12 11 10 5 4 6 9 7 8")
 
-elr_words = st.text(alphabet="ELR", max_size=40)
+elr_words = st.text(alphabet="ELR", max_size=300)
 
 
 def class_members(n):
@@ -96,6 +100,10 @@ class TestInsertions:
         with pytest.raises(MembershipError):
             avoid231.insert_E((2, 3, 1))
 
+    def test_rejects_bad_letter(self):
+        with pytest.raises(ValueError, match="letter must be one of"):
+            avoid231._insert(EXAMPLE, "X")
+
 
 class TestDecodeStep:
     def test_inverse_of_worked_examples(self):
@@ -159,6 +167,40 @@ class TestWordBijection:
     def test_bad_letters_rejected(self):
         with pytest.raises(ValueError):
             avoid231.encode("EX")
+
+    def test_encode_is_the_rerank_fold(self):
+        # pins the map itself: another bijection onto the same image would
+        # pass the image and round-trip tests but not this one
+        for length in range(0, 8):
+            for w in avoid231.words(length):
+                p = (3, 1, 2)
+                for letter in w:
+                    p = insert_by_rerank(p, letter)
+                assert avoid231.encode(w) == p, w
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_decode_on_every_star_permutation(self, n):
+        decoded = []
+        for p in perm.iterate_star(n):
+            if naive_contains(p, (2, 3, 1)):
+                with pytest.raises(MembershipError, match="231"):
+                    avoid231.decode(p)
+            else:
+                w = avoid231.decode(p)
+                assert avoid231.encode(w) == p
+                decoded.append(w)
+        assert sorted(decoded) == list(avoid231.words(n - 1))
+
+    def test_decode_rejects_bad_lengths(self):
+        with pytest.raises(MembershipError, match="not a multiple of 3"):
+            avoid231.decode((2, 1))
+
+    def test_long_word_round_trips_in_linear_time(self):
+        rng = random.Random(20000)
+        w = "".join(rng.choice(avoid231.LETTERS) for _ in range(20_000))
+        start = time.perf_counter()
+        assert avoid231.decode(avoid231.encode(w)) == w
+        assert time.perf_counter() - start < 5.0
 
 
 class TestCount:

@@ -136,6 +136,25 @@ def test_usage_errors_exit_2(capsys):
         err = capsys.readouterr().err
         assert "usage error: patterns must have length 3" in err
         assert "--engine" not in err
+    for argv, message in [
+        (["count", "--pattern", "132,", "--n", "3"], "empty pattern in '132,'"),
+        (["count", "--pattern", "132", "--n", "x"], "bad n or n-range: 'x'"),
+        (
+            ["count", "--pattern", "132", "--form", "123", "--n", "3"],
+            "form must be all, 312 or 231: '123'",
+        ),
+        (
+            ["count", "--pattern", "132,213", "--form", "312", "--n", "3"],
+            "no formula for pattern pairs with a form filter",
+        ),
+        (
+            ["count", "--pattern", "123,132,213", "--n", "3"],
+            "formula engine handles one pattern or a pair",
+        ),
+        (["verify", "--max-n", "0"], "--max-n must be >= 1"),
+    ]:
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
     # decode has only the 231 bijection, so it takes no --pattern
     with pytest.raises(SystemExit) as exc:
         cli.main(["decode", "--pattern", "321", "--perm", "3 1 2"])
