@@ -7,10 +7,10 @@ Containment (``contained_patterns``) is one scan per wanted length-3
 pattern, for 123, 132 and 213 over the values and for their reverses over
 the values reversed, each from bit sets of the values left and right of each
 entry; it answers with a bit mask over ``PROFILE_PATTERNS``.  The walk places
-one 3-cycle per frame, and only ``_options`` orders the choices.  Counts and
-the profile walk only the root cycles 1 -> b -> c and read the 1 -> c -> b
-half off its inverses (``inverse_mask``); the oracle splits them over the
-root's partner pairs (``star_pairs``).
+one 3-cycle per frame, and only ``_options`` orders the choices.  A count or
+a profile covers one root partner pair (``star_pairs``): it walks the root
+cycle 1 -> b -> c and reads the 1 -> c -> b half off its inverses
+(``inverse_mask``).  The oracle adds up one call per pair.
 
 Conventions: permutations are 1-based one-line sequences; a 3-cycle placed as
 a -> b -> c with a < b < c realizes the pattern 231, while a -> c -> b
@@ -186,13 +186,6 @@ def _patterns(mask: int) -> tuple[tuple[int, ...], ...]:
     return tuple(p for i, p in enumerate(PROFILE_PATTERNS) if mask >> i & 1)
 
 
-def _roots(n: int, pair: tuple[int, int] | None) -> list[tuple]:
-    """The 231-form root choices (``star_walk``'s ``first``) of ``pair``'s
-    half of the walk; every pair's for None."""
-    pairs = star_pairs(n) if pair is None else [tuple(pair)]
-    return [(*p, FORM_231) for p in pairs]
-
-
 def star_walk(
     n: int,
     first: tuple[int, int, str] | None = None,
@@ -286,14 +279,14 @@ def star_walk(
 def count_avoiders(
     n: int,
     patterns: Sequence[Sequence[int]],
-    form: str | None = None,
-    pair: tuple[int, int] | None = None,
+    form: str | None,
+    pair: tuple[int, int],
 ) -> int:
     """Count permutations of [3n] built only from 3-cycles that avoid every
     pattern in ``patterns`` (each of length 3), with cycle forms restricted by
     ``form`` (None, "312" or "231"), among those whose root cycle uses the
-    partners ``pair`` (see :func:`star_pairs`; every pair for None); the
-    pairs' counts sum to the whole.
+    partners ``pair`` (see :func:`star_pairs`); the pairs' counts sum to the
+    whole.
 
     Only the 1 -> b -> c root is walked.  Inversion maps the members with
     root 1 -> c -> b onto those with root 1 -> b -> c, and a member avoiding
@@ -304,13 +297,10 @@ def count_avoiders(
     """
     want = pattern_mask(patterns)
     mirror = (inverse_mask(want), _inverse_form(form))
+    root = (*pair, FORM_231)
 
     def half(mask: int, half_form: str | None) -> int:
-        return sum(
-            1
-            for first in _roots(n, pair)
-            for _ in star_walk(n, first, half_form, _patterns(mask))
-        )
+        return sum(1 for _ in star_walk(n, root, half_form, _patterns(mask)))
 
     count = half(want, form)
     return 2 * count if mirror == (want, form) else count + half(*mirror)
@@ -344,11 +334,10 @@ def completion_rows(n231: int, placed: int, left: int) -> tuple[int, int, int]:
     return (each << left) - all312 - all231, all312, all231
 
 
-def avoidance_profile(n: int, pair: tuple[int, int] | None = None) -> list[list[int]]:
-    """The 3-cycle-only permutations of [3n] histogrammed by (form class,
-    avoidance mask), from one walk of the star set; only those whose root
-    cycle uses the partners ``pair`` (see :func:`star_pairs`) unless it is
-    None.
+def avoidance_profile(n: int, pair: tuple[int, int]) -> list[list[int]]:
+    """The 3-cycle-only permutations of [3n] whose root cycle uses the
+    partners ``pair`` (see :func:`star_pairs`), histogrammed by (form class,
+    avoidance mask) from one walk; the pairs' tables sum to the whole.
 
     Returns a 3 x 64 table: row 0 counts permutations with mixed cycle forms,
     row 1 all-312, row 2 all-231; column ``mask`` has bit i set when the
@@ -374,15 +363,14 @@ def avoidance_profile(n: int, pair: tuple[int, int] | None = None) -> list[list[
         [completion_rows(n231, n - left, left) for n231 in range(n - left + 1)]
         for left in range(n + 1)
     ]
-    for first in _roots(n, pair):
-        for _, n231, contained, left in star_walk(
-            n, first, None, PROFILE_PATTERNS, False
-        ):
-            col = 63 ^ contained
-            mixed, all312, all231 = rows[left][n231]
-            half[0][col] += mixed
-            half[1][col] += all312
-            half[2][col] += all231
+    for _, n231, contained, left in star_walk(
+        n, (*pair, FORM_231), None, PROFILE_PATTERNS, False
+    ):
+        col = 63 ^ contained
+        mixed, all312, all231 = rows[left][n231]
+        half[0][col] += mixed
+        half[1][col] += all312
+        half[2][col] += all231
     return [
         [cells[col] + mirror[inverse_mask(col)] for col in range(64)]
         for cells, mirror in zip(half, (half[0], half[2], half[1]))

@@ -136,19 +136,24 @@ def formula_count(n: int, patterns: Sequence[perm.Perm], form: str | None) -> in
     return formula_counts(range(n, n + 1), patterns, form)[0]
 
 
+#: The most n values one ``count`` answers: avoid231.COUNT_LIMIT, the
+#: longest range any bounded route answers.  The 123 and pair routes have no
+#: bound on n, so this is their only limit.
+RANGE_LIMIT = avoid231.COUNT_LIMIT
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
     patterns = _parse_pattern_set(args.pattern)
     form = _parse_form(args.form)
     ns = _parse_n_range(args.n)
-
-    def oracle_count(n: int) -> int:
-        q = oracle.AvoidanceQuery(n, frozenset(patterns), form)
-        return oracle.oracle_count(q, jobs=args.jobs)
-
+    if len(ns) > RANGE_LIMIT:
+        raise ResourceLimitError(
+            f"the range {args.n} has {len(ns)} values, over the bound {RANGE_LIMIT}"
+        )
     if args.engine == "formula":
         counts = formula_counts(ns, patterns, form)
     else:
-        counts = _largest_first(ns, oracle_count)
+        counts = oracle.oracle_counts(ns, frozenset(patterns), form, args.jobs)
     texts = _render(counts)
     if args.format == "text":
         print(" ".join(texts))
@@ -280,9 +285,13 @@ def _encode_image_sides(n: int, _profile: None) -> tuple:
 
 
 def _series_identity_sides(order: int, _profile: None) -> tuple:
+    # B is built as 2A/(1 - A), so B(1 - A) = 2A alone re-checks the
+    # division; the paper's A = (c - 1) m(c - 1), composed, checks A itself
     a = series.series_A(order)
     b = series.series_B(order)
-    return b * (series.one(order) - a), a.scale(2)
+    u = series.catalan_series(order) - series.one(order)
+    composed = u * series.motzkin_series(order).compose(u)
+    return b * (series.one(order) - a), a.scale(2), composed.scale(2)
 
 
 # Each route is looked up through its module when a row runs, never stored

@@ -18,16 +18,17 @@ can serve as the independent side of every formula-vs-oracle check.
 
 Sizes are bounded by one constant, n <= WALK_LIMIT, checked before any
 work; no flag lifts it (the star set grows by a factor ~270 per step).
-Parallel runs split each walk over the root's partner pairs (b, c), one task
-covering both orientations, and use at most as many worker processes as
-there are tasks or CPUs, whatever ``jobs`` asks for; the profiles of several
-n (``avoidance_profiles``) share one pool.  The pool machinery
+Every count and profile of one or several n runs as one task list, a task
+per n and root partner pair (b, c) covering both orientations, in this
+process or on one pool of at most as many workers as there are tasks or
+CPUs, whatever ``jobs`` asks for.  The pool machinery
 (``concurrent.futures``, and with it ``multiprocessing`` and ``logging``) is
 imported only when a pool starts, so a run in one process never loads it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 from typing import Iterator, NamedTuple, Sequence
@@ -119,38 +120,48 @@ def _task(args: tuple):
 
 
 def _fan_out(name: str, ns: Sequence[int], jobs: int, *rest) -> list[list]:
-    """For each n in ``ns``, the parts of ``_kernels.<name>(n, *rest, pair)``:
-    the whole walk (``pair`` None) run in this process, or with more than one
-    worker one part per root partner pair, every n's parts mapped over one
-    process pool.  The kernel is looked up by name when it runs, so a
-    rebound attribute is the one called."""
+    """For each n in ``ns``, the parts of ``_kernels.<name>(n, *rest, pair)``
+    for each root partner pair: one task list, mapped in this process or over
+    one pool, so any ``jobs`` makes the same calls.  The kernel is looked up
+    by name when it runs, so a rebound attribute is the one called.  Sizes
+    are checked, and refused over the bound, before any work."""
+    if not ns or min(ns) < 1:
+        raise ValueError("n must be >= 1")
+    check_limits(max(ns))
     pairs = [_kernels.star_pairs(n) for n in ns]
     tasks = [(name, n, *rest, p) for n, ps in zip(ns, pairs) for p in ps]
     workers = _workers(jobs, len(tasks))
-    if workers == 1:
-        return [[getattr(_kernels, name)(n, *rest, None)] for n in ns]
-    import concurrent.futures  # only here: a run in one process never loads it
+    with contextlib.ExitStack() as stack:
+        results = map(_task, tasks)
+        if workers > 1:
+            import concurrent.futures  # only here: a run in one process never loads it
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(_task, tasks, chunksize=8)
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+            results = stack.enter_context(pool).map(_task, tasks, chunksize=8)
         return [list(itertools.islice(results, len(ps))) for ps in pairs]
 
 
 def oracle_count(q: AvoidanceQuery, jobs: int = 1) -> int:
-    """Cardinality of :func:`oracle_enumerate`; with ``jobs > 1`` the count is
-    partitioned over the root's partner pairs and merged by addition, so the
-    result is independent of worker count and schedule."""
-    check_limits(q.n)
-    (parts,) = _fan_out("count_avoiders", [q.n], jobs, q.sorted_patterns(), q.form)
-    return sum(parts)
+    """Cardinality of :func:`oracle_enumerate`: :func:`oracle_counts` at q.n."""
+    return oracle_counts([q.n], q.patterns, q.form, jobs)[0]
+
+
+def oracle_counts(
+    ns: Sequence[int],
+    patterns: frozenset[perm.Perm],
+    form: str | None = None,
+    jobs: int = 1,
+) -> list[int]:
+    """The :func:`oracle_count` of each n in ``ns``, the pair parts merged by
+    addition, so a count does not depend on the worker count or schedule.  A
+    bad query is refused before a size over the bound, both before any work."""
+    q = AvoidanceQuery(max(ns, default=0), patterns, form)
+    parts = _fan_out("count_avoiders", ns, jobs, q.sorted_patterns(), q.form)
+    return [sum(p) for p in parts]
 
 
 def avoidance_profiles(ns: Sequence[int], jobs: int = 1) -> list[list[list[int]]]:
-    """The :func:`avoidance_profile` table of each n in ``ns``, in order; with
-    ``jobs > 1`` every n's parts run on one process pool."""
-    if not ns or min(ns) < 1:
-        raise ValueError("n must be >= 1")
-    check_limits(max(ns))
+    """The :func:`avoidance_profile` table of each n in ``ns``, in order."""
     return [
         [[sum(cells) for cells in zip(*rows)] for rows in zip(*parts)]
         for parts in _fan_out("avoidance_profile", ns, jobs)

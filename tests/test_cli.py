@@ -394,6 +394,26 @@ def test_verify_row_mismatch_exits_1(check, monkeypatch, capsys):
     assert lines[-1] == "FAIL"
 
 
+def test_series_identity_checks_a_itself(monkeypatch, capsys):
+    # B is built from A, so an A off by one at coefficient 15 still gives
+    # B(1 - A) = 2A; the composed (c - 1) m(c - 1) side catches it
+    real = series.series_A
+
+    def off_by_one(order):
+        coeffs = list(real(order).coeffs)
+        if order >= 15:
+            coeffs[15] += 1
+        return series.IntegerSeries(coeffs)
+
+    monkeypatch.setattr(series, "series_A", off_by_one)
+    monkeypatch.setattr(series, "series_all312_avoiders", off_by_one)
+    assert cli.main(["verify", "--pattern", "132", "--max-n", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("pattern 132: formula=oracle")
+    assert lines[1].startswith("series identity: MISMATCH ")
+    assert lines[-1] == "FAIL"
+
+
 @pytest.fixture
 def profile_calls(monkeypatch):
     """Stand in for the profile sweep and record the sizes it is asked for."""
@@ -465,6 +485,29 @@ def test_paths_listing_refused_before_any_line(capsys):
     assert err == (
         f"refused: n={limit + 1} exceeds the staircase-set listing bound n <= {limit}\n"
     )
+
+
+def test_count_range_length_refused_before_any_work(monkeypatch, capsys):
+    limit = cli.RANGE_LIMIT
+    assert limit == avoid231.COUNT_LIMIT == 9013
+    assert f"`<= {limit}` values" in _readme_bounds_row("| `count --n lo..hi`")
+
+    def no_work(n):
+        raise AssertionError("the 123 route ran")
+
+    monkeypatch.setattr(oracle, "closed_form_123", no_work)
+    for engine in ("formula", "oracle"):
+        argv = ["count", "--pattern", "123", "--n", f"1..{limit + 1}"]
+        assert cli.main([*argv, "--engine", engine]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"refused: the range 1..{limit + 1} has {limit + 1} values,"
+            f" over the bound {limit}\n"
+        )
+    monkeypatch.undo()
+    assert cli.main(["count", "--pattern", "132,213", "--n", f"2..{limit + 1}"]) == 0
+    assert capsys.readouterr().out == " ".join(["2"] * limit) + "\n"
 
 
 def test_closed_stdout_exits_quietly():

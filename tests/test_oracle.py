@@ -181,6 +181,41 @@ class TestWorkers:
         assert pool_sizes == [2, 2]
         assert capsys.readouterr().out.endswith("PASS\n")
 
+    @pytest.mark.parametrize(
+        "name,rest",
+        [("count_avoiders", (((3, 2, 1),), None)), ("avoidance_profile", ())],
+        ids=["count", "profile"],
+    )
+    def test_one_task_list_whatever_the_jobs(self, name, rest, pool_sizes, monkeypatch):
+        # one kernel call per root partner pair, in star_pairs order, in this
+        # process at jobs=1 and on the pool at jobs=2, with the same parts
+        real = getattr(oracle._kernels, name)
+        calls = []
+
+        def recording(n, *args):
+            calls.append((n, args[-1]))
+            return real(n, *args)
+
+        monkeypatch.setattr(oracle._kernels, name, recording)
+        serial = oracle._fan_out(name, [3], 1, *rest)
+        assert calls == [(3, pair) for pair in oracle._kernels.star_pairs(3)]
+        assert pool_sizes == []
+        calls.clear()
+        assert oracle._fan_out(name, [3], 2, *rest) == serial
+        assert calls == [(3, pair) for pair in oracle._kernels.star_pairs(3)]
+        assert pool_sizes == [2]
+
+    def test_count_range_runs_on_one_pool(self, pool_sizes, capsys):
+        # 1 + 10 + 28 partner-pair tasks for n = 1..3 on one pool of 2, with
+        # the stdout of the run in this process
+        argv = ["count", "--engine", "oracle", "--pattern", "321", "--n", "1..3"]
+        assert cli.main(argv) == 0
+        serial = capsys.readouterr().out
+        assert pool_sizes == []
+        assert cli.main([*argv, "--jobs", "2"]) == 0
+        assert pool_sizes == [2]
+        assert capsys.readouterr().out == serial == "2 10 60\n"
+
     def test_one_cpu_runs_in_process(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
         assert oracle.oracle_count(oracle.query(2, "321"), jobs=2) == 10
