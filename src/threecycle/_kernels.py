@@ -10,7 +10,9 @@ entry; it answers with a bit mask over ``PROFILE_PATTERNS``.  The walk places
 one 3-cycle per frame, and only ``_options`` orders the choices.  A count or
 a profile covers one root partner pair (``star_pairs``): it walks the root
 cycle 1 -> b -> c and reads the 1 -> c -> b half off its inverses
-(``inverse_mask``).  The oracle adds up one call per pair.
+(``inverse_mask``).  The profile walk drops a subtree once its placed
+entries contain all six patterns, and fills column 0 by subtraction.  The
+oracle adds up one call per pair.
 
 Conventions: permutations are 1-based one-line sequences; a 3-cycle placed as
 a -> b -> c with a < b < c realizes the pattern 231, while a -> c -> b
@@ -126,14 +128,14 @@ def contained_patterns(values: Sequence[int], bits: int, wanted: int) -> int:
     >>> contained_patterns((3, 2, 1), 0b1110, 32)  # 321: a 123 reversed
     32
     """
-    if wanted in _SCANS:
-        scan, backwards = _SCANS[wanted]
-        return wanted if scan(reversed(values) if backwards else values, bits) else 0
-    return sum(
-        bit
-        for bit, (scan, backwards) in _SCANS.items()
-        if wanted & bit and scan(reversed(values) if backwards else values, bits)
-    )
+    found = 0
+    while wanted:
+        bit = wanted & -wanted
+        wanted ^= bit
+        scan, backwards = _SCANS[bit]
+        if scan(reversed(values) if backwards else values, bits):
+            found |= bit
+    return found
 
 
 def _options(perm: list[int], forms: tuple[str, ...]) -> Iterator[Option]:
@@ -192,7 +194,7 @@ def star_walk(
     form: str | None = None,
     patterns: Sequence[Sequence[int]] = (),
     prune: bool = True,
-) -> Iterator[tuple[list[int], int, int, int]]:
+) -> Iterator[tuple[list[int], int, int]]:
     """Depth-first walk over the permutations of [3n] built only from
     3-cycles, tracking which of ``patterns`` their entries contain.
 
@@ -213,15 +215,15 @@ def star_walk(
 
     With ``prune`` (the default) the patterns are avoided: a subtree is
     dropped at its first contained pattern, so the walk yields exactly the
-    members avoiding every pattern.  Without it the walk keeps every member,
-    and once the mask holds every pattern (``patterns`` not empty), all
-    completions of the subtree share that mask: the subtree is yielded once,
-    unwalked, with its unplaced positions still 0.
+    members avoiding every pattern.  Without it a subtree is dropped once
+    its mask holds every pattern (``patterns`` not empty): all of its
+    completions contain them all, so the walk yields exactly the members
+    that do not contain every pattern, and every member when ``patterns``
+    is empty.
 
-    Yields ``(perm, n231, mask, left)``: the one-line buffer (a list reused
-    between yields: copy it to keep it), the number of 231-form cycles
-    placed, the mask, and the number of cycles still to place (0 for a
-    member; more only for an unwalked subtree).  ``n = 0`` yields nothing.
+    Yields ``(perm, n231, mask)`` per member: the one-line buffer (a list
+    reused between yields: copy it to keep it), the number of 231-form
+    cycles, and the mask.  ``n = 0`` yields nothing.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -234,7 +236,7 @@ def star_walk(
 
     def walk(
         depth: int, n231: int, mask: int, placed: int, options: Iterable[Option]
-    ) -> Iterator[tuple[list[int], int, int, int]]:
+    ) -> Iterator[tuple[list[int], int, int]]:
         # place each option as cycle number ``depth``, then clear it; the
         # placed values are the placed positions, so ``placed`` (bit v for
         # value v) grows by the cycle's three
@@ -251,9 +253,9 @@ def star_walk(
             # saturated, so some pattern is still wanted: one call per node
             if want:
                 seen |= contained_patterns(perm, bits, want & ~mask)
-            if not (prune and seen):
-                if seen == full or depth == n:
-                    yield perm, seen231, seen, n - depth
+            if not (prune and seen or seen == full):
+                if depth == n:
+                    yield perm, seen231, seen
                 else:
                     yield from walk(
                         depth + 1, seen231, seen, bits, _options(perm, forms)
@@ -348,29 +350,23 @@ def avoidance_profile(n: int, pair: tuple[int, int]) -> list[list[int]]:
     placed entries contain and tests each node only for the patterns not yet
     in it, so a member's column is known once its last cycle is placed, with
     no scan of the finished permutation.  A subtree whose placed entries
-    already contain all six patterns is not walked: all of its completions
-    land in column 0.  :func:`completion_rows` splits a yielded node over the
-    rows; a member is the node with no cycle left.
+    already contain all six patterns is not walked, and its members are not
+    yielded: they are column 0, which each row fills by subtraction from the
+    root's completions (:func:`completion_rows`).
 
-    Only the 1 -> b -> c root is walked.  The inverses of those members are
-    the members with root 1 -> c -> b: inversion swaps rows 1 and 2 and, in
-    each column, the 231 and 312 bits (:func:`inverse_mask`), so the table
-    adds that relabelled copy of the walked half.
+    Only the 1 -> b -> c root is walked, so no walked member is all-312.
+    The inverses of those members are the members with root 1 -> c -> b:
+    inversion swaps rows 1 and 2 and, in each column, the 231 and 312 bits
+    (:func:`inverse_mask`), so the table adds that relabelled copy of the
+    walked half.
     """
     half = [[0] * 64 for _ in range(3)]
-    # rows[left][n231]: completion_rows of a yielded node
-    rows = [
-        [completion_rows(n231, n - left, left) for n231 in range(n - left + 1)]
-        for left in range(n + 1)
-    ]
-    for _, n231, contained, left in star_walk(
+    for _, n231, contained in star_walk(
         n, (*pair, FORM_231), None, PROFILE_PATTERNS, False
     ):
-        col = 63 ^ contained
-        mixed, all312, all231 = rows[left][n231]
-        half[0][col] += mixed
-        half[1][col] += all312
-        half[2][col] += all231
+        half[2 if n231 == n else 0][63 ^ contained] += 1
+    for row, total in zip(half, completion_rows(1, 1, n - 1)):
+        row[0] = total - sum(row)
     return [
         [cells[col] + mirror[inverse_mask(col)] for col in range(64)]
         for cells, mirror in zip(half, (half[0], half[2], half[1]))

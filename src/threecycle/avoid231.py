@@ -23,8 +23,10 @@ cycle A -> H -> M -> A, into one linear order of elements:
 The seed 312 is E on the empty order.  Numbering the order once at the end
 gives the positions, and iterating the three letters from the seed reaches
 every member exactly once, which is what encode/decode exploit.  Encode
-and the peel in decode take time linear in the word's length; decode first
-checks membership, whose 231 scan is the one superlinear step.
+and decode take time linear in the word's length: decode peels a word off
+any 3-cycle-only input and accepts it when encode maps the word back to the
+input, since the images of encode are exactly the members.  Only a refused
+input is scanned for 231, to say why it is refused.
 """
 
 from __future__ import annotations
@@ -48,12 +50,16 @@ LETTERS = "ELR"
 COUNT_LIMIT = math.ceil(MAX_DIGITS / math.log10(3))
 
 
-def _require_member(p: perm.Perm) -> None:
+def _require_three_cycle_only(p: perm.Perm) -> None:
     m = len(p)
     if m == 0 or m % 3:
         raise MembershipError(f"length {m} is not a multiple of 3")
     if not perm.is_three_cycle_only(p):
         raise MembershipError(f"not composed only of 3-cycles: {p}")
+
+
+def _require_member(p: perm.Perm) -> None:
+    _require_three_cycle_only(p)
     if perm.contains_pattern(p, (2, 3, 1)):
         raise MembershipError(f"contains the pattern 231: {p}")
 
@@ -156,12 +162,14 @@ def encode(word: str) -> perm.Perm:
 def decode(p: perm.Perm) -> str:
     """The unique word that :func:`encode` maps to ``p``: peel one cycle
     A -> H -> M -> A per letter, H the last position, off a linked order of
-    the positions.
+    the positions, and check that :func:`encode` maps the word back to ``p``.
+    A 3-cycle-only ``p`` that fails is scanned for 231 only then, to say why
+    it is refused.
 
     >>> decode((3, 1, 2, 9, 8, 4, 5, 7, 6))
     'EL'
     """
-    _require_member(p)
+    _require_three_cycle_only(p)
     m = len(p)
     # positions 1..m linked in order; 0 is the sentinel closing the order
     nxt = list(range(1, m + 2))
@@ -183,14 +191,17 @@ def decode(p: perm.Perm) -> str:
         elif prv[mid] == prev_mid and nxt[a] == prev_a:
             letter = "R"
         else:
-            raise InternalInvariantError(
-                f"cycle of {h} matches no insertion shape in {p}"
-            )
+            break  # no letter: p is not a member
         letters.append(letter)
         for x in (a, mid, h):
             nxt[prv[x]] = nxt[x]
             prv[nxt[x]] = prv[x]
-    return "".join(reversed(letters))
+    else:
+        word = "".join(reversed(letters))
+        if encode(word) == tuple(p):
+            return word
+    _require_member(p)
+    raise InternalInvariantError(f"{p} avoids 231 but no word encodes it")
 
 
 def words(length: int) -> Iterator[str]:

@@ -8,8 +8,8 @@ head``.  Output is deterministic byte for byte, including across worker
 counts, so it can be diffed or golden-filed.
 
 A call imports only what every verb needs: ``json`` is imported where JSON
-is printed (``_print_json``), and the process pool's machinery where a pool
-starts (:mod:`threecycle.oracle`).
+is printed (``_print_json``), and ``pickle`` where the oracle forks its
+workers (:mod:`threecycle.oracle`).
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ Counts and enumerations are an exact pruned walk over the star set
 so far contain an avoided pattern, found by one linear containment scan per
 node.  That loses no member, since a placed entry never changes, so an
 occurrence among the placed entries is one in every permutation below them.
-The avoidance profile runs the same walk unpruned and counts a subtree whose
-placed entries already contain all six patterns without walking it
-(``_kernels.avoidance_profile``).  Counts and profiles walk only the members
+The avoidance profile runs the same walk unpruned and drops a subtree whose
+placed entries already contain all six patterns, whose members it counts in
+column 0 by subtraction (``_kernels.avoidance_profile``).  Counts and profiles walk only the members
 whose root cycle is 1 -> b -> c: their inverses are the members with root
 1 -> c -> b, and a permutation contains a pattern exactly when its inverse
 contains the pattern's inverse, so the other half is read off the walked one.
@@ -19,11 +19,11 @@ can serve as the independent side of every formula-vs-oracle check.
 Sizes are bounded by one constant, n <= WALK_LIMIT, checked before any
 work; no flag lifts it (the star set grows by a factor ~270 per step).
 Every count and profile of one or several n runs as one task list, a task
-per n and root partner pair (b, c) covering both orientations, in this
-process or on one pool of at most as many workers as there are tasks or
-CPUs, whatever ``jobs`` asks for.  The pool machinery
-(``concurrent.futures``, and with it ``multiprocessing`` and ``logging``) is
-imported only when a pool starts, so a run in one process never loads it.
+per n and root partner pair (b, c) covering both orientations, shared out
+over at most as many workers as there are tasks or CPUs, whatever ``jobs``
+asks for.  This process is one of the workers, and the others are forked
+children that send their results back through a pipe (``_fan_out``); only a
+run that forks imports ``pickle``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-from typing import Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
 from threecycle import _kernels, perm
 from threecycle.errors import ResourceLimitError
@@ -107,10 +107,12 @@ def oracle_enumerate(q: AvoidanceQuery) -> Iterator[perm.Perm]:
 
 def _workers(jobs: int, tasks: int) -> int:
     """Worker processes for ``tasks`` parallel tasks: ``jobs``, but never more
-    than there are tasks or CPUs, so no request forks an unbounded pool.  One
-    worker means the caller runs in this process."""
+    than there are tasks or CPUs, so no request forks an unbounded number,
+    and 1 where processes cannot fork.  Worker 0 is the caller itself."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if not hasattr(os, "fork"):
+        return 1
     return min(jobs, tasks, os.cpu_count() or 1)
 
 
@@ -119,26 +121,80 @@ def _task(args: tuple):
     return getattr(_kernels, name)(*call)
 
 
+def _fork(share: list[tuple]) -> tuple[int, BinaryIO]:
+    """Run ``share`` in a forked child; return its pid and the read end of
+    the pipe that carries the pickled ``(ok, results or exception)``.  The
+    child always leaves by ``os._exit``, so it never flushes or runs what
+    it inherited from this process (buffered stdout, exit handlers)."""
+    import pickle
+
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(wfd)
+        return pid, os.fdopen(rfd, "rb")
+    status = 1
+    try:
+        os.close(rfd)
+        try:
+            result = (True, [_task(t) for t in share])
+        except BaseException as exc:
+            result = (False, exc)
+        with os.fdopen(wfd, "wb") as fh:
+            fh.write(pickle.dumps(result))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def _fan_out(name: str, ns: Sequence[int], jobs: int, *rest) -> list[list]:
     """For each n in ``ns``, the parts of ``_kernels.<name>(n, *rest, pair)``
-    for each root partner pair: one task list, mapped in this process or over
-    one pool, so any ``jobs`` makes the same calls.  The kernel is looked up
-    by name when it runs, so a rebound attribute is the one called.  Sizes
-    are checked, and refused over the bound, before any work."""
+    for each root partner pair: one task list, so any ``jobs`` makes the
+    same calls.  Worker k of w runs tasks k, k + w, ...: worker 0 is this
+    process, the others forked children (:func:`_fork`), read and reaped in
+    turn once this process's share is done; a child's exception is raised
+    here.  On any exception here, every child not yet reaped is killed and
+    reaped before it propagates.  The kernel is looked up by name when it
+    runs, so a rebound attribute is the one called.  Sizes are checked, and
+    refused over the bound, before any work."""
     if not ns or min(ns) < 1:
         raise ValueError("n must be >= 1")
     check_limits(max(ns))
     pairs = [_kernels.star_pairs(n) for n in ns]
     tasks = [(name, n, *rest, p) for n, ps in zip(ns, pairs) for p in ps]
-    workers = _workers(jobs, len(tasks))
-    with contextlib.ExitStack() as stack:
-        results = map(_task, tasks)
-        if workers > 1:
-            import concurrent.futures  # only here: a run in one process never loads it
-
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-            results = stack.enter_context(pool).map(_task, tasks, chunksize=8)
-        return [list(itertools.islice(results, len(ps))) for ps in pairs]
+    w = _workers(jobs, len(tasks))
+    results: list = [None] * len(tasks)
+    children: list[tuple[int, BinaryIO]] = []  # forked, not yet reaped
+    if w > 1:
+        import pickle  # only here: a run in one process never loads them
+        import signal
+    try:
+        for k in range(1, w):
+            children.append(_fork(tasks[k::w]))
+        results[::w] = map(_task, tasks[::w])
+        for k in range(1, w):
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if not payload:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"an oracle worker sent no result (exit {code})")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results[k::w] = value
+    except BaseException:
+        for pid, pipe in children:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+        raise
+    parts = iter(results)
+    return [list(itertools.islice(parts, len(ps))) for ps in pairs]
 
 
 def oracle_count(q: AvoidanceQuery, jobs: int = 1) -> int:

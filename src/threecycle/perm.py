@@ -208,5 +208,5 @@ def iterate_star(
     form, and ``patterns`` (length 3) only members avoiding them all; both
     cut the stream without reordering it.  ``n = 0`` yields nothing.
     """
-    for vals, _, _, _ in _kernels.star_walk(n, None, form, patterns):
+    for vals, _, _ in _kernels.star_walk(n, None, form, patterns):
         yield tuple(vals)

@@ -195,6 +195,35 @@ class TestWordBijection:
         with pytest.raises(MembershipError, match="not a multiple of 3"):
             avoid231.decode((2, 1))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_decode_refusals_word_for_word(self, n):
+        # decode checks membership by the round trip and scans for 231 only
+        # on a refusal; every 3-cycle-only permutation of [3n] still gets the
+        # answer, or the exception and message, of a scan made up front
+        for p in perm.iterate_star(n):
+            if naive_contains(p, (2, 3, 1)):
+                with pytest.raises(MembershipError) as refused:
+                    avoid231.decode(p)
+                assert type(refused.value) is MembershipError
+                assert str(refused.value) == f"contains the pattern 231: {p}"
+            else:
+                assert avoid231.encode(avoid231.decode(p)) == p
+
+    def test_long_image_decodes_in_linear_time(self, monkeypatch):
+        # 300,003 entries: a 231 scan as wide as that takes seconds on its
+        # own, and decoding a member runs none
+        rng = random.Random(100_000)
+        w = "".join(rng.choice(avoid231.LETTERS) for _ in range(100_000))
+        p = avoid231.encode(w)
+
+        def no_scan(*args):
+            raise AssertionError("decode scanned a member for 231")
+
+        monkeypatch.setattr(perm, "contains_pattern", no_scan)
+        start = time.perf_counter()
+        assert avoid231.decode(p) == w
+        assert time.perf_counter() - start < 3.0
+
     def test_long_word_round_trips_in_linear_time(self):
         rng = random.Random(20000)
         w = "".join(rng.choice(avoid231.LETTERS) for _ in range(20_000))

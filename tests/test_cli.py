@@ -536,6 +536,7 @@ def test_import_loads_only_what_every_verb_needs():
         "multiprocessing",
         "logging",
         "json",
+        "pickle",
     ]
     code = "import sys, threecycle.cli; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
     proc = subprocess.run(

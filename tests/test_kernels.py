@@ -4,6 +4,7 @@ statistic."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from pathlib import Path
@@ -192,23 +193,19 @@ def test_saturating_profile_matches_leaf_histogram():
         assert oracle.avoidance_profile(n) == add_tables(*parts), n
 
 
-def inverse_patterns(mask):
-    """The mask of the inverses of ``mask``'s patterns, by perm.inverse."""
-    return sum(
-        1 << PATTERNS3.index(perm.inverse(sigma))
-        for i, sigma in enumerate(PATTERNS3)
-        if mask >> i & 1
-    )
-
-
-def inverted_histogram(table):
-    """``table`` relabelled as the histogram of the inverse members: rows 1
-    (all-312) and 2 (all-231) swap, and each column's avoided patterns are
-    replaced by their inverses."""
+def mapped_histogram(table, f, rows):
+    """``table`` relabelled as the histogram of the images of its members
+    under a symmetry: row ``r`` moves to ``rows[r]``, and each column's
+    avoided patterns are replaced by their images under ``f``."""
     out = [[0] * 64 for _ in range(3)]
-    for row, to_row in enumerate((0, 2, 1)):
+    for row, to_row in enumerate(rows):
         for col in range(64):
-            out[to_row][inverse_patterns(col)] += table[row][col]
+            image = sum(
+                1 << PATTERNS3.index(f(sigma))
+                for i, sigma in enumerate(PATTERNS3)
+                if col >> i & 1
+            )
+            out[to_row][image] += table[row][col]
     return out
 
 
@@ -222,7 +219,8 @@ def test_inverse_half_mirrors_walked_half():
             walked = star_part(n, (b, c, "231"))
             mirrored = star_part(n, (b, c, "312"))
             assert sorted(map(perm.inverse, walked)) == sorted(mirrored)
-            hist = inverted_histogram(leaf_histogram(walked))
+            # inversion swaps rows 1 (all-312) and 2 (all-231)
+            hist = mapped_histogram(leaf_histogram(walked), perm.inverse, (0, 2, 1))
             assert leaf_histogram(mirrored) == hist, (n, b, c)
             marked = mark_members(walked + mirrored)
             for patterns in PATTERN_SETS:
@@ -240,10 +238,48 @@ def test_profile_n4_golden():
     assert sum(map(sum, table)) == perm.star_cardinality(4)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_profile_invariant_under_reverse_complement(n):
+    # conjugating by i -> 3n + 1 - i keeps the cycle type, swaps the two
+    # cycle forms, and maps containment of a pattern to containment of its
+    # reverse-complement (132 <-> 213, 231 <-> 312).  The walk uses only
+    # inversion, so this checks its root choice and its mirrored half
+    # against a symmetry it does not use.  rc after inverse keeps the forms
+    # and swaps only 132 and 213.  Column 0 maps to itself, so its
+    # subtraction is checked by the totals and the pair histograms instead.
+    table = oracle.avoidance_profile(n)
+    rc = perm.reverse_complement
+    assert mapped_histogram(table, rc, (0, 2, 1)) == table
+    assert mapped_histogram(table, lambda s: rc(perm.inverse(s)), (0, 1, 2)) == table
+
+
+def test_profile_walk_yields_only_unsaturated_members():
+    # at n = 4 the walked halves hold 123,200 members, and the walk yields
+    # only the 386 that do not contain all six patterns; the rest are column
+    # 0 of the profile, by subtraction
+    yields = [
+        mask
+        for b, c in _kernels.star_pairs(4)
+        for _, _, mask in _kernels.star_walk(
+            4, (b, c, _kernels.FORM_231), None, _kernels.PROFILE_PATTERNS, False
+        )
+    ]
+    assert len(yields) == 386
+    assert 63 not in yields
+
+
 def test_triple_splits_times_orientations_is_star_cardinality():
     for k in range(1, 7):
         assert _kernels.triple_splits(k) * 2**k == perm.star_cardinality(k)
     assert _kernels.triple_splits(0) == 1
+
+
+@functools.cache
+def pair_histogram(n, pair):
+    """The leaf histogram of the members whose root cycle uses ``pair``,
+    both orientations."""
+    b, c = pair
+    return leaf_histogram(star_part(n, (b, c, "231")) + star_part(n, (b, c, "312")))
 
 
 @pytest.mark.parametrize(
@@ -267,15 +303,20 @@ def test_saturated_prefix_split(cycles, first, n231, rows):
     assert [row[0] for row in want] == list(rows)
     assert sum(map(sum, want)) == sum(rows)
     assert _kernels.completion_rows(n231, 2, 2) == rows
-    # the walk yields this prefix once, unwalked, with every pattern contained
+    # the unpruned walk yields none of them: the saturated subtree is dropped
     hits = [
-        (seen231, mask, left)
-        for vals, seen231, mask, left in _kernels.star_walk(
+        vals
+        for vals, _, _ in _kernels.star_walk(
             4, first, None, _kernels.PROFILE_PATTERNS, False
         )
         if tuple(vals[:6]) == prefix
     ]
-    assert hits == [(n231, 63, 2)]
+    assert hits == []
+    # and the pair's profile, whose column 0 is filled by subtraction, still
+    # counts them there: it is the histogram of the pair's members
+    table = _kernels.avoidance_profile(4, (2, 5))
+    assert table == pair_histogram(4, (2, 5))
+    assert all(row[0] >= count for row, count in zip(table, rows))
 
 
 @pytest.mark.parametrize(
@@ -422,7 +463,7 @@ def test_walk_mask_bits_follow_profile_patterns():
     patterns = [(3, 2, 1), (1, 2, 3), (3, 2, 1)]
     masks = {
         tuple(vals): mask
-        for vals, _, mask, _ in _kernels.star_walk(2, None, None, patterns, False)
+        for vals, _, mask in _kernels.star_walk(2, None, None, patterns, False)
     }
     for vals, mask in masks.items():
         assert mask == naive_mask(vals) & 33, vals

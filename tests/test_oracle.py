@@ -3,14 +3,20 @@ and the degenerate closed forms."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from conftest import PATTERN_SETS, mark_members, select
 from threecycle import cli, oracle, perm
 from threecycle.errors import ResourceLimitError
+
+SRC = Path(__file__).parent.parent / "src"
 
 ALL_PATTERNS = [tuple(p) for p in itertools.permutations((1, 2, 3))]
 
@@ -131,54 +137,52 @@ class TestCount:
             oracle.avoidance_profiles([1, 7])
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size asked for and
-    maps in this process, so no worker is ever started."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        RecordingPool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks, chunksize=1):
-        return map(fn, tasks)
-
-
 class TestWorkers:
     @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        RecordingPool.sizes = []
-        # oracle imports the pool machinery when a pool starts, and reads
-        # the executor off concurrent.futures then
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
-        return RecordingPool.sizes
+    def forks(self, monkeypatch):
+        """The number of workers each fan-out forked, for each fan-out that
+        forked any; the workers really fork, as many as the CPU count (set
+        to 4) and the tasks allow."""
+        real_fork, real_fan_out = os.fork, oracle._fan_out
+        forked = [0]
+        counts = []
 
-    def test_pool_bounded_by_cpus_and_tasks(self, pool_sizes):
+        def counting_fork():
+            forked[0] += 1
+            return real_fork()
+
+        def recording(*args):
+            forked[0] = 0
+            try:
+                return real_fan_out(*args)
+            finally:
+                if forked[0]:
+                    counts.append(forked[0])
+
+        monkeypatch.setattr(oracle.os, "fork", counting_fork)
+        monkeypatch.setattr(oracle, "_fan_out", recording)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+        return counts
+
+    def test_pool_bounded_by_cpus_and_tasks(self, forks):
         q = oracle.query(2, "321")
         serial = oracle.oracle_count(q)
-        # 10 partner-pair tasks at n = 2, 4 CPUs; the 1 task at n = 1 runs in
-        # this process
+        # 10 partner-pair tasks at n = 2, 4 CPUs, and this process is one of
+        # the workers; the 1 task at n = 1 runs in this process alone
         assert oracle.oracle_count(q, jobs=100000) == serial
         assert oracle.oracle_count(q, jobs=3) == serial
         assert oracle.oracle_count(oracle.query(1, "321"), jobs=100000) == 2
         assert oracle.avoidance_profile(2, jobs=100000) == oracle.avoidance_profile(2)
         assert oracle.avoidance_profile(1, jobs=100000) == oracle.avoidance_profile(1)
-        assert pool_sizes == [4, 3, 4]
+        assert forks == [3, 2, 3]
 
-    def test_verify_sweeps_every_n_on_one_pool(self, pool_sizes, capsys):
-        # 1 + 10 + 28 partner-pair tasks for n = 1..3 on one pool of 2
+    def test_verify_sweeps_every_n_on_one_pool(self, forks, capsys):
+        # 1 + 10 + 28 partner-pair tasks for n = 1..3 in one fan-out of 2
         tables = oracle.avoidance_profiles(range(1, 4), jobs=2)
         assert tables == [oracle.avoidance_profile(n) for n in range(1, 4)]
-        assert pool_sizes == [2]
+        assert forks == [1]
         assert cli.main(["verify", "--max-n", "3", "--jobs", "2"]) == 0
-        assert pool_sizes == [2, 2]
+        assert forks == [1, 1]
         assert capsys.readouterr().out.endswith("PASS\n")
 
     @pytest.mark.parametrize(
@@ -186,49 +190,182 @@ class TestWorkers:
         [("count_avoiders", (((3, 2, 1),), None)), ("avoidance_profile", ())],
         ids=["count", "profile"],
     )
-    def test_one_task_list_whatever_the_jobs(self, name, rest, pool_sizes, monkeypatch):
-        # one kernel call per root partner pair, in star_pairs order, in this
-        # process at jobs=1 and on the pool at jobs=2, with the same parts
+    def test_one_task_list_whatever_the_jobs(
+        self, name, rest, forks, monkeypatch, tmp_path
+    ):
+        # one kernel call per root partner pair, each made once: in star_pairs
+        # order in this process at jobs=1, and at jobs=2 the even-numbered
+        # tasks here and the odd-numbered ones in the forked worker, with the
+        # same parts.  The calls are logged to a file, which both processes
+        # append to.
         real = getattr(oracle._kernels, name)
-        calls = []
+        log = tmp_path / "calls"
 
         def recording(n, *args):
-            calls.append((n, args[-1]))
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {n} {args[-1][0]} {args[-1][1]}\n")
             return real(n, *args)
 
+        def calls():
+            lines = [line.split() for line in log.read_text().splitlines()]
+            log.unlink()
+            return [(int(pid), (int(n), (int(b), int(c)))) for pid, n, b, c in lines]
+
+        pairs = [(3, pair) for pair in oracle._kernels.star_pairs(3)]
         monkeypatch.setattr(oracle._kernels, name, recording)
         serial = oracle._fan_out(name, [3], 1, *rest)
-        assert calls == [(3, pair) for pair in oracle._kernels.star_pairs(3)]
-        assert pool_sizes == []
-        calls.clear()
+        assert calls() == [(os.getpid(), task) for task in pairs]
+        assert forks == []
         assert oracle._fan_out(name, [3], 2, *rest) == serial
-        assert calls == [(3, pair) for pair in oracle._kernels.star_pairs(3)]
-        assert pool_sizes == [2]
+        assert forks == [1]
+        made = calls()
+        here = [task for pid, task in made if pid == os.getpid()]
+        (child,) = {pid for pid, _ in made} - {os.getpid()}
+        assert here == pairs[::2]
+        assert [task for pid, task in made if pid == child] == pairs[1::2]
 
-    def test_count_range_runs_on_one_pool(self, pool_sizes, capsys):
-        # 1 + 10 + 28 partner-pair tasks for n = 1..3 on one pool of 2, with
-        # the stdout of the run in this process
+    def test_count_range_runs_on_one_pool(self, forks, capsys):
+        # 1 + 10 + 28 partner-pair tasks for n = 1..3 in one fan-out of 2,
+        # with the stdout of the run in this process
         argv = ["count", "--engine", "oracle", "--pattern", "321", "--n", "1..3"]
         assert cli.main(argv) == 0
         serial = capsys.readouterr().out
-        assert pool_sizes == []
+        assert forks == []
         assert cli.main([*argv, "--jobs", "2"]) == 0
-        assert pool_sizes == [2]
+        assert forks == [1]
         assert capsys.readouterr().out == serial == "2 10 60\n"
 
-    def test_one_cpu_runs_in_process(self, pool_sizes, monkeypatch):
+    def test_one_cpu_runs_in_process(self, forks, monkeypatch):
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
         assert oracle.oracle_count(oracle.query(2, "321"), jobs=2) == 10
         assert oracle.avoidance_profile(2, jobs=2) == oracle.avoidance_profile(2)
-        assert pool_sizes == []
+        assert forks == []
 
-    def test_jobs_below_one_rejected(self, pool_sizes):
+    def test_no_fork_runs_in_process(self, forks, monkeypatch):
+        # where processes cannot fork, every share is this process's
+        monkeypatch.delattr(oracle.os, "fork")
+        assert oracle._workers(4, 10) == 1
+        assert oracle.oracle_count(oracle.query(2, "321"), jobs=4) == 10
+        assert forks == []
+
+    def test_jobs_below_one_rejected(self, forks):
         for jobs in (0, -1):
             with pytest.raises(ValueError, match="jobs"):
                 oracle.oracle_count(oracle.query(2, "321"), jobs=jobs)
             with pytest.raises(ValueError, match="jobs"):
                 oracle.avoidance_profile(2, jobs=jobs)
-        assert pool_sizes == []
+        assert forks == []
+
+
+def no_children_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def run_python(code, *flags):
+    # stdout to a pipe is block-buffered, unless the environment says not to
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        env=dict(env, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestFanOut:
+    """The forked workers: their failures surface in the caller, and they
+    leave no process and no stray output behind."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+
+    def test_child_exception_raised_in_caller(self, monkeypatch):
+        parent = os.getpid()
+        real = oracle._kernels.count_avoiders
+
+        def failing(n, *args):
+            if os.getpid() != parent:
+                raise ArithmeticError(f"worker failed at n={n}")
+            return real(n, *args)
+
+        monkeypatch.setattr(oracle._kernels, "count_avoiders", failing)
+        with pytest.raises(ArithmeticError, match=r"^worker failed at n=3$"):
+            oracle.oracle_count(oracle.query(3, "321"), jobs=3)
+        assert no_children_left()
+
+    def test_worker_dying_without_a_result_is_an_error(self, monkeypatch):
+        parent = os.getpid()
+        real = oracle._kernels.count_avoiders
+
+        def dying(n, *args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(n, *args)
+
+        monkeypatch.setattr(oracle._kernels, "count_avoiders", dying)
+        with pytest.raises(RuntimeError, match=r"sent no result \(exit 3\)"):
+            oracle.oracle_count(oracle.query(3, "321"), jobs=3)
+        assert no_children_left()
+
+    def test_interrupt_in_callers_share_kills_workers(self, monkeypatch):
+        # the workers would sleep for half a minute; the caller's share is
+        # interrupted at once, and the workers are killed and reaped
+        parent = os.getpid()
+
+        def interrupted(n, *args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(30)
+            raise AssertionError("a worker outlived the interrupt")
+
+        monkeypatch.setattr(oracle._kernels, "avoidance_profile", interrupted)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            oracle.avoidance_profile(3, jobs=3)
+        assert time.perf_counter() - start < 20
+        assert no_children_left()
+
+    def test_no_process_left_after_a_run(self):
+        want = oracle.avoidance_profile(3)
+        assert oracle.avoidance_profile(3, jobs=2) == want
+        assert no_children_left()
+
+    def test_unflushed_output_printed_once(self):
+        # stdout is a pipe, so "before" is still in this process's buffer
+        # when the workers fork; a worker that flushed its copy would print
+        # it twice
+        code = (
+            "import os, sys; os.cpu_count = lambda: 2\n"
+            "from threecycle import cli\n"
+            "sys.stdout.write('before\\n')\n"
+            "argv = ['count', '--engine', 'oracle', '--pattern', '321']\n"
+            "sys.exit(cli.main([*argv, '--n', '1..4', '--jobs', '2']))\n"
+        )
+        proc = run_python(code)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "before\n2 10 60 388\n"
+
+    def test_forked_run_loads_no_pool_machinery(self):
+        # -S: no site module, so no .pth file can load these ahead of the run
+        code = (
+            "import os, sys; os.cpu_count = lambda: 2\n"
+            "from threecycle import cli\n"
+            "argv = ['count', '--engine', 'oracle', '--pattern', '321']\n"
+            "cli.main([*argv, '--n', '3', '--jobs', '2'])\n"
+            "wanted = {'concurrent.futures', 'multiprocessing', 'pickle'}\n"
+            "print(*sorted(wanted & set(sys.modules)))\n"
+        )
+        proc = run_python(code, "-S")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        # pickle shows that the run forked
+        assert proc.stdout == "60\npickle\n"
 
 
 class TestLimits:
