@@ -7,10 +7,11 @@ Containment (``contained_patterns``) is one scan per wanted length-3
 pattern, for 123, 132 and 213 over the values and for their reverses over
 the values reversed, each from bit sets of the values left and right of each
 entry; it answers with a bit mask over ``PROFILE_PATTERNS``.  The walk places
-one 3-cycle per frame, and only ``_options`` orders the choices.  A count or
-a profile covers one root partner pair (``star_pairs``): it walks the root
-cycle 1 -> b -> c and reads the 1 -> c -> b half off its inverses
-(``inverse_mask``).  The profile walk drops a subtree once its placed
+one 3-cycle per frame, drawing its partner pairs from one free list per
+frame.  A count or a profile covers one root partner pair (``star_pairs``):
+it walks the root cycle 1 -> b -> c and reads the 1 -> c -> b half off its
+inverses (``inverse_mask``, and for a count ``mirror_query``, the rule
+enumeration shares).  The profile walk drops a subtree once its placed
 entries contain all six patterns, and fills column 0 by subtraction.  The
 oracle adds up one call per pair.
 
@@ -28,8 +29,6 @@ from typing import Iterable, Iterator, Sequence
 
 FORM_231 = "231"
 FORM_312 = "312"
-
-Option = tuple[int, int, int, str]  # a cycle choice (a, b, c, form), 0-based
 
 #: Fixed pattern order for every pattern bit mask: bit i of a containment
 #: mask is set when PROFILE_PATTERNS[i] is contained, of a profile column
@@ -138,22 +137,6 @@ def contained_patterns(values: Sequence[int], bits: int, wanted: int) -> int:
     return found
 
 
-def _options(perm: list[int], forms: tuple[str, ...]) -> Iterator[Option]:
-    """The next cycle's choices on the buffer ``perm`` (0 = unplaced): the
-    smallest unplaced ``a``, partners ``b < c`` in lexicographic order, then
-    ``forms`` in turn.  Read lazily: clear a choice before drawing the next."""
-    a = perm.index(0)
-    m = len(perm)
-    for b in range(a + 1, m):
-        if perm[b]:
-            continue
-        for c in range(b + 1, m):
-            if perm[c]:
-                continue
-            for form in forms:
-                yield a, b, c, form
-
-
 def star_pairs(n: int) -> list[tuple[int, int]]:
     """The root's partner pairs, 1-based ``(b, c)`` in walk order: the root
     cycle is 1 -> b -> c or 1 -> c -> b, and the walks under all pairs and
@@ -179,9 +162,11 @@ def inverse_mask(mask: int) -> int:
     return mask & ~24 | mask >> 1 & 8 | mask << 1 & 16
 
 
-def _inverse_form(form: str | None) -> str | None:
-    # inverting a 3-cycle reverses it: a -> b -> c becomes a -> c -> b
-    return {FORM_231: FORM_312, FORM_312: FORM_231}.get(form, form)
+#: column -> the column of its inverses, for relabelling a profile half
+_INVERSE_COLUMNS = tuple(map(inverse_mask, range(64)))
+
+#: inverting a 3-cycle reverses it: a -> b -> c becomes a -> c -> b
+_INVERSE_FORM = {None: None, FORM_231: FORM_312, FORM_312: FORM_231}
 
 
 def _patterns(mask: int) -> tuple[tuple[int, ...], ...]:
@@ -198,12 +183,13 @@ def star_walk(
     """Depth-first walk over the permutations of [3n] built only from
     3-cycles, tracking which of ``patterns`` their entries contain.
 
-    Each cycle is one frame: it draws its choices from :func:`_options` (the
-    smallest unplaced element, its partners in lexicographic order, a -> b ->
-    c before a -> c -> b), so the order is reproducible.  ``form`` ("231" or
-    "312") allows only one orientation.  ``first``, a root choice ``(b, c,
-    form)`` with ``(b, c)`` in :func:`star_pairs`, is the only choice at the
-    root; the walks over all such choices partition the whole walk.
+    Each cycle is one frame.  It places the smallest unplaced element ``a``
+    with each pair of partners from its free list, the unplaced elements
+    above ``a``, in lexicographic order, and each pair as a -> b -> c before
+    a -> c -> b, so the order is reproducible.  ``form`` ("231" or "312")
+    allows only one orientation.  ``first``, a root choice ``(b, c, form)``
+    with ``(b, c)`` in :func:`star_pairs`, is the only choice at the root;
+    the walks over all such choices partition the whole walk.
 
     Each node carries the mask of the patterns the entries placed so far
     contain: bit i stands for ``PROFILE_PATTERNS[i]``, whatever the order of
@@ -232,50 +218,87 @@ def star_walk(
     forms = (FORM_231, FORM_312) if form is None else (form,)
     want = pattern_mask(patterns)
     full = want if want and not prune else -1
-    perm = [0] * (3 * n)  # perm[i - 1] is the image of i; 0 while i is unplaced
+    m = 3 * n
+    perm = [0] * m  # perm[i - 1] is the image of i; 0 while i is unplaced
 
     def walk(
-        depth: int, n231: int, mask: int, placed: int, options: Iterable[Option]
+        depth: int,
+        n231: int,
+        mask: int,
+        placed: int,
+        a: int,
+        pairs: Iterable[tuple[int, int]],
+        cycle_forms: tuple[str, ...],
     ) -> Iterator[tuple[list[int], int, int]]:
-        # place each option as cycle number ``depth``, then clear it; the
-        # placed values are the placed positions, so ``placed`` (bit v for
-        # value v) grows by the cycle's three
-        for a, b, c, cycle_form in options:
-            seen231 = n231
-            if cycle_form == FORM_231:
-                perm[a], perm[b], perm[c] = b + 1, c + 1, a + 1
-                seen231 += 1
-            else:
-                perm[a], perm[b], perm[c] = c + 1, a + 1, b + 1
+        # place a with each pair and form as cycle number ``depth``, then
+        # clear it; the placed values are the placed positions, so
+        # ``placed`` (bit v for value v) grows by the cycle's three
+        for b, c in pairs:
             bits = placed | 2 << a | 2 << b | 2 << c
-            seen = mask
-            # a node is visited only below a parent neither pruned nor
-            # saturated, so some pattern is still wanted: one call per node
-            if want:
-                seen |= contained_patterns(perm, bits, want & ~mask)
-            if not (prune and seen or seen == full):
+            for cycle_form in cycle_forms:
+                if cycle_form == FORM_231:
+                    perm[a], perm[b], perm[c] = b + 1, c + 1, a + 1
+                    seen231 = n231 + 1
+                else:
+                    perm[a], perm[b], perm[c] = c + 1, a + 1, b + 1
+                    seen231 = n231
+                seen = mask
+                # a node is visited only below a parent neither pruned nor
+                # saturated, so some pattern is still wanted: one call per node
+                if want:
+                    seen |= contained_patterns(perm, bits, want & ~mask)
+                if prune and seen or seen == full:
+                    continue
                 if depth == n:
                     yield perm, seen231, seen
-                else:
-                    yield from walk(
-                        depth + 1, seen231, seen, bits, _options(perm, forms)
-                    )
+                    continue
+                below = perm.index(0)
+                free = [i for i in range(below + 1, m) if not perm[i]]
+                yield from walk(
+                    depth + 1,
+                    seen231,
+                    seen,
+                    bits,
+                    below,
+                    itertools.combinations(free, 2),
+                    forms,
+                )
             perm[a] = perm[b] = perm[c] = 0
 
     if n == 0:
         return
     if first is None:
-        options: Iterable[Option] = _options(perm, forms)
+        yield from walk(1, 0, 0, 0, 0, itertools.combinations(range(1, m), 2), forms)
     elif (
         len(first) == 3
-        and 1 < first[0] < first[1] <= 3 * n
+        and 1 < first[0] < first[1] <= m
         and first[2] in (FORM_231, FORM_312)
     ):
         b, c, first_form = first
-        options = [(0, b - 1, c - 1, first_form)] if first_form in forms else []
+        root_forms = (first_form,) if first_form in forms else ()
+        yield from walk(1, 0, 0, 0, 0, [(b - 1, c - 1)], root_forms)
     else:
         raise ValueError(f"invalid first-cycle choice {first} for n={n}")
-    yield from walk(1, 0, 0, 0, options)
+
+
+def mirror_query(
+    patterns: Sequence[Sequence[int]], form: str | None
+) -> tuple[tuple[tuple[int, ...], ...], str | None] | None:
+    """The ``(patterns, form)`` whose walk under a 1 -> b -> c root gives,
+    inverted, the members with root 1 -> c -> b that avoid ``patterns``
+    under ``form``, or None when that is the query itself, so that one walk
+    gives both halves.  Inversion maps a member with one root onto one with
+    the other, and a member avoiding ``patterns`` under ``form`` onto one
+    avoiding their inverses (:func:`inverse_mask`) under the inverse form.
+
+    >>> mirror_query([(2, 3, 1)], None), mirror_query([(1, 3, 2)], None)
+    ((((3, 1, 2),), None), None)
+    """
+    if form not in (None, FORM_231, FORM_312):
+        raise ValueError(f"unknown form filter: {form!r}")
+    want = pattern_mask(patterns)
+    mirror = (inverse_mask(want), _INVERSE_FORM[form])
+    return None if mirror == (want, form) else (_patterns(mirror[0]), mirror[1])
 
 
 def count_avoiders(
@@ -290,22 +313,18 @@ def count_avoiders(
     partners ``pair`` (see :func:`star_pairs`); the pairs' counts sum to the
     whole.
 
-    Only the 1 -> b -> c root is walked.  Inversion maps the members with
-    root 1 -> c -> b onto those with root 1 -> b -> c, and a member avoiding
-    ``patterns`` under ``form`` onto one avoiding their inverses
-    (:func:`inverse_mask`) under the inverse form, so that walk counts the
-    other half.  When the inverses are the patterns and the form, one walk
-    counts both halves.
+    Only the 1 -> b -> c root is walked: the walk of :func:`mirror_query`
+    counts the 1 -> c -> b half, and when there is none, the one walk counts
+    both halves.
     """
-    want = pattern_mask(patterns)
-    mirror = (inverse_mask(want), _inverse_form(form))
+    mirror = mirror_query(patterns, form)
     root = (*pair, FORM_231)
 
-    def half(mask: int, half_form: str | None) -> int:
-        return sum(1 for _ in star_walk(n, root, half_form, _patterns(mask)))
+    def half(half_patterns: Sequence[Sequence[int]], half_form: str | None) -> int:
+        return sum(1 for _ in star_walk(n, root, half_form, half_patterns))
 
-    count = half(want, form)
-    return 2 * count if mirror == (want, form) else count + half(*mirror)
+    count = half(patterns, form)
+    return 2 * count if mirror is None else count + half(*mirror)
 
 
 def triple_splits(k: int) -> int:
@@ -368,7 +387,7 @@ def avoidance_profile(n: int, pair: tuple[int, int]) -> list[list[int]]:
     for row, total in zip(half, completion_rows(1, 1, n - 1)):
         row[0] = total - sum(row)
     return [
-        [cells[col] + mirror[inverse_mask(col)] for col in range(64)]
+        [cell + mirror[col] for cell, col in zip(cells, _INVERSE_COLUMNS)]
         for cells, mirror in zip(half, (half[0], half[2], half[1]))
     ]
 

@@ -13,8 +13,13 @@ column 0 by subtraction (``_kernels.avoidance_profile``).  Counts and profiles w
 whose root cycle is 1 -> b -> c: their inverses are the members with root
 1 -> c -> b, and a permutation contains a pattern exactly when its inverse
 contains the pattern's inverse, so the other half is read off the walked one.
-No counting shortcut from the formula modules is consulted, so these results
-can serve as the independent side of every formula-vs-oracle check.
+Enumeration does the same when the query is its own inverse image, and
+sorts the inverses into the walk's order (``perm.iterate_star``).  A count
+of a set with 132 but not 213 walks its twin, the set's image under
+reverse-complement after inverse, which has 213 in place of 132 and walks
+fewer nodes.  No counting shortcut from the formula modules is consulted,
+so these results can serve as the independent side of every
+formula-vs-oracle check.
 
 Sizes are bounded by one constant, n <= WALK_LIMIT, checked before any
 work; no flag lifts it (the star set grows by a factor ~270 per step).
@@ -210,8 +215,18 @@ def oracle_counts(
 ) -> list[int]:
     """The :func:`oracle_count` of each n in ``ns``, the pair parts merged by
     addition, so a count does not depend on the worker count or schedule.  A
-    bad query is refused before a size over the bound, both before any work."""
+    bad query is refused before a size over the bound, both before any work.
+
+    A set with 132 but not 213 is counted as its twin, its image under
+    reverse-complement (conjugation by the reversal) after inverse.  Each of
+    the two maps swaps the cycle forms, so together they keep them, and the
+    map swaps 132 and 213 and fixes the other patterns.  The twin walks
+    fewer nodes: 213 makes 16,855 scans at n = 4 where 132 makes 22,959,
+    and 302,561 at n = 5 where 132 makes 530,951."""
     q = AvoidanceQuery(max(ns, default=0), patterns, form)
+    if (1, 3, 2) in q.patterns and (2, 1, 3) not in q.patterns:
+        twin = (perm.reverse_complement(perm.inverse(s)) for s in q.patterns)
+        q = q._replace(patterns=frozenset(twin))
     parts = _fan_out("count_avoiders", ns, jobs, q.sorted_patterns(), q.form)
     return [sum(p) for p in parts]
 

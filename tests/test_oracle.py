@@ -96,6 +96,19 @@ class TestCount:
                     )
                     assert other == base
 
+    def test_twin_routed_count_matches_unrouted_walk(self):
+        # a set with 132 but not 213 is counted as its twin; the kernel sum
+        # over the root partner pairs is the count of the set itself
+        for n in (1, 2, 3):
+            for patterns in PATTERN_SETS:
+                for form in (None, perm.FORM_312, perm.FORM_231):
+                    q = oracle.AvoidanceQuery(n, frozenset(patterns), form)
+                    unrouted = sum(
+                        oracle._kernels.count_avoiders(n, patterns, form, pair)
+                        for pair in oracle._kernels.star_pairs(n)
+                    )
+                    assert oracle.oracle_count(q) == unrouted, (n, patterns, form)
+
     def test_parallel_merge_schedule_independent(self):
         q = oracle.query(3, "321")
         serial = oracle.oracle_count(q)
