@@ -10,10 +10,12 @@ entry; it answers with a bit mask over ``PROFILE_PATTERNS``.  The walk places
 one 3-cycle per frame, drawing its partner pairs from one free list per
 frame.  A count or a profile covers one root partner pair (``star_pairs``):
 it walks the root cycle 1 -> b -> c and reads the 1 -> c -> b half off its
-inverses (``inverse_mask``, and for a count ``mirror_query``, the rule
-enumeration shares).  The profile walk drops a subtree once its placed
-entries contain all six patterns, and fills column 0 by subtraction.  The
-oracle adds up one call per pair.
+inverses (``inverse_mask``, and for a count ``mirror_query``).  An
+enumeration (``star_members``) walks each pair the same way when the query
+is its own mirror, and sorts the inverses into the walk's order.  The
+profile walk drops a subtree once its placed entries contain all six
+patterns, and fills column 0 by subtraction.  The oracle adds up one call
+per pair.
 
 Conventions: permutations are 1-based one-line sequences; a 3-cycle placed as
 a -> b -> c with a < b < c realizes the pattern 231, while a -> c -> b
@@ -169,6 +171,11 @@ _INVERSE_COLUMNS = tuple(map(inverse_mask, range(64)))
 _INVERSE_FORM = {None: None, FORM_231: FORM_312, FORM_312: FORM_231}
 
 
+def _check_form(form: str | None) -> None:
+    if form not in _INVERSE_FORM:
+        raise ValueError(f"unknown form filter: {form!r}")
+
+
 def _patterns(mask: int) -> tuple[tuple[int, ...], ...]:
     return tuple(p for i, p in enumerate(PROFILE_PATTERNS) if mask >> i & 1)
 
@@ -213,8 +220,7 @@ def star_walk(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if form not in (None, FORM_231, FORM_312):
-        raise ValueError(f"unknown form filter: {form!r}")
+    _check_form(form)
     forms = (FORM_231, FORM_312) if form is None else (form,)
     want = pattern_mask(patterns)
     full = want if want and not prune else -1
@@ -294,8 +300,7 @@ def mirror_query(
     >>> mirror_query([(2, 3, 1)], None), mirror_query([(1, 3, 2)], None)
     ((((3, 1, 2),), None), None)
     """
-    if form not in (None, FORM_231, FORM_312):
-        raise ValueError(f"unknown form filter: {form!r}")
+    _check_form(form)
     want = pattern_mask(patterns)
     mirror = (inverse_mask(want), _INVERSE_FORM[form])
     return None if mirror == (want, form) else (_patterns(mirror[0]), mirror[1])
@@ -325,6 +330,63 @@ def count_avoiders(
 
     count = half(patterns, form)
     return 2 * count if mirror is None else count + half(*mirror)
+
+
+def _walk_key(p: tuple[int, ...]) -> list[int]:
+    # the walk's order as a sort key: the cycles taken by smallest element
+    # a, each written (b, c, 0) for a -> b -> c and (b, c, 1) for
+    # a -> c -> b, with b < c; star_walk yields in increasing key
+    key: list[int] = []
+    done = 0  # bit v for each partner v seen so far
+    for a, b in enumerate(p, 1):
+        if not done >> a & 1:
+            c = p[b - 1]
+            done |= 1 << b | 1 << c
+            key += (b, c, 0) if b < c else (c, b, 1)
+    return key
+
+
+def inverse(p: Sequence[int]) -> tuple[int, ...]:
+    """The algebraic inverse.
+
+    >>> inverse((3, 1, 2))
+    (2, 3, 1)
+    """
+    inv = [0] * len(p)
+    for i, v in enumerate(p, 1):
+        inv[v - 1] = i
+    return tuple(inv)
+
+
+def star_members(
+    n: int, form: str | None = None, patterns: Sequence[Sequence[int]] = ()
+) -> Iterator[tuple[int, ...]]:
+    """The members of the pruned :func:`star_walk` ``(n, None, form,
+    patterns)`` as tuples, in its order.
+
+    When the query is its own mirror (:func:`mirror_query`: no form, and
+    231 and 312 both avoided or neither), each root partner pair is walked
+    once, under the root 1 -> b -> c: its members come in walk order, and
+    then their inverses, the members with root 1 -> c -> b, sorted into walk
+    order.  Only one pair's inverses are held at a time.  Any other query
+    is the plain walk, and so is the whole star set (no ``patterns``), whose
+    walk makes no scans for the halving to save.
+
+    >>> list(star_members(1)), list(star_members(1, patterns=[(2, 3, 1)]))
+    ([(2, 3, 1), (3, 1, 2)], [(3, 1, 2)])
+    """
+    if not patterns or mirror_query(patterns, form) is not None:
+        for vals, _, _ in star_walk(n, None, form, patterns):
+            yield tuple(vals)
+        return
+    for b, c in star_pairs(n):
+        inverses = []
+        for vals, _, _ in star_walk(n, (b, c, FORM_231), form, patterns):
+            p = tuple(vals)
+            yield p
+            inverses.append(inverse(p))
+        inverses.sort(key=_walk_key)
+        yield from inverses
 
 
 def triple_splits(k: int) -> int:

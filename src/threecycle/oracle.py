@@ -9,14 +9,14 @@ node.  That loses no member, since a placed entry never changes, so an
 occurrence among the placed entries is one in every permutation below them.
 The avoidance profile runs the same walk unpruned and drops a subtree whose
 placed entries already contain all six patterns, whose members it counts in
-column 0 by subtraction (``_kernels.avoidance_profile``).  Counts and profiles walk only the members
-whose root cycle is 1 -> b -> c: their inverses are the members with root
-1 -> c -> b, and a permutation contains a pattern exactly when its inverse
-contains the pattern's inverse, so the other half is read off the walked one.
-Enumeration does the same when the query is its own inverse image, and
-sorts the inverses into the walk's order (``perm.iterate_star``).  A count
-of a set with 132 but not 213 walks its twin, the set's image under
-reverse-complement after inverse, which has 213 in place of 132 and walks
+column 0 by subtraction (``_kernels.avoidance_profile``).  Counts and
+profiles walk only the members whose root cycle is 1 -> b -> c: their
+inverses are the members with root 1 -> c -> b, and a permutation contains
+a pattern exactly when its inverse contains the pattern's inverse, so the
+other half is read off the walked one.  Enumeration does the same when the
+query is its own inverse image, and sorts the inverses into the walk's
+order (``_kernels.star_members``).  A count of the single pattern 132 walks
+its twin 213, its image under reverse-complement after inverse, which walks
 fewer nodes.  No counting shortcut from the formula modules is consulted,
 so these results can serve as the independent side of every
 formula-vs-oracle check.
@@ -217,16 +217,18 @@ def oracle_counts(
     addition, so a count does not depend on the worker count or schedule.  A
     bad query is refused before a size over the bound, both before any work.
 
-    A set with 132 but not 213 is counted as its twin, its image under
+    The single pattern 132 is counted as its twin 213, its image under
     reverse-complement (conjugation by the reversal) after inverse.  Each of
     the two maps swaps the cycle forms, so together they keep them, and the
     map swaps 132 and 213 and fixes the other patterns.  The twin walks
-    fewer nodes: 213 makes 16,855 scans at n = 4 where 132 makes 22,959,
-    and 302,561 at n = 5 where 132 makes 530,951."""
+    fewer nodes under every form: 16,855 scans against 22,959 at n = 4 and
+    302,561 against 530,951 at n = 5 with no form, 7,328 against 8,819 and
+    122,502 against 174,056 with one.  Every larger set with 132 but not
+    213 makes as many scans as its twin at n = 4 and 5, so it is walked as
+    asked."""
     q = AvoidanceQuery(max(ns, default=0), patterns, form)
-    if (1, 3, 2) in q.patterns and (2, 1, 3) not in q.patterns:
-        twin = (perm.reverse_complement(perm.inverse(s)) for s in q.patterns)
-        q = q._replace(patterns=frozenset(twin))
+    if q.patterns == {(1, 3, 2)}:
+        q = q._replace(patterns=frozenset({(2, 1, 3)}))
     parts = _fan_out("count_avoiders", ns, jobs, q.sorted_patterns(), q.form)
     return [sum(p) for p in parts]
 

@@ -18,7 +18,7 @@ import re
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from threecycle import _kernels
-from threecycle._kernels import FORM_231, FORM_312
+from threecycle._kernels import FORM_231, FORM_312, inverse
 from threecycle.errors import PermutationError
 
 Perm = tuple[int, ...]
@@ -53,18 +53,6 @@ def parse_one_line(text: str) -> Perm:
 
 def format_one_line(p: Sequence[int]) -> str:
     return " ".join(str(v) for v in p)
-
-
-def inverse(p: Perm) -> Perm:
-    """The algebraic inverse.
-
-    >>> inverse((3, 1, 2))
-    (2, 3, 1)
-    """
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v - 1] = i + 1
-    return tuple(inv)
 
 
 def reverse_complement(p: Perm) -> Perm:
@@ -196,20 +184,6 @@ def star_cardinality(n: int) -> int:
     return math.factorial(3 * n) // (math.factorial(n) * 3**n)
 
 
-def _walk_key(p: Perm) -> list[int]:
-    """The star walk's order as a sort key: the cycles taken by smallest
-    element ``a``, each written ``(b, c, 0)`` for a -> b -> c and ``(b, c,
-    1)`` for a -> c -> b, with b < c; the walk yields in increasing key."""
-    key: list[int] = []
-    done = 0  # bit v for each partner v seen so far
-    for a, b in enumerate(p, 1):
-        if not done >> a & 1:
-            c = p[b - 1]
-            done |= 1 << b | 1 << c
-            key += (b, c, 0) if b < c else (c, b, 1)
-    return key
-
-
 def iterate_star(
     n: int, form: str | None = None, patterns: Sequence[Perm] = ()
 ) -> Iterator[Perm]:
@@ -222,23 +196,8 @@ def iterate_star(
     form, and ``patterns`` (length 3) only members avoiding them all; both
     cut the stream without reordering it.  ``n = 0`` yields nothing.
 
-    When the query is its own mirror (:func:`threecycle._kernels.mirror_query`:
-    no form, and 231 and 312 both avoided or neither), each root partner
-    pair is walked once, under the root 1 -> b -> c: its members come in
-    walk order, and then their inverses, the members with root 1 -> c -> b,
-    sorted into walk order.  Only one pair's inverses are held at a time.
-    Any other query is the plain walk, and so is the whole star set (no
-    ``patterns``), whose walk makes no scans for the halving to save.
+    A query that is its own mirror under inversion walks each root partner
+    pair's 1 -> b -> c half once and reads the other half off its inverses
+    (:func:`threecycle._kernels.star_members`); the stream is the same.
     """
-    if not patterns or _kernels.mirror_query(patterns, form) is not None:
-        for vals, _, _ in _kernels.star_walk(n, None, form, patterns):
-            yield tuple(vals)
-        return
-    for b, c in _kernels.star_pairs(n):
-        inverses = []
-        for vals, _, _ in _kernels.star_walk(n, (b, c, FORM_231), form, patterns):
-            p = tuple(vals)
-            yield p
-            inverses.append(inverse(p))
-        inverses.sort(key=_walk_key)
-        yield from inverses
+    yield from _kernels.star_members(n, form, patterns)

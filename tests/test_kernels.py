@@ -351,6 +351,7 @@ def test_saturated_prefix_split(cycles, first, n231, rows):
         (lambda: whole_count(4, [(1, 3, 2)]), 22959, 22959),
         (lambda: oracle.oracle_count(oracle.query(4, "213")), 16855, 16855),
         (lambda: oracle.oracle_count(oracle.query(4, "132")), 16855, 16855),
+        (lambda: oracle.oracle_count(oracle.query(4, "132", form="312")), 7328, 7328),
         (lambda: list(perm.iterate_star(4, patterns=[(1, 3, 2)])), 22959, 22959),
     ],
     ids=[
@@ -361,6 +362,7 @@ def test_saturated_prefix_split(cycles, first, n231, rows):
         "count-132-n4",
         "count-213-n4",
         "oracle-count-132-n4",
+        "oracle-count-132-312-n4",
         "enumerate-132-n4",
     ],
 )

@@ -97,7 +97,7 @@ class TestCount:
                     assert other == base
 
     def test_twin_routed_count_matches_unrouted_walk(self):
-        # a set with 132 but not 213 is counted as its twin; the kernel sum
+        # the single pattern 132 is counted as its twin 213; the kernel sum
         # over the root partner pairs is the count of the set itself
         for n in (1, 2, 3):
             for patterns in PATTERN_SETS:

@@ -189,6 +189,14 @@ class TestStarGenerator:
         with pytest.raises(ValueError):
             list(perm.iterate_star(-1))
 
+    def test_unknown_form_rejected(self):
+        # at n = 0 there is no root pair to walk, so the halved enumeration
+        # of a self-inverse query must check the form itself
+        for n in (0, 1):
+            for patterns in ((), [(1, 3, 2)], [(2, 3, 1)]):
+                with pytest.raises(ValueError, match="unknown form"):
+                    list(perm.iterate_star(n, form="213", patterns=patterns))
+
     def test_matches_filtered_symmetric_group(self):
         for n in (1, 2):
             assert sorted(perm.iterate_star(n)) == sorted(star_by_filter(n))
