@@ -8,14 +8,15 @@ pattern, for 123, 132 and 213 over the values and for their reverses over
 the values reversed, each from bit sets of the values left and right of each
 entry; it answers with a bit mask over ``PROFILE_PATTERNS``.  The walk places
 one 3-cycle per frame, drawing its partner pairs from one free list per
-frame.  A count or a profile covers one root partner pair (``star_pairs``):
-it walks the root cycle 1 -> b -> c and reads the 1 -> c -> b half off its
-inverses (``inverse_mask``, and for a count ``mirror_query``).  An
-enumeration (``star_members``) walks each pair the same way when the query
-is its own mirror, and sorts the inverses into the walk's order.  The
-profile walk drops a subtree once its placed entries contain all six
-patterns, and fills column 0 by subtraction.  The oracle adds up one call
-per pair.
+frame.  Every walk, enumeration included, covers one root partner pair
+(``star_pairs``) under one root cycle, 1 -> b -> c or 1 -> c -> b.  A count
+or a profile walks the root 1 -> b -> c and reads the 1 -> c -> b half off
+its inverses (``inverse_mask``, and for a count ``mirror_query``).  An
+enumeration (``star_members``) goes pair by pair: it does the same when the
+query is its own mirror, sorting the inverses into the walk's order, and
+otherwise walks both roots.  The profile walk drops a subtree once its
+placed entries contain all six patterns, and fills column 0 by
+subtraction.  The oracle adds up one call per pair.
 
 Conventions: permutations are 1-based one-line sequences; a 3-cycle placed as
 a -> b -> c with a < b < c realizes the pattern 231, while a -> c -> b
@@ -182,21 +183,25 @@ def _patterns(mask: int) -> tuple[tuple[int, ...], ...]:
 
 def star_walk(
     n: int,
-    first: tuple[int, int, str] | None = None,
+    root: tuple[int, int, str],
     form: str | None = None,
     patterns: Sequence[Sequence[int]] = (),
     prune: bool = True,
-) -> Iterator[tuple[list[int], int, int]]:
+) -> Iterator[tuple[list[int], int]]:
     """Depth-first walk over the permutations of [3n] built only from
-    3-cycles, tracking which of ``patterns`` their entries contain.
+    3-cycles whose root cycle is ``root``, tracking which of ``patterns``
+    their entries contain.
 
-    Each cycle is one frame.  It places the smallest unplaced element ``a``
-    with each pair of partners from its free list, the unplaced elements
-    above ``a``, in lexicographic order, and each pair as a -> b -> c before
-    a -> c -> b, so the order is reproducible.  ``form`` ("231" or "312")
-    allows only one orientation.  ``first``, a root choice ``(b, c, form)``
-    with ``(b, c)`` in :func:`star_pairs`, is the only choice at the root;
-    the walks over all such choices partition the whole walk.
+    ``root = (b, c, root_form)``, with ``(b, c)`` in :func:`star_pairs` and
+    ``root_form`` "231" or "312", is the cycle 1 -> b -> c or 1 -> c -> b;
+    anything else, and any root at n = 0, raises ValueError.  The walks
+    under all roots, taken pair by pair with 231 before 312, partition the
+    star set at ``n``.  Each further cycle is one frame.  It places
+    the smallest unplaced element ``a`` with each pair of partners from its
+    free list, the unplaced elements above ``a``, in lexicographic order,
+    and each pair as a -> b -> c before a -> c -> b, so the order is
+    reproducible.  ``form`` ("231" or "312") allows only one orientation,
+    the root's included.
 
     Each node carries the mask of the patterns the entries placed so far
     contain: bit i stands for ``PROFILE_PATTERNS[i]``, whatever the order of
@@ -214,28 +219,31 @@ def star_walk(
     that do not contain every pattern, and every member when ``patterns``
     is empty.
 
-    Yields ``(perm, n231, mask)`` per member: the one-line buffer (a list
-    reused between yields: copy it to keep it), the number of 231-form
-    cycles, and the mask.  ``n = 0`` yields nothing.
+    Yields ``(buffer, mask)`` per member: the one-line buffer (a list reused
+    between yields: copy it to keep it) and the mask.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     _check_form(form)
     forms = (FORM_231, FORM_312) if form is None else (form,)
     want = pattern_mask(patterns)
     full = want if want and not prune else -1
     m = 3 * n
+    if not (
+        root is not None
+        and len(root) == 3
+        and 1 < root[0] < root[1] <= m
+        and root[2] in (FORM_231, FORM_312)
+    ):
+        raise ValueError(f"invalid root {root} for n={n}")
     perm = [0] * m  # perm[i - 1] is the image of i; 0 while i is unplaced
 
     def walk(
         depth: int,
-        n231: int,
         mask: int,
         placed: int,
         a: int,
         pairs: Iterable[tuple[int, int]],
         cycle_forms: tuple[str, ...],
-    ) -> Iterator[tuple[list[int], int, int]]:
+    ) -> Iterator[tuple[list[int], int]]:
         # place a with each pair and form as cycle number ``depth``, then
         # clear it; the placed values are the placed positions, so
         # ``placed`` (bit v for value v) grows by the cycle's three
@@ -244,10 +252,8 @@ def star_walk(
             for cycle_form in cycle_forms:
                 if cycle_form == FORM_231:
                     perm[a], perm[b], perm[c] = b + 1, c + 1, a + 1
-                    seen231 = n231 + 1
                 else:
                     perm[a], perm[b], perm[c] = c + 1, a + 1, b + 1
-                    seen231 = n231
                 seen = mask
                 # a node is visited only below a parent neither pruned nor
                 # saturated, so some pattern is still wanted: one call per node
@@ -256,35 +262,18 @@ def star_walk(
                 if prune and seen or seen == full:
                     continue
                 if depth == n:
-                    yield perm, seen231, seen
+                    yield perm, seen
                     continue
                 below = perm.index(0)
                 free = [i for i in range(below + 1, m) if not perm[i]]
                 yield from walk(
-                    depth + 1,
-                    seen231,
-                    seen,
-                    bits,
-                    below,
-                    itertools.combinations(free, 2),
-                    forms,
+                    depth + 1, seen, bits, below, itertools.combinations(free, 2), forms
                 )
             perm[a] = perm[b] = perm[c] = 0
 
-    if n == 0:
-        return
-    if first is None:
-        yield from walk(1, 0, 0, 0, 0, itertools.combinations(range(1, m), 2), forms)
-    elif (
-        len(first) == 3
-        and 1 < first[0] < first[1] <= m
-        and first[2] in (FORM_231, FORM_312)
-    ):
-        b, c, first_form = first
-        root_forms = (first_form,) if first_form in forms else ()
-        yield from walk(1, 0, 0, 0, 0, [(b - 1, c - 1)], root_forms)
-    else:
-        raise ValueError(f"invalid first-cycle choice {first} for n={n}")
+    b, c, root_form = root
+    root_forms = (root_form,) if root_form in forms else ()
+    yield from walk(1, 0, 0, 0, [(b - 1, c - 1)], root_forms)
 
 
 def mirror_query(
@@ -361,30 +350,33 @@ def inverse(p: Sequence[int]) -> tuple[int, ...]:
 def star_members(
     n: int, form: str | None = None, patterns: Sequence[Sequence[int]] = ()
 ) -> Iterator[tuple[int, ...]]:
-    """The members of the pruned :func:`star_walk` ``(n, None, form,
-    patterns)`` as tuples, in its order.
+    """The members of the star set at ``n`` that avoid ``patterns`` under
+    ``form``, as tuples, in the walk's order: root partner pair by pair
+    (:func:`star_pairs`), each pair's 1 -> b -> c members before its
+    1 -> c -> b ones.
 
     When the query is its own mirror (:func:`mirror_query`: no form, and
-    231 and 312 both avoided or neither), each root partner pair is walked
-    once, under the root 1 -> b -> c: its members come in walk order, and
-    then their inverses, the members with root 1 -> c -> b, sorted into walk
-    order.  Only one pair's inverses are held at a time.  Any other query
-    is the plain walk, and so is the whole star set (no ``patterns``), whose
-    walk makes no scans for the halving to save.
+    231 and 312 both avoided or neither) and has patterns, only the root
+    1 -> b -> c is walked: its members come in walk order, and then their
+    inverses, the members with root 1 -> c -> b, sorted into walk order.
+    Only one pair's inverses are held at a time.  Any other query walks
+    both roots, and so does the whole star set (no ``patterns``), whose
+    walk makes no scans for the halving to save.  A bad form or pattern is
+    refused before any pair, at n = 0 too.
 
     >>> list(star_members(1)), list(star_members(1, patterns=[(2, 3, 1)]))
     ([(2, 3, 1), (3, 1, 2)], [(3, 1, 2)])
     """
-    if not patterns or mirror_query(patterns, form) is not None:
-        for vals, _, _ in star_walk(n, None, form, patterns):
-            yield tuple(vals)
-        return
+    halved = mirror_query(patterns, form) is None and len(patterns) > 0
+    roots = (FORM_231,) if halved else (FORM_231, FORM_312)
     for b, c in star_pairs(n):
         inverses = []
-        for vals, _, _ in star_walk(n, (b, c, FORM_231), form, patterns):
-            p = tuple(vals)
-            yield p
-            inverses.append(inverse(p))
+        for root_form in roots:
+            for vals, _ in star_walk(n, (b, c, root_form), form, patterns):
+                p = tuple(vals)
+                yield p
+                if halved:
+                    inverses.append(inverse(p))
         inverses.sort(key=_walk_key)
         yield from inverses
 
@@ -398,23 +390,6 @@ def triple_splits(k: int) -> int:
     [1, 1, 10, 280]
     """
     return math.factorial(3 * k) // (math.factorial(k) * 6**k)
-
-
-def completion_rows(n231: int, placed: int, left: int) -> tuple[int, int, int]:
-    """How the ``triple_splits(left) * 2**left`` completions of a node with
-    ``placed`` cycles (``n231`` of them 231-form) and ``left`` cycles to place
-    split over the profile rows: (mixed, all-312, all-231).  The
-    ``triple_splits(left)`` completions whose new cycles are all 312 are
-    all-312 when no placed cycle is 231, and likewise for 231; the rest are
-    mixed.
-
-    >>> completion_rows(0, 2, 2)
-    (30, 10, 0)
-    """
-    each = triple_splits(left)
-    all312 = each if n231 == 0 else 0
-    all231 = each if n231 == placed else 0
-    return (each << left) - all312 - all231, all312, all231
 
 
 def avoidance_profile(n: int, pair: tuple[int, int]) -> list[list[int]]:
@@ -433,20 +408,26 @@ def avoidance_profile(n: int, pair: tuple[int, int]) -> list[list[int]]:
     no scan of the finished permutation.  A subtree whose placed entries
     already contain all six patterns is not walked, and its members are not
     yielded: they are column 0, which each row fills by subtraction from the
-    root's completions (:func:`completion_rows`).
+    root's ``triple_splits(n - 1) << n - 1`` completions, of which the
+    ``triple_splits(n - 1)`` with every new cycle 231 are all-231 and the
+    rest mixed.
 
-    Only the 1 -> b -> c root is walked, so no walked member is all-312.
-    The inverses of those members are the members with root 1 -> c -> b:
-    inversion swaps rows 1 and 2 and, in each column, the 231 and 312 bits
-    (:func:`inverse_mask`), so the table adds that relabelled copy of the
-    walked half.
+    Only the 1 -> b -> c root is walked, so no walked member is all-312.  A
+    walked member is all-231 when each cycle a -> b -> c has b < c, that is
+    when 2n of its entries exceed their positions (a 312 cycle has one such
+    entry, a 231 cycle two).  The inverses of those members are the members
+    with root 1 -> c -> b: inversion swaps rows 1 and 2 and, in each column,
+    the 231 and 312 bits (:func:`inverse_mask`), so the table adds that
+    relabelled copy of the walked half.
     """
     half = [[0] * 64 for _ in range(3)]
-    for _, n231, contained in star_walk(
+    for vals, contained in star_walk(
         n, (*pair, FORM_231), None, PROFILE_PATTERNS, False
     ):
-        half[2 if n231 == n else 0][63 ^ contained] += 1
-    for row, total in zip(half, completion_rows(1, 1, n - 1)):
+        rises = sum(i < v for i, v in enumerate(vals, 1))
+        half[2 if rises == 2 * n else 0][63 ^ contained] += 1
+    each = triple_splits(n - 1)
+    for row, total in zip(half, ((each << n - 1) - each, 0, each)):
         row[0] = total - sum(row)
     return [
         [cell + mirror[col] for cell, col in zip(cells, _INVERSE_COLUMNS)]

@@ -9,13 +9,15 @@ node.  That loses no member, since a placed entry never changes, so an
 occurrence among the placed entries is one in every permutation below them.
 The avoidance profile runs the same walk unpruned and drops a subtree whose
 placed entries already contain all six patterns, whose members it counts in
-column 0 by subtraction (``_kernels.avoidance_profile``).  Counts and
-profiles walk only the members whose root cycle is 1 -> b -> c: their
+column 0 by subtraction (``_kernels.avoidance_profile``).  Every walk,
+enumeration included, covers one root partner pair (b, c).  Counts and
+profiles walk only its members whose root cycle is 1 -> b -> c: their
 inverses are the members with root 1 -> c -> b, and a permutation contains
 a pattern exactly when its inverse contains the pattern's inverse, so the
-other half is read off the walked one.  Enumeration does the same when the
-query is its own inverse image, and sorts the inverses into the walk's
-order (``_kernels.star_members``).  A count of the single pattern 132 walks
+other half is read off the walked one.  Enumeration goes pair by pair, in
+pair order; it does the same when the query is its own inverse image,
+sorting the inverses into the walk's order, and otherwise walks both roots
+(``_kernels.star_members``).  A count of the single pattern 132 walks
 its twin 213, its image under reverse-complement after inverse, which walks
 fewer nodes.  No counting shortcut from the formula modules is consulted,
 so these results can serve as the independent side of every
@@ -36,7 +38,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-from typing import BinaryIO, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterator, NamedTuple, Sequence
 
 from threecycle import _kernels, perm
 from threecycle.errors import ResourceLimitError
@@ -121,16 +123,12 @@ def _workers(jobs: int, tasks: int) -> int:
     return min(jobs, tasks, os.cpu_count() or 1)
 
 
-def _task(args: tuple):
-    name, *call = args
-    return getattr(_kernels, name)(*call)
-
-
-def _fork(share: list[tuple]) -> tuple[int, BinaryIO]:
-    """Run ``share`` in a forked child; return its pid and the read end of
-    the pipe that carries the pickled ``(ok, results or exception)``.  The
-    child always leaves by ``os._exit``, so it never flushes or runs what
-    it inherited from this process (buffered stdout, exit handlers)."""
+def _fork(kernel: Callable, share: list[tuple]) -> tuple[int, BinaryIO]:
+    """Call ``kernel`` on each argument tuple of ``share`` in a forked child;
+    return its pid and the read end of the pipe that carries the pickled
+    ``(ok, results or exception)``.  The child always leaves by
+    ``os._exit``, so it never flushes or runs what it inherited from this
+    process (buffered stdout, exit handlers)."""
     import pickle
 
     rfd, wfd = os.pipe()
@@ -142,7 +140,7 @@ def _fork(share: list[tuple]) -> tuple[int, BinaryIO]:
     try:
         os.close(rfd)
         try:
-            result = (True, [_task(t) for t in share])
+            result = (True, [kernel(*t) for t in share])
         except BaseException as exc:
             result = (False, exc)
         with os.fdopen(wfd, "wb") as fh:
@@ -152,21 +150,21 @@ def _fork(share: list[tuple]) -> tuple[int, BinaryIO]:
         os._exit(status)
 
 
-def _fan_out(name: str, ns: Sequence[int], jobs: int, *rest) -> list[list]:
-    """For each n in ``ns``, the parts of ``_kernels.<name>(n, *rest, pair)``
-    for each root partner pair: one task list, so any ``jobs`` makes the
+def _fan_out(kernel: Callable, ns: Sequence[int], jobs: int, *rest) -> list[list]:
+    """For each n in ``ns``, the parts of ``kernel(n, *rest, pair)`` for
+    each root partner pair: one task list, so any ``jobs`` makes the
     same calls.  Worker k of w runs tasks k, k + w, ...: worker 0 is this
     process, the others forked children (:func:`_fork`), read and reaped in
     turn once this process's share is done; a child's exception is raised
     here.  On any exception here, every child not yet reaped is killed and
-    reaped before it propagates.  The kernel is looked up by name when it
-    runs, so a rebound attribute is the one called.  Sizes are checked, and
-    refused over the bound, before any work."""
+    reaped before it propagates.  Callers pass the kernel as it is bound in
+    ``_kernels`` when they are called, so a rebound one is the one run.
+    Sizes are checked, and refused over the bound, before any work."""
     if not ns or min(ns) < 1:
         raise ValueError("n must be >= 1")
     check_limits(max(ns))
     pairs = [_kernels.star_pairs(n) for n in ns]
-    tasks = [(name, n, *rest, p) for n, ps in zip(ns, pairs) for p in ps]
+    tasks = [(n, *rest, p) for n, ps in zip(ns, pairs) for p in ps]
     w = _workers(jobs, len(tasks))
     results: list = [None] * len(tasks)
     children: list[tuple[int, BinaryIO]] = []  # forked, not yet reaped
@@ -175,8 +173,8 @@ def _fan_out(name: str, ns: Sequence[int], jobs: int, *rest) -> list[list]:
         import signal
     try:
         for k in range(1, w):
-            children.append(_fork(tasks[k::w]))
-        results[::w] = map(_task, tasks[::w])
+            children.append(_fork(kernel, tasks[k::w]))
+        results[::w] = [kernel(*t) for t in tasks[::w]]
         for k in range(1, w):
             pid, pipe = children[0]
             with pipe:
@@ -229,7 +227,7 @@ def oracle_counts(
     q = AvoidanceQuery(max(ns, default=0), patterns, form)
     if q.patterns == {(1, 3, 2)}:
         q = q._replace(patterns=frozenset({(2, 1, 3)}))
-    parts = _fan_out("count_avoiders", ns, jobs, q.sorted_patterns(), q.form)
+    parts = _fan_out(_kernels.count_avoiders, ns, jobs, q.sorted_patterns(), q.form)
     return [sum(p) for p in parts]
 
 
@@ -237,7 +235,7 @@ def avoidance_profiles(ns: Sequence[int], jobs: int = 1) -> list[list[list[int]]
     """The :func:`avoidance_profile` table of each n in ``ns``, in order."""
     return [
         [[sum(cells) for cells in zip(*rows)] for rows in zip(*parts)]
-        for parts in _fan_out("avoidance_profile", ns, jobs)
+        for parts in _fan_out(_kernels.avoidance_profile, ns, jobs)
     ]
 
 
@@ -326,9 +324,12 @@ def closed_form_pair(n: int, pair: Sequence[perm.Perm] | frozenset[perm.Perm]) -
     {213, 321}; 1 for {132, 231}, {132, 312}, {213, 231}, {213, 312},
     {231, 321} and {312, 321}.
 
-    These are the values the pairs take for every n >= 3 as well, so for
-    n >= 2 the pair is reduced by the inverse and reverse-complement
-    symmetries to a representative class (values 2, 1 or 0).
+    For n >= 2 the pair is reduced by the inverse and reverse-complement
+    symmetries to a representative class (values 2, 1 or 0), and the class
+    takes its n = 2 value.  No argument is given here that the values hold
+    for n >= 3: they are checked against the oracle only as far as the
+    oracle reaches (``verify --max-n 6``, ``tests/golden/verify_all_n6.txt``).
+    ROADMAP item 7 describes the eight members behind them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

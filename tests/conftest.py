@@ -172,7 +172,7 @@ def star_part(n, choice, form=None, patterns=()):
     buffer copied as it is yielded."""
     from threecycle import _kernels
 
-    return [tuple(p) for p, _, _ in _kernels.star_walk(n, choice, form, patterns)]
+    return [tuple(p) for p, _ in _kernels.star_walk(n, choice, form, patterns)]
 
 
 def staircase_word(t):

@@ -148,6 +148,13 @@ class TestBackend:
             backend.count_avoiders(2, ((3, 2, 1),), None, (2, 3, 7))
         with pytest.raises(ValueError):
             backend.avoidance_profile(2, (2, 3, 3))
+        # every walk is rooted, and no root exists at n = 0; the enumeration
+        # there loops over no pair
+        with pytest.raises(ValueError):
+            list(backend.star_walk(2, None))
+        with pytest.raises(ValueError):
+            list(backend.star_walk(0, (2, 3, "231")))
+        assert list(perm.iterate_star(0)) == []
 
     def test_invalid_form_rejected(self, backend):
         with pytest.raises(ValueError):
@@ -242,11 +249,13 @@ def test_inverse_half_mirrors_walked_half():
 def test_halved_enumeration_matches_plain_walk(n, pattern_sets):
     # iterate_star walks a self-mirrored query's root half once and sorts
     # the inverses into place: the stream, order included, is the plain
-    # walk's
+    # walks' under every root choice in turn
     for patterns in pattern_sets:
         for form in FORMS:
             plain = [
-                tuple(p) for p, _, _ in _kernels.star_walk(n, None, form, patterns)
+                p
+                for choice in first_choices(n)
+                for p in star_part(n, choice, form, patterns)
             ]
             got = list(perm.iterate_star(n, form=form, patterns=patterns))
             assert got == plain, (n, patterns, form)
@@ -282,7 +291,7 @@ def test_profile_walk_yields_only_unsaturated_members():
     yields = [
         mask
         for b, c in _kernels.star_pairs(4)
-        for _, _, mask in _kernels.star_walk(
+        for _, mask in _kernels.star_walk(
             4, (b, c, _kernels.FORM_231), None, _kernels.PROFILE_PATTERNS, False
         )
     ]
@@ -305,16 +314,16 @@ def pair_histogram(n, pair):
 
 
 @pytest.mark.parametrize(
-    "cycles,first,n231,rows",
+    "cycles,first,rows",
     [
         # (1,5,2)(3,6,4) is one-line 5 1 6 3 2 4 so far: all six patterns
-        ("(1,5,2)(3,6,4)", (2, 5, _kernels.FORM_312), 0, (30, 10, 0)),
-        ("(1,2,5)(3,4,6)", (2, 5, _kernels.FORM_231), 2, (30, 0, 10)),
-        ("(1,2,5)(3,6,4)", (2, 5, _kernels.FORM_231), 1, (40, 0, 0)),
+        ("(1,5,2)(3,6,4)", (2, 5, _kernels.FORM_312), (30, 10, 0)),
+        ("(1,2,5)(3,4,6)", (2, 5, _kernels.FORM_231), (30, 0, 10)),
+        ("(1,2,5)(3,6,4)", (2, 5, _kernels.FORM_231), (40, 0, 0)),
     ],
     ids=["all-312", "all-231", "mixed"],
 )
-def test_saturated_prefix_split(cycles, first, n231, rows):
+def test_saturated_prefix_split(cycles, first, rows):
     # two cycles placed at n = 4 already contain all six patterns; the 40
     # completions put the star set of [7..12] on the free positions
     prefix = perm.parse_cycles(cycles)
@@ -324,11 +333,10 @@ def test_saturated_prefix_split(cycles, first, n231, rows):
     want = leaf_histogram(completions)
     assert [row[0] for row in want] == list(rows)
     assert sum(map(sum, want)) == sum(rows)
-    assert _kernels.completion_rows(n231, 2, 2) == rows
     # the unpruned walk yields none of them: the saturated subtree is dropped
     hits = [
         vals
-        for vals, _, _ in _kernels.star_walk(
+        for vals, _ in _kernels.star_walk(
             4, first, None, _kernels.PROFILE_PATTERNS, False
         )
         if tuple(vals[:6]) == prefix
@@ -353,6 +361,17 @@ def test_saturated_prefix_split(cycles, first, n231, rows):
         (lambda: oracle.oracle_count(oracle.query(4, "132")), 16855, 16855),
         (lambda: oracle.oracle_count(oracle.query(4, "132", form="312")), 7328, 7328),
         (lambda: list(perm.iterate_star(4, patterns=[(1, 3, 2)])), 22959, 22959),
+        (lambda: list(perm.iterate_star(4, patterns=[(2, 3, 1)])), 13022, 13022),
+        (
+            lambda: list(perm.iterate_star(4, form="312", patterns=[(1, 3, 2)])),
+            8819,
+            8819,
+        ),
+        (
+            lambda: list(perm.iterate_star(4, form="231", patterns=[(3, 2, 1)])),
+            5206,
+            5206,
+        ),
     ],
     ids=[
         "profile",
@@ -364,6 +383,9 @@ def test_saturated_prefix_split(cycles, first, n231, rows):
         "oracle-count-132-n4",
         "oracle-count-132-312-n4",
         "enumerate-132-n4",
+        "enumerate-231-n4",
+        "enumerate-132-312-n4",
+        "enumerate-321-231-n4",
     ],
 )
 def test_walk_containment_tests_pinned(run, scans, asked, monkeypatch):
@@ -373,7 +395,8 @@ def test_walk_containment_tests_pinned(run, scans, asked, monkeypatch):
     # contains an avoided pattern, or the 1 -> c -> b root half that the
     # inverses give, raises the scans; losing the mask of the patterns
     # already contained raises the patterns asked for.  The oracle counts
-    # 132 as its twin 213, and enumerate walks each pair's root half once.
+    # 132 as its twin 213, and enumerate walks each pair's root half once
+    # when the query is its own mirror, and both roots directly otherwise.
     real = _kernels.contained_patterns
     seen = [0, 0]
 
@@ -492,7 +515,8 @@ def test_walk_mask_bits_follow_profile_patterns():
     patterns = [(3, 2, 1), (1, 2, 3), (3, 2, 1)]
     masks = {
         tuple(vals): mask
-        for vals, _, mask in _kernels.star_walk(2, None, None, patterns, False)
+        for choice in first_choices(2)
+        for vals, mask in _kernels.star_walk(2, choice, None, patterns, False)
     }
     for vals, mask in masks.items():
         assert mask == naive_mask(vals) & 33, vals
@@ -504,7 +528,7 @@ def test_walk_mask_bits_follow_profile_patterns():
 def test_malformed_patterns_refused_before_walking(pattern):
     with pytest.raises(ValueError, match="patterns must have length 3"):
         _kernels.pattern_mask([pattern])
-    walk = _kernels.star_walk(2, None, None, [(3, 2, 1), pattern])
+    walk = _kernels.star_walk(2, (2, 3, "231"), None, [(3, 2, 1), pattern])
     with pytest.raises(ValueError, match="patterns must have length 3"):
         next(walk)
     with pytest.raises(ValueError, match="patterns must have length 3"):

@@ -203,14 +203,12 @@ class TestWorkers:
         [("count_avoiders", (((3, 2, 1),), None)), ("avoidance_profile", ())],
         ids=["count", "profile"],
     )
-    def test_one_task_list_whatever_the_jobs(
-        self, name, rest, forks, monkeypatch, tmp_path
-    ):
+    def test_one_task_list_whatever_the_jobs(self, name, rest, forks, tmp_path):
         # one kernel call per root partner pair, each made once: in star_pairs
         # order in this process at jobs=1, and at jobs=2 the even-numbered
         # tasks here and the odd-numbered ones in the forked worker, with the
-        # same parts.  The calls are logged to a file, which both processes
-        # append to.
+        # same parts.  The kernel passed in logs its calls to a file, which
+        # both processes append to.
         real = getattr(oracle._kernels, name)
         log = tmp_path / "calls"
 
@@ -225,11 +223,10 @@ class TestWorkers:
             return [(int(pid), (int(n), (int(b), int(c)))) for pid, n, b, c in lines]
 
         pairs = [(3, pair) for pair in oracle._kernels.star_pairs(3)]
-        monkeypatch.setattr(oracle._kernels, name, recording)
-        serial = oracle._fan_out(name, [3], 1, *rest)
+        serial = oracle._fan_out(recording, [3], 1, *rest)
         assert calls() == [(os.getpid(), task) for task in pairs]
         assert forks == []
-        assert oracle._fan_out(name, [3], 2, *rest) == serial
+        assert oracle._fan_out(recording, [3], 2, *rest) == serial
         assert forks == [1]
         made = calls()
         here = [task for pid, task in made if pid == os.getpid()]
