@@ -15,8 +15,11 @@ its inverses (``inverse_mask``, and for a count ``mirror_query``).  An
 enumeration (``star_members``) goes pair by pair: it does the same when the
 query is its own mirror, sorting the inverses into the walk's order, and
 otherwise walks both roots.  The profile walk drops a subtree once its
-placed entries contain all six patterns, and fills column 0 by
-subtraction.  The oracle adds up one call per pair.
+placed entries contain all six patterns, and leaves column 0 to the
+oracle.  It also places the cycle of the top element 3n right after the
+root and walks one member of each orbit of an involution, reverse-complement
+after inverse or reverse-complement by that cycle's form, counting the
+other member by a column relabel.  The oracle adds up one call per pair.
 
 Conventions: permutations are 1-based one-line sequences; a 3-cycle placed as
 a -> b -> c with a < b < c realizes the pattern 231, while a -> c -> b
@@ -183,25 +186,29 @@ def _patterns(mask: int) -> tuple[tuple[int, ...], ...]:
 
 def star_walk(
     n: int,
-    root: tuple[int, int, str],
+    root: tuple[int, int, str] | tuple[int, int, str, int, int, str],
     form: str | None = None,
     patterns: Sequence[Sequence[int]] = (),
     prune: bool = True,
 ) -> Iterator[tuple[list[int], int]]:
     """Depth-first walk over the permutations of [3n] built only from
-    3-cycles whose root cycle is ``root``, tracking which of ``patterns``
+    3-cycles whose first cycles are ``root``, tracking which of ``patterns``
     their entries contain.
 
     ``root = (b, c, root_form)``, with ``(b, c)`` in :func:`star_pairs` and
-    ``root_form`` "231" or "312", is the cycle 1 -> b -> c or 1 -> c -> b;
-    anything else, and any root at n = 0, raises ValueError.  The walks
-    under all roots, taken pair by pair with 231 before 312, partition the
-    star set at ``n``.  Each further cycle is one frame.  It places
-    the smallest unplaced element ``a`` with each pair of partners from its
-    free list, the unplaced elements above ``a``, in lexicographic order,
-    and each pair as a -> b -> c before a -> c -> b, so the order is
-    reproducible.  ``form`` ("231" or "312") allows only one orientation,
-    the root's included.
+    ``root_form`` "231" or "312", is the cycle 1 -> b -> c or 1 -> c -> b.
+    It may go on with the cycle of the top element 3n, as ``(b, c,
+    root_form, x, y, top_form)`` with 1 < x < y < 3n, x and y not b or c,
+    and c < 3n: x -> y -> 3n for "231", x -> 3n -> y for "312".  Anything
+    else, and any root at n = 0, raises ValueError.  The walks under all
+    one-cycle roots, taken pair by pair with 231 before 312, partition the
+    star set at ``n``, and so do those under a one-cycle root's two-cycle
+    extensions.  Each cycle is one frame, the root's too.  Every further
+    frame places the smallest unplaced element ``a`` with each pair of
+    partners from its free list, the unplaced elements above ``a``, in
+    lexicographic order, and each pair as a -> b -> c before a -> c -> b,
+    so the order is reproducible.  ``form`` ("231" or "312") allows only one
+    orientation, the root's included.
 
     Each node carries the mask of the patterns the entries placed so far
     contain: bit i stands for ``PROFILE_PATTERNS[i]``, whatever the order of
@@ -227,14 +234,28 @@ def star_walk(
     want = pattern_mask(patterns)
     full = want if want and not prune else -1
     m = 3 * n
+    # the root's cycles (a, b, c, form), a < b < c, each placed as one frame
+    cycles = []
+    if root is not None and len(root) in (3, 6):
+        cycles.append((1, *root[:3]))
+        if len(root) == 6:
+            cycles.append((root[3], root[4], m, root[5]))
+    ends = [e for cycle in cycles for e in cycle[:3]]
     if not (
-        root is not None
-        and len(root) == 3
-        and 1 < root[0] < root[1] <= m
-        and root[2] in (FORM_231, FORM_312)
+        cycles
+        and all(a < b < c and f in (FORM_231, FORM_312) for a, b, c, f in cycles)
+        and len(set(ends)) == len(ends)
+        and 1 <= min(ends) <= max(ends) <= m
     ):
         raise ValueError(f"invalid root {root} for n={n}")
     perm = [0] * m  # perm[i - 1] is the image of i; 0 while i is unplaced
+    # frame k of the root: its smallest element, its one partner pair and
+    # the forms it may take, all 0-based like perm's indices
+    frames = [
+        (a - 1, [(b - 1, c - 1)], (f,) if f in forms else ())
+        for a, b, c, f in cycles
+    ]
+    preset = len(frames)
 
     def walk(
         depth: int,
@@ -264,6 +285,9 @@ def star_walk(
                 if depth == n:
                     yield perm, seen
                     continue
+                if depth < preset:
+                    yield from walk(depth + 1, seen, bits, *frames[depth])
+                    continue
                 below = perm.index(0)
                 free = [i for i in range(below + 1, m) if not perm[i]]
                 yield from walk(
@@ -271,9 +295,13 @@ def star_walk(
                 )
             perm[a] = perm[b] = perm[c] = 0
 
-    b, c, root_form = root
-    root_forms = (root_form,) if root_form in forms else ()
-    yield from walk(1, 0, 0, 0, [(b - 1, c - 1)], root_forms)
+    try:
+        yield from walk(1, 0, 0, *frames[0])
+    finally:
+        # walk refers to itself through its closure: break that cycle, so
+        # that each walk's state is freed when it ends, not by the cycle
+        # collector (the profile makes a walk per top cycle)
+        del walk
 
 
 def mirror_query(
@@ -392,10 +420,18 @@ def triple_splits(k: int) -> int:
     return math.factorial(3 * k) // (math.factorial(k) * 6**k)
 
 
+#: column -> its column under reverse-complement after inverse, which swaps
+#: 132 and 213 and keeps the forms, and under reverse-complement, which also
+#: swaps 231 and 312 and with them the forms
+_RC_INVERSE_COLUMNS = tuple(c & ~6 | c >> 1 & 2 | c << 1 & 4 for c in range(64))
+_RC_COLUMNS = tuple(_INVERSE_COLUMNS[c] for c in _RC_INVERSE_COLUMNS)
+
+
 def avoidance_profile(n: int, pair: tuple[int, int]) -> list[list[int]]:
-    """The 3-cycle-only permutations of [3n] whose root cycle uses the
-    partners ``pair`` (see :func:`star_pairs`), histogrammed by (form class,
-    avoidance mask) from one walk; the pairs' tables sum to the whole.
+    """One root partner pair's part (see :func:`star_pairs`) of the
+    histogram of the 3-cycle-only permutations of [3n] by (form class,
+    avoidance mask).  The pairs' parts sum to the whole table but for column
+    0, which every part leaves at 0 and the oracle fills on the sum.
 
     Returns a 3 x 64 table: row 0 counts permutations with mixed cycle forms,
     row 1 all-312, row 2 all-231; column ``mask`` has bit i set when the
@@ -406,29 +442,58 @@ def avoidance_profile(n: int, pair: tuple[int, int]) -> list[list[int]]:
     placed entries contain and tests each node only for the patterns not yet
     in it, so a member's column is known once its last cycle is placed, with
     no scan of the finished permutation.  A subtree whose placed entries
-    already contain all six patterns is not walked, and its members are not
-    yielded: they are column 0, which each row fills by subtraction from the
-    root's ``triple_splits(n - 1) << n - 1`` completions, of which the
-    ``triple_splits(n - 1)`` with every new cycle 231 are all-231 and the
-    rest mixed.
+    already contain all six patterns is not walked: its members are column
+    0.  A walked member is all-231 when each cycle a -> b -> c has b < c,
+    that is when 2n of its entries exceed their positions (a 312 cycle has
+    one such entry, a 231 cycle two).
 
-    Only the 1 -> b -> c root is walked, so no walked member is all-312.  A
-    walked member is all-231 when each cycle a -> b -> c has b < c, that is
-    when 2n of its entries exceed their positions (a 312 cycle has one such
-    entry, a 231 cycle two).  The inverses of those members are the members
-    with root 1 -> c -> b: inversion swaps rows 1 and 2 and, in each column,
-    the 231 and 312 bits (:func:`inverse_mask`), so the table adds that
-    relabelled copy of the walked half.
+    Only members with a root 1 -> b -> c are walked, the half W.  Their
+    inverses are the members with root 1 -> c -> b: inversion swaps rows 1
+    and 2 and, in each column, the 231 and 312 bits (:func:`inverse_mask`),
+    so the table adds that relabelled copy of the walked part.
+
+    Within W the walk takes one member of each orbit of an involution tau.
+    Let T = {x, y, N}, x < y, be the cycle of the top element N = 3n.  tau
+    is reverse-complement after inverse when T is 231, and
+    reverse-complement when T is 312.  Either maps T onto the root
+    1 -> N+1-y -> N+1-x, so the member's key (N+1-y, N+1-x), or (N+1-b, N)
+    when the root holds N, is the root pair of its image; and it maps the
+    root onto a top cycle of T's form, so tau(tau(p)) = p.  Both maps keep
+    the row; the column relabels by swapping the 132 and 213 bits, and under
+    reverse-complement the 231 and 312 bits too.  The pair's walks place the
+    root and then each top cycle in turn (one walk when the root holds N),
+    skipping those whose key is below the pair, whose members that pair
+    counts as images.  A member whose key is the pair counts once, since
+    its image is walked here too; any other counts twice, the second time
+    in its image's column.
     """
+    m = 3 * n
+    b, c = pair = tuple(pair)
+    if not 1 < b < c <= m:
+        raise ValueError(f"invalid pair {pair} for n={n}")
+    if c == m:
+        tops = [((b, c, FORM_231), (m + 1 - b, m), _RC_INVERSE_COLUMNS)]
+    else:
+        rest = [v for v in range(2, m) if v != b and v != c]
+        tops = [
+            ((b, c, FORM_231, x, y, top_form), (m + 1 - y, m + 1 - x), relabel)
+            for x, y in itertools.combinations(rest, 2)
+            for top_form, relabel in (
+                (FORM_231, _RC_INVERSE_COLUMNS),
+                (FORM_312, _RC_COLUMNS),
+            )
+        ]
     half = [[0] * 64 for _ in range(3)]
-    for vals, contained in star_walk(
-        n, (*pair, FORM_231), None, PROFILE_PATTERNS, False
-    ):
-        rises = sum(i < v for i, v in enumerate(vals, 1))
-        half[2 if rises == 2 * n else 0][63 ^ contained] += 1
-    each = triple_splits(n - 1)
-    for row, total in zip(half, ((each << n - 1) - each, 0, each)):
-        row[0] = total - sum(row)
+    for root, key, relabel in tops:
+        if key < pair:
+            continue
+        for vals, contained in star_walk(n, root, None, PROFILE_PATTERNS, False):
+            rises = sum(i < v for i, v in enumerate(vals, 1))
+            row = half[2 if rises == 2 * n else 0]
+            col = 63 ^ contained
+            row[col] += 1
+            if key != pair:
+                row[relabel[col]] += 1
     return [
         [cell + mirror[col] for cell, col in zip(cells, _INVERSE_COLUMNS)]
         for cells, mirror in zip(half, (half[0], half[2], half[1]))

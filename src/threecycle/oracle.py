@@ -8,20 +8,24 @@ so far contain an avoided pattern, found by one linear containment scan per
 node.  That loses no member, since a placed entry never changes, so an
 occurrence among the placed entries is one in every permutation below them.
 The avoidance profile runs the same walk unpruned and drops a subtree whose
-placed entries already contain all six patterns, whose members it counts in
-column 0 by subtraction (``_kernels.avoidance_profile``).  Every walk,
-enumeration included, covers one root partner pair (b, c).  Counts and
-profiles walk only its members whose root cycle is 1 -> b -> c: their
-inverses are the members with root 1 -> c -> b, and a permutation contains
-a pattern exactly when its inverse contains the pattern's inverse, so the
-other half is read off the walked one.  Enumeration goes pair by pair, in
-pair order; it does the same when the query is its own inverse image,
-sorting the inverses into the walk's order, and otherwise walks both roots
-(``_kernels.star_members``).  A count of the single pattern 132 walks
-its twin 213, its image under reverse-complement after inverse, which walks
-fewer nodes.  No counting shortcut from the formula modules is consulted,
-so these results can serve as the independent side of every
-formula-vs-oracle check.
+placed entries already contain all six patterns; their members are column
+0, which :func:`avoidance_profiles` fills once per table by subtraction from
+the closed-form row totals.  Every walk, enumeration included, covers one
+root partner pair (b, c).  Counts and profiles walk only its members whose
+root cycle is 1 -> b -> c: their inverses are the members with root
+1 -> c -> b, and a permutation contains a pattern exactly when its inverse
+contains the pattern's inverse, so the other half is read off the walked
+one.  The profile also uses the other symmetry of the pattern classes,
+reverse-complement: it walks one member of each pair {p, tau(p)} of walked
+members, tau chosen by the form of the top element's cycle, and counts
+tau(p) by relabelling p's column (``_kernels.avoidance_profile``).
+Enumeration goes pair by pair, in pair order; it does the same as a count
+when the query is its own inverse image, sorting the inverses into the
+walk's order, and otherwise walks both roots (``_kernels.star_members``).
+A count of the single pattern 132 walks its twin 213, its image under
+reverse-complement after inverse, which walks fewer nodes.  No counting
+shortcut from the formula modules is consulted, so these results can serve
+as the independent side of every formula-vs-oracle check.
 
 Sizes are bounded by one constant, n <= WALK_LIMIT, checked before any
 work; no flag lifts it (the star set grows by a factor ~270 per step).
@@ -232,11 +236,19 @@ def oracle_counts(
 
 
 def avoidance_profiles(ns: Sequence[int], jobs: int = 1) -> list[list[list[int]]]:
-    """The :func:`avoidance_profile` table of each n in ``ns``, in order."""
-    return [
-        [[sum(cells) for cells in zip(*rows)] for rows in zip(*parts)]
-        for parts in _fan_out(_kernels.avoidance_profile, ns, jobs)
-    ]
+    """The :func:`avoidance_profile` table of each n in ``ns``, in order: the
+    pair parts added, and column 0 (every pattern contained), which no part
+    counts, filled as each row's total minus the rest.  Of the
+    ``triple_splits(n)`` ways to split [3n] into triples, each closes in
+    ``2**n`` ways: one all-312, one all-231, and the rest mixed."""
+    tables = []
+    for n, parts in zip(ns, _fan_out(_kernels.avoidance_profile, ns, jobs)):
+        table = [[sum(cells) for cells in zip(*rows)] for rows in zip(*parts)]
+        splits = _kernels.triple_splits(n)
+        for row, total in zip(table, ((splits << n) - 2 * splits, splits, splits)):
+            row[0] = total - sum(row[1:])
+        tables.append(table)
+    return tables
 
 
 def avoidance_profile(n: int, jobs: int = 1) -> list[list[int]]:
@@ -252,8 +264,16 @@ def profile_count(
     patterns: Sequence[perm.Perm],
     form: str | None = None,
 ) -> int:
-    """Extract one avoidance count from an :func:`avoidance_profile` table;
-    a pattern that is not a permutation of 1..3 raises ValueError."""
+    """Extract one avoidance count from an :func:`avoidance_profile` table:
+    the cells of the form's rows whose columns avoid every pattern.  A
+    pattern that is not a permutation of 1..3 raises ValueError.
+
+    >>> table = avoidance_profile(2)
+    >>> profile_count(table, [(3, 2, 1)]), profile_count(table, [(3, 2, 1)], "312")
+    (10, 3)
+    >>> profile_count(table, [(1, 3, 2), (2, 1, 3)]), profile_count(table, [])
+    (2, 40)
+    """
     required = _kernels.pattern_mask(patterns)
     if form is None:
         rows: tuple[int, ...] = (0, 1, 2)

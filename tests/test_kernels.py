@@ -4,6 +4,7 @@ statistic."""
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -46,13 +47,6 @@ def whole_count(n, patterns, form=None):
     )
 
 
-def whole_profile(n):
-    """The kernel's profile tables over every root partner pair, added."""
-    return add_tables(
-        *(_kernels.avoidance_profile(n, pair) for pair in _kernels.star_pairs(n))
-    )
-
-
 # One kernel module; the class keeps the ``[python]`` test ids it had when it
 # ran over two interchangeable backends, so test histories line up.
 @pytest.mark.parametrize("backend", [_kernels], ids=["python"])
@@ -82,7 +76,7 @@ class TestBackend:
     def test_profile_consistent_with_count(self, backend):
         order = {p: i for i, p in enumerate(backend.PROFILE_PATTERNS)}
         for n in (1, 2, 3):
-            table = whole_profile(n)
+            table = oracle.avoidance_profile(n)
             for patterns, form in QUERIES:
                 required = 0
                 for sigma in patterns:
@@ -97,15 +91,25 @@ class TestBackend:
                 assert got == whole_count(n, patterns, form)
 
     def test_profile_total_is_star_cardinality(self, backend):
+        # no pair's part counts column 0; the merged table fills it from the
+        # row totals, and the all-312 and all-231 rows hold one member per
+        # split into triples
         for n in (1, 2, 3):
-            table = whole_profile(n)
+            for pair in backend.star_pairs(n):
+                part = backend.avoidance_profile(n, pair)
+                assert [row[0] for row in part] == [0, 0, 0], (n, pair)
+            table = oracle.avoidance_profile(n)
             assert sum(sum(row) for row in table) == perm.star_cardinality(n)
+            assert sum(table[1]) == sum(table[2]) == backend.triple_splits(n)
+            assert min(row[0] for row in table) >= 0
 
     def test_first_choice_partition_sums(self, backend):
         # the root choices partition every walk, form-restricted and pruned
         # ones included: the pruned streams concatenate to the whole pruned
-        # stream in order, and the partner pairs' counts and profiles, each
-        # covering both orientations, add up to the naive filtered stream's
+        # stream in order, and the partner pairs' counts, each covering both
+        # orientations, add up to the naive filtered stream's; each pair's
+        # profile is the histogram of its orbit share, and the shares add up
+        # to the naive histogram but for column 0, which the oracle fills
         for n in (2, 3):
             pairs = _kernels.star_pairs(n)
             marked = mark_members(perm.iterate_star(n))
@@ -125,7 +129,10 @@ class TestBackend:
                     ]
                     assert pieces == whole == want, (n, patterns, form)
             parts = [backend.avoidance_profile(n, pair) for pair in pairs]
-            assert add_tables(*parts) == leaf_histogram(perm.iterate_star(n))
+            for pair, part in zip(pairs, parts):
+                assert part == share_histogram(n, pair), (n, pair)
+            want = leaf_histogram(perm.iterate_star(n))
+            assert add_tables(*parts) == without_column_0(want), n
 
     def test_h_of_tset_matches_word_walk(self, backend):
         # against the letter-by-letter reference, not the scan it wraps
@@ -155,6 +162,18 @@ class TestBackend:
         with pytest.raises(ValueError):
             list(backend.star_walk(0, (2, 3, "231")))
         assert list(perm.iterate_star(0)) == []
+        # a root's second cycle holds the top element and no root element,
+        # and the root then does not hold the top element
+        for root in [
+            (2, 3, "231", 3, 5, "231"),
+            (2, 6, "231", 4, 5, "231"),
+            (2, 3, "231", 5, 4, "231"),
+            (2, 3, "231", 0, 5, "312"),
+            (2, 3, "231", 4, 5, "213"),
+            (2, 3, "231", 4, 5),
+        ]:
+            with pytest.raises(ValueError):
+                list(backend.star_walk(2, root))
 
     def test_invalid_form_rejected(self, backend):
         with pytest.raises(ValueError):
@@ -188,16 +207,83 @@ def add_tables(*tables):
     return [[sum(cells) for cells in zip(*rows)] for rows in zip(*tables)]
 
 
+def without_column_0(table):
+    return [[0, *row[1:]] for row in table]
+
+
+def top_image(p):
+    """The involution of the profile's orbit rule: with T the cycle of the
+    top element 3n, reverse-complement after inverse when T is 231
+    (3n -> x -> y with x < y), reverse-complement when T is 312."""
+    x = p[-1]
+    if x < p[x - 1]:
+        return perm.reverse_complement(perm.inverse(p))
+    return perm.reverse_complement(p)
+
+
+def root_pair(p):
+    """The partner pair (b, c) of a member with root cycle 1 -> b -> c."""
+    return p[0], p[p[0] - 1]
+
+
+def orbit_key(p):
+    """(N+1-y, N+1-x) for the top cycle {x, y, N} of ``p``, N = 3n, x < y."""
+    m = len(p)
+    x, y = sorted((p[-1], p[p[-1] - 1]))
+    return m + 1 - y, m + 1 - x
+
+
+def walked_half(n):
+    """The members with a root cycle 1 -> b -> c, pair by pair."""
+    return [p for b, c in _kernels.star_pairs(n) for p in star_part(n, (b, c, "231"))]
+
+
+@functools.cache
+def orbit_share(n, pair):
+    """The walked members a pair's profile counts, by the rule read off the
+    members themselves: each member of the pair whose key is not below it,
+    and the image of each whose key is above it."""
+    share = []
+    for p in star_part(n, (*pair, "231")):
+        if orbit_key(p) >= pair:
+            share.append(p)
+        if orbit_key(p) > pair:
+            share.append(top_image(p))
+    return share
+
+
+@functools.cache
+def share_histogram(n, pair):
+    """The histogram a pair's profile should hold: its orbit share and the
+    share's inverses, the 1 -> c -> b members, with column 0 left out."""
+    share = orbit_share(n, pair)
+    return without_column_0(leaf_histogram(share + [perm.inverse(p) for p in share]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orbit_rule(n):
+    # the involution maps the walked half onto itself, its key is the root
+    # pair of the image, and the pairs' weighted shares hold every walked
+    # member exactly once
+    walked = walked_half(n)
+    members = set(walked)
+    assert len(members) == len(walked) == perm.star_cardinality(n) // 2
+    for p in walked:
+        q = top_image(p)
+        assert q in members and top_image(q) == p, p
+        assert orbit_key(p) == root_pair(q), p
+    shares = [p for pair in _kernels.star_pairs(n) for p in orbit_share(n, pair)]
+    assert collections.Counter(shares) == collections.Counter(members)
+
+
 def test_saturating_profile_matches_leaf_histogram():
     # the conftest pattern order is the profile's column order
     assert _kernels.PROFILE_PATTERNS == PATTERNS3
     for n in (1, 2, 3):
-        parts = []
-        for b, c in _kernels.star_pairs(n):
-            members = star_part(n, (b, c, "231")) + star_part(n, (b, c, "312"))
-            parts.append(leaf_histogram(members))
-            assert _kernels.avoidance_profile(n, (b, c)) == parts[-1], (n, b, c)
-        assert oracle.avoidance_profile(n) == add_tables(*parts), n
+        for pair in _kernels.star_pairs(n):
+            got = _kernels.avoidance_profile(n, pair)
+            assert got == share_histogram(n, pair), (n, pair)
+        assert oracle.avoidance_profile(n) == leaf_histogram(perm.iterate_star(n)), n
 
 
 def mapped_histogram(table, f, rows):
@@ -264,7 +350,7 @@ def test_halved_enumeration_matches_plain_walk(n, pattern_sets):
 def test_profile_n4_golden():
     # written by the leaf-by-leaf sweep that scanned every finished member
     golden = Path(__file__).parent / "golden" / "profile_n4.json"
-    table = whole_profile(4)
+    table = oracle.avoidance_profile(4)
     assert table == json.loads(golden.read_text())
     assert sum(map(sum, table)) == perm.star_cardinality(4)
 
@@ -273,15 +359,37 @@ def test_profile_n4_golden():
 def test_profile_invariant_under_reverse_complement(n):
     # conjugating by i -> 3n + 1 - i keeps the cycle type, swaps the two
     # cycle forms, and maps containment of a pattern to containment of its
-    # reverse-complement (132 <-> 213, 231 <-> 312).  The walk uses only
-    # inversion, so this checks its root choice and its mirrored half
-    # against a symmetry it does not use.  rc after inverse keeps the forms
-    # and swaps only 132 and 213.  Column 0 maps to itself, so its
-    # subtraction is checked by the totals and the pair histograms instead.
+    # reverse-complement (132 <-> 213, 231 <-> 312).  rc after inverse keeps
+    # the forms and swaps only 132 and 213.  The walk counts a member once
+    # for its image under one of the two, relabelled, so a wrong relabel or
+    # weight breaks the invariance.  Column 0 maps to itself, so its
+    # subtraction is checked by the totals and the leaf histograms instead.
     table = oracle.avoidance_profile(n)
     rc = perm.reverse_complement
     assert mapped_histogram(table, rc, (0, 2, 1)) == table
     assert mapped_histogram(table, lambda s: rc(perm.inverse(s)), (0, 1, 2)) == table
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_top_cycle_roots_partition_the_root_walk(n):
+    # a root that does not hold the top element 3n, extended by each cycle
+    # the top element can close, in both forms, walks the root's members
+    # once each; under a form only that form's extensions yield
+    m = 3 * n
+    for b, c in _kernels.star_pairs(n):
+        if c == m:
+            continue
+        rest = [v for v in range(2, m) if v not in (b, c)]
+        for form, patterns in [(None, ()), ("231", ()), (None, [(3, 2, 1)])]:
+            parts = [
+                p
+                for x, y in itertools.combinations(rest, 2)
+                for top in ("231", "312")
+                for p in star_part(n, (b, c, "231", x, y, top), form, patterns)
+            ]
+            whole = star_part(n, (b, c, "231"), form, patterns)
+            assert sorted(parts) == sorted(whole), (n, b, c, form, patterns)
+            assert len(set(parts)) == len(parts)
 
 
 def test_profile_walk_yields_only_unsaturated_members():
@@ -303,14 +411,6 @@ def test_triple_splits_times_orientations_is_star_cardinality():
     for k in range(1, 7):
         assert _kernels.triple_splits(k) * 2**k == perm.star_cardinality(k)
     assert _kernels.triple_splits(0) == 1
-
-
-@functools.cache
-def pair_histogram(n, pair):
-    """The leaf histogram of the members whose root cycle uses ``pair``,
-    both orientations."""
-    b, c = pair
-    return leaf_histogram(star_part(n, (b, c, "231")) + star_part(n, (b, c, "312")))
 
 
 @pytest.mark.parametrize(
@@ -342,19 +442,20 @@ def test_saturated_prefix_split(cycles, first, rows):
         if tuple(vals[:6]) == prefix
     ]
     assert hits == []
-    # and the pair's profile, whose column 0 is filled by subtraction, still
-    # counts them there: it is the histogram of the pair's members
-    table = _kernels.avoidance_profile(4, (2, 5))
-    assert table == pair_histogram(4, (2, 5))
+    # nor does the pair's profile count them: it is the histogram of its
+    # orbit share but for column 0, which the merged table fills by
+    # subtraction, so it counts them there
+    assert _kernels.avoidance_profile(4, (2, 5)) == share_histogram(4, (2, 5))
+    table = oracle.avoidance_profile(4)
     assert all(row[0] >= count for row, count in zip(table, rows))
 
 
 @pytest.mark.parametrize(
     "run,scans,asked",
     [
-        (lambda: oracle.avoidance_profile(3), 1348, 4028),
+        (lambda: oracle.avoidance_profile(3), 934, 3444),
         (lambda: oracle.oracle_count(oracle.query(3, "321")), 778, 778),
-        (lambda: oracle.avoidance_profile(4), 51263, 81910),
+        (lambda: oracle.avoidance_profile(4), 27645, 49678),
         (lambda: oracle.oracle_count(oracle.query(4, "321")), 13339, 13339),
         (lambda: whole_count(4, [(1, 3, 2)]), 22959, 22959),
         (lambda: oracle.oracle_count(oracle.query(4, "213")), 16855, 16855),
@@ -394,9 +495,11 @@ def test_walk_containment_tests_pinned(run, scans, asked, monkeypatch):
     # asked for do.  Walking a saturated subtree, or a subtree that already
     # contains an avoided pattern, or the 1 -> c -> b root half that the
     # inverses give, raises the scans; losing the mask of the patterns
-    # already contained raises the patterns asked for.  The oracle counts
-    # 132 as its twin 213, and enumerate walks each pair's root half once
-    # when the query is its own mirror, and both roots directly otherwise.
+    # already contained raises the patterns asked for.  The profile walks
+    # one member of each orbit under the top cycle's involution, placing
+    # the root once per top cycle it walks.  The oracle counts 132 as its
+    # twin 213, and enumerate walks each pair's root half once when the
+    # query is its own mirror, and both roots directly otherwise.
     real = _kernels.contained_patterns
     seen = [0, 0]
 
@@ -416,7 +519,7 @@ def test_walk_containment_tests_pinned(run, scans, asked, monkeypatch):
         lambda: perm.avoids((2, 4, 1, 3), (1, 3, 2)),
         lambda: list(perm.iterate_star(2, patterns=[(2, 1, 3)])),
         lambda: whole_count(2, [(2, 3, 1)]),
-        lambda: whole_profile(2),
+        lambda: oracle.avoidance_profile(2),
     ],
     ids=["avoids", "iterate_star", "count_avoiders", "avoidance_profile"],
 )
