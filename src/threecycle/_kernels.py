@@ -9,17 +9,19 @@ the values reversed, each from bit sets of the values left and right of each
 entry; it answers with a bit mask over ``PROFILE_PATTERNS``.  The walk places
 one 3-cycle per frame, drawing its partner pairs from one free list per
 frame.  Every walk, enumeration included, covers one root partner pair
-(``star_pairs``) under one root cycle, 1 -> b -> c or 1 -> c -> b.  A count
-or a profile walks the root 1 -> b -> c and reads the 1 -> c -> b half off
-its inverses (``inverse_mask``, and for a count ``mirror_query``).  An
-enumeration (``star_members``) goes pair by pair: it does the same when the
-query is its own mirror, sorting the inverses into the walk's order, and
-otherwise walks both roots.  The profile walk drops a subtree once its
-placed entries contain all six patterns, and leaves column 0 to the
-oracle.  It also places the cycle of the top element 3n right after the
-root and walks one member of each orbit of an involution, reverse-complement
-after inverse or reverse-complement by that cycle's form, counting the
-other member by a column relabel.  The oracle adds up one call per pair.
+(``star_pairs``) under one root cycle, 1 -> b -> c or 1 -> c -> b.  One
+rule halves a count and an enumeration alike: a query that is its own
+inverse image (``self_inverse``) walks the root 1 -> b -> c and reads the
+1 -> c -> b half off its inverses, and any other query walks both roots.
+Enumeration (``star_members``) sorts the inverses into the walk's order.
+The profile walks the root 1 -> b -> c and relabels its inverses' columns
+(``inverse_mask``); it drops a subtree once its placed entries contain all
+six patterns, and leaves column 0 to the oracle.  Its one walk per pair
+places the cycle of the top element 3n second, from a list of partner pairs
+carried by the root, and takes one member of each orbit of an involution,
+reverse-complement after inverse or reverse-complement by that cycle's
+form, counting the other member by a column relabel.  The oracle adds up
+one call per pair.
 
 Conventions: permutations are 1-based one-line sequences; a 3-cycle placed as
 a -> b -> c with a < b < c realizes the pattern 231, while a -> c -> b
@@ -171,22 +173,14 @@ def inverse_mask(mask: int) -> int:
 #: column -> the column of its inverses, for relabelling a profile half
 _INVERSE_COLUMNS = tuple(map(inverse_mask, range(64)))
 
-#: inverting a 3-cycle reverses it: a -> b -> c becomes a -> c -> b
-_INVERSE_FORM = {None: None, FORM_231: FORM_312, FORM_312: FORM_231}
-
-
 def _check_form(form: str | None) -> None:
-    if form not in _INVERSE_FORM:
+    if form not in (None, FORM_231, FORM_312):
         raise ValueError(f"unknown form filter: {form!r}")
-
-
-def _patterns(mask: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(p for i, p in enumerate(PROFILE_PATTERNS) if mask >> i & 1)
 
 
 def star_walk(
     n: int,
-    root: tuple[int, int, str] | tuple[int, int, str, int, int, str],
+    root: tuple[int, int, str] | tuple[int, int, str, Sequence[tuple[int, int]]],
     form: str | None = None,
     patterns: Sequence[Sequence[int]] = (),
     prune: bool = True,
@@ -197,18 +191,20 @@ def star_walk(
 
     ``root = (b, c, root_form)``, with ``(b, c)`` in :func:`star_pairs` and
     ``root_form`` "231" or "312", is the cycle 1 -> b -> c or 1 -> c -> b.
-    It may go on with the cycle of the top element 3n, as ``(b, c,
-    root_form, x, y, top_form)`` with 1 < x < y < 3n, x and y not b or c,
-    and c < 3n: x -> y -> 3n for "231", x -> 3n -> y for "312".  Anything
-    else, and any root at n = 0, raises ValueError.  The walks under all
-    one-cycle roots, taken pair by pair with 231 before 312, partition the
-    star set at ``n``, and so do those under a one-cycle root's two-cycle
-    extensions.  Each cycle is one frame, the root's too.  Every further
-    frame places the smallest unplaced element ``a`` with each pair of
-    partners from its free list, the unplaced elements above ``a``, in
-    lexicographic order, and each pair as a -> b -> c before a -> c -> b,
-    so the order is reproducible.  ``form`` ("231" or "312") allows only one
-    orientation, the root's included.
+    It may go on with a list of partner pairs ``(x, y)`` for the top element
+    3n, each with 1 < x < y < 3n, x and y not b or c, when c < 3n: the
+    second frame places 3n -> x -> y, the cycle x -> y -> 3n (231), and
+    3n -> y -> x, the cycle x -> 3n -> y (312), for each pair in the order
+    given.  Anything else, and any root at n = 0, raises ValueError.  The
+    walks under all roots ``(b, c, root_form)``, taken pair by pair with 231
+    before 312, partition the star set at ``n``; and given the parts of any
+    partition of the pairs the top element can take, a root's walks
+    partition its plain walk.  Each cycle is one frame.  Every further frame
+    places the smallest unplaced element ``a`` with each pair of partners
+    from its free list, the unplaced elements above ``a``, in lexicographic
+    order, and each pair as a -> b -> c before a -> c -> b, so the order is
+    reproducible.  ``form`` ("231" or "312") allows only one orientation,
+    the root's included.
 
     Each node carries the mask of the patterns the entries placed so far
     contain: bit i stands for ``PROFILE_PATTERNS[i]``, whatever the order of
@@ -234,27 +230,24 @@ def star_walk(
     want = pattern_mask(patterns)
     full = want if want and not prune else -1
     m = 3 * n
-    # the root's cycles (a, b, c, form), a < b < c, each placed as one frame
-    cycles = []
-    if root is not None and len(root) in (3, 6):
-        cycles.append((1, *root[:3]))
-        if len(root) == 6:
-            cycles.append((root[3], root[4], m, root[5]))
-    ends = [e for cycle in cycles for e in cycle[:3]]
+    if root is None or len(root) not in (3, 4):
+        raise ValueError(f"invalid root {root} for n={n}")
+    b, c, root_form, *more = root  # more: [] or [the top pairs]
     if not (
-        cycles
-        and all(a < b < c and f in (FORM_231, FORM_312) for a, b, c, f in cycles)
-        and len(set(ends)) == len(ends)
-        and 1 <= min(ends) <= max(ends) <= m
+        1 < b < c <= m
+        and root_form in (FORM_231, FORM_312)
+        and all(
+            c < m and 1 < x < y < m and not {x, y} & {b, c}
+            for tops in more
+            for x, y in tops
+        )
     ):
         raise ValueError(f"invalid root {root} for n={n}")
     perm = [0] * m  # perm[i - 1] is the image of i; 0 while i is unplaced
-    # frame k of the root: its smallest element, its one partner pair and
-    # the forms it may take, all 0-based like perm's indices
-    frames = [
-        (a - 1, [(b - 1, c - 1)], (f,) if f in forms else ())
-        for a, b, c, f in cycles
-    ]
+    # the root's frames: the element placed, its partner pairs and the
+    # forms it may take, all 0-based like perm's indices
+    frames = [(0, [(b - 1, c - 1)], (root_form,) if root_form in forms else ())]
+    frames += [(m - 1, [(x - 1, y - 1) for x, y in tops], forms) for tops in more]
     preset = len(frames)
 
     def walk(
@@ -300,27 +293,27 @@ def star_walk(
     finally:
         # walk refers to itself through its closure: break that cycle, so
         # that each walk's state is freed when it ends, not by the cycle
-        # collector (the profile makes a walk per top cycle)
+        # collector (a count or an enumeration makes a walk per root)
         del walk
 
 
-def mirror_query(
-    patterns: Sequence[Sequence[int]], form: str | None
-) -> tuple[tuple[tuple[int, ...], ...], str | None] | None:
-    """The ``(patterns, form)`` whose walk under a 1 -> b -> c root gives,
-    inverted, the members with root 1 -> c -> b that avoid ``patterns``
-    under ``form``, or None when that is the query itself, so that one walk
-    gives both halves.  Inversion maps a member with one root onto one with
-    the other, and a member avoiding ``patterns`` under ``form`` onto one
-    avoiding their inverses (:func:`inverse_mask`) under the inverse form.
+def self_inverse(patterns: Sequence[Sequence[int]], form: str | None) -> bool:
+    """Whether the query is its own inverse image: no form, and 231 and 312
+    both avoided or neither.  Inversion maps a member with root 1 -> b -> c
+    onto one with root 1 -> c -> b, the cycle forms onto each other, and a
+    member avoiding a pattern onto one avoiding its inverse
+    (:func:`inverse_mask`), so such a query's members with one root are the
+    inverses of those with the other.  A bad form or pattern raises
+    ValueError.
 
-    >>> mirror_query([(2, 3, 1)], None), mirror_query([(1, 3, 2)], None)
-    ((((3, 1, 2),), None), None)
+    >>> self_inverse([(1, 3, 2)], None), self_inverse([(2, 3, 1)], None)
+    (True, False)
+    >>> self_inverse([(2, 3, 1), (3, 1, 2)], None), self_inverse([], "312")
+    (True, False)
     """
     _check_form(form)
     want = pattern_mask(patterns)
-    mirror = (inverse_mask(want), _INVERSE_FORM[form])
-    return None if mirror == (want, form) else (_patterns(mirror[0]), mirror[1])
+    return form is None and inverse_mask(want) == want
 
 
 def count_avoiders(
@@ -335,18 +328,13 @@ def count_avoiders(
     partners ``pair`` (see :func:`star_pairs`); the pairs' counts sum to the
     whole.
 
-    Only the 1 -> b -> c root is walked: the walk of :func:`mirror_query`
-    counts the 1 -> c -> b half, and when there is none, the one walk counts
-    both halves.
+    A query that is its own inverse image (:func:`self_inverse`) walks only
+    the root 1 -> b -> c and doubles its count; any other walks both roots.
     """
-    mirror = mirror_query(patterns, form)
-    root = (*pair, FORM_231)
-
-    def half(half_patterns: Sequence[Sequence[int]], half_form: str | None) -> int:
-        return sum(1 for _ in star_walk(n, root, half_form, half_patterns))
-
-    count = half(patterns, form)
-    return 2 * count if mirror is None else count + half(*mirror)
+    halved = self_inverse(patterns, form)
+    roots = (FORM_231,) if halved else (FORM_231, FORM_312)
+    count = sum(1 for f in roots for _ in star_walk(n, (*pair, f), form, patterns))
+    return 2 * count if halved else count
 
 
 def _walk_key(p: tuple[int, ...]) -> list[int]:
@@ -383,19 +371,18 @@ def star_members(
     (:func:`star_pairs`), each pair's 1 -> b -> c members before its
     1 -> c -> b ones.
 
-    When the query is its own mirror (:func:`mirror_query`: no form, and
-    231 and 312 both avoided or neither) and has patterns, only the root
-    1 -> b -> c is walked: its members come in walk order, and then their
-    inverses, the members with root 1 -> c -> b, sorted into walk order.
-    Only one pair's inverses are held at a time.  Any other query walks
-    both roots, and so does the whole star set (no ``patterns``), whose
-    walk makes no scans for the halving to save.  A bad form or pattern is
-    refused before any pair, at n = 0 too.
+    A query that is its own inverse image (:func:`self_inverse`) and has
+    patterns walks only the root 1 -> b -> c, as a count does: its members
+    come in walk order, and then their inverses, the members with root
+    1 -> c -> b, sorted into walk order.  Only one pair's inverses are held
+    at a time.  Any other query walks both roots, and so does the whole star
+    set (no ``patterns``), whose walk makes no scans for the halving to
+    save.  A bad form or pattern is refused before any pair, at n = 0 too.
 
     >>> list(star_members(1)), list(star_members(1, patterns=[(2, 3, 1)]))
     ([(2, 3, 1), (3, 1, 2)], [(3, 1, 2)])
     """
-    halved = mirror_query(patterns, form) is None and len(patterns) > 0
+    halved = self_inverse(patterns, form) and len(patterns) > 0
     roots = (FORM_231,) if halved else (FORM_231, FORM_312)
     for b, c in star_pairs(n):
         inverses = []
@@ -460,39 +447,40 @@ def avoidance_profile(n: int, pair: tuple[int, int]) -> list[list[int]]:
     when the root holds N, is the root pair of its image; and it maps the
     root onto a top cycle of T's form, so tau(tau(p)) = p.  Both maps keep
     the row; the column relabels by swapping the 132 and 213 bits, and under
-    reverse-complement the 231 and 312 bits too.  The pair's walks place the
-    root and then each top cycle in turn (one walk when the root holds N),
-    skipping those whose key is below the pair, whose members that pair
-    counts as images.  A member whose key is the pair counts once, since
-    its image is walked here too; any other counts twice, the second time
-    in its image's column.
+    reverse-complement the 231 and 312 bits too.  The pair's one walk places
+    the root and then T from the top pairs (x, y) whose key is not below the
+    pair: members with a lower key are counted as images by that lower
+    pair.  When the root holds N it is T, and the walk is skipped if its key
+    is below the pair.  A yielded member reads T off its buffer, N -> u -> v
+    with T 231 exactly when v > u.  A member whose key is the pair counts
+    once, since its image is walked here too; any other counts twice, the
+    second time in its image's column.
     """
     m = 3 * n
     b, c = pair = tuple(pair)
     if not 1 < b < c <= m:
         raise ValueError(f"invalid pair {pair} for n={n}")
-    if c == m:
-        tops = [((b, c, FORM_231), (m + 1 - b, m), _RC_INVERSE_COLUMNS)]
-    else:
+    half = [[0] * 64 for _ in range(3)]
+    if c < m:
         rest = [v for v in range(2, m) if v != b and v != c]
         tops = [
-            ((b, c, FORM_231, x, y, top_form), (m + 1 - y, m + 1 - x), relabel)
+            (x, y)
             for x, y in itertools.combinations(rest, 2)
-            for top_form, relabel in (
-                (FORM_231, _RC_INVERSE_COLUMNS),
-                (FORM_312, _RC_COLUMNS),
-            )
+            if (m + 1 - y, m + 1 - x) >= pair
         ]
-    half = [[0] * 64 for _ in range(3)]
-    for root, key, relabel in tops:
-        if key < pair:
-            continue
+        walks = [(b, c, FORM_231, tops)] if tops else []
+    else:
+        walks = [(b, c, FORM_231)] if (m + 1 - b, m) >= pair else []
+    for root in walks:
         for vals, contained in star_walk(n, root, None, PROFILE_PATTERNS, False):
             rises = sum(i < v for i, v in enumerate(vals, 1))
             row = half[2 if rises == 2 * n else 0]
             col = 63 ^ contained
             row[col] += 1
-            if key != pair:
+            u = vals[-1]  # T is N -> u -> v
+            v = vals[u - 1]
+            if (m + 1 - max(u, v), m + 1 - min(u, v)) != pair:
+                relabel = _RC_INVERSE_COLUMNS if v > u else _RC_COLUMNS
                 row[relabel[col]] += 1
     return [
         [cell + mirror[col] for cell, col in zip(cells, _INVERSE_COLUMNS)]

@@ -83,6 +83,8 @@ def check_tset(t: Sequence[int]) -> tuple[int, ...]:
     t = tuple(t)
     if not t:
         raise ValueError("staircase set must be non-empty")
+    if t[0] < 1:
+        raise ValueError(f"staircase set elements must be >= 1: {t}")
     prev = 0
     for i, v in enumerate(t, start=1):
         if v <= prev:

@@ -11,21 +11,23 @@ The avoidance profile runs the same walk unpruned and drops a subtree whose
 placed entries already contain all six patterns; their members are column
 0, which :func:`avoidance_profiles` fills once per table by subtraction from
 the closed-form row totals.  Every walk, enumeration included, covers one
-root partner pair (b, c).  Counts and profiles walk only its members whose
+root partner pair (b, c).  A query that is its own inverse image (no form,
+and 231 and 312 both avoided or neither) walks only the pair's members whose
 root cycle is 1 -> b -> c: their inverses are the members with root
 1 -> c -> b, and a permutation contains a pattern exactly when its inverse
 contains the pattern's inverse, so the other half is read off the walked
-one.  The profile also uses the other symmetry of the pattern classes,
-reverse-complement: it walks one member of each pair {p, tau(p)} of walked
-members, tau chosen by the form of the top element's cycle, and counts
-tau(p) by relabelling p's column (``_kernels.avoidance_profile``).
-Enumeration goes pair by pair, in pair order; it does the same as a count
-when the query is its own inverse image, sorting the inverses into the
-walk's order, and otherwise walks both roots (``_kernels.star_members``).
-A count of the single pattern 132 walks its twin 213, its image under
-reverse-complement after inverse, which walks fewer nodes.  No counting
-shortcut from the formula modules is consulted, so these results can serve
-as the independent side of every formula-vs-oracle check.
+one, a count by doubling and an enumeration by inverting and sorting into
+the walk's order.  Any other query walks both roots
+(``_kernels.self_inverse``).  The profile walks the 1 -> b -> c half and
+relabels its inverses' columns.  It also uses the other symmetry of the
+pattern classes, reverse-complement: in one walk per pair it takes one
+member of each pair {p, tau(p)} of walked members, tau chosen by the form of
+the top element's cycle, and counts tau(p) by relabelling p's column
+(``_kernels.avoidance_profile``).  A count of the single pattern 132 walks
+its twin 213, its image under reverse-complement after inverse, which walks
+fewer nodes.  No counting shortcut from the formula modules is consulted,
+so these results can serve as the independent side of every
+formula-vs-oracle check.
 
 Sizes are bounded by one constant, n <= WALK_LIMIT, checked before any
 work; no flag lifts it (the star set grows by a factor ~270 per step).
@@ -302,22 +304,9 @@ def closed_form_123(n: int) -> int:
     return 0
 
 
-def _pattern_orbit(pair: frozenset[perm.Perm]) -> set[frozenset[perm.Perm]]:
-    maps = (
-        lambda s: s,
-        perm.inverse,
-        perm.reverse_complement,
-        lambda s: perm.inverse(perm.reverse_complement(s)),
-    )
-    return {frozenset(f(sigma) for sigma in pair) for f in maps}
-
-
-_PAIR_CLASS_VALUES = {
-    frozenset({(1, 3, 2), (2, 1, 3)}): 2,
-    frozenset({(1, 3, 2), (3, 2, 1)}): 2,
-    frozenset({(1, 3, 2), (2, 3, 1)}): 1,
-    frozenset({(2, 3, 1), (3, 2, 1)}): 1,
-}
+#: the avoidance masks (bit i: avoids ``_kernels.PROFILE_PATTERNS[i]``) of the
+#: eight members in :func:`closed_form_pair`'s table, left column then right
+_PAIR_MEMBER_MASKS = (48, 40, 38, 38, 20, 12, 18, 10)
 
 
 def closed_form_pair(n: int, pair: Sequence[perm.Perm] | frozenset[perm.Perm]) -> int:
@@ -344,12 +333,17 @@ def closed_form_pair(n: int, pair: Sequence[perm.Perm] | frozenset[perm.Perm]) -
     {213, 321}; 1 for {132, 231}, {132, 312}, {213, 231}, {213, 312},
     {231, 321} and {312, 321}.
 
-    For n >= 2 the pair is reduced by the inverse and reverse-complement
-    symmetries to a representative class (values 2, 1 or 0), and the class
-    takes its n = 2 value.  No argument is given here that the values hold
-    for n >= 3: they are checked against the oracle only as far as the
-    oracle reaches (``verify --max-n 6``, ``tests/golden/verify_all_n6.txt``).
-    ROADMAP item 7 describes the eight members behind them.
+    For n >= 2 the count is the number of the eight whose masks hold both
+    patterns (``_PAIR_MEMBER_MASKS``).  They generalize to every n as four
+    families and their inverses, with cycles a -> b -> c for i = 1..n:
+    (3i-2, 3i-1, 3i), (i, n+i, 2n+i), (i, n+i, 3n+1-i) and
+    (i, 2n+1-i, 3n+1-i).  The built members keep the masks above through
+    n = 7 (``tests/test_oracle.py``).  No argument is given here that no
+    other member avoids a pair for n >= 3: the values are checked against
+    the oracle only as far as it reaches (``verify --max-n 6``,
+    ``tests/golden/verify_all_n6.txt``).  Simion and Schmidt, "Restricted
+    permutations" (1985), count the permutations avoiding each set of
+    length-3 patterns; these are subsets of those classes.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -359,8 +353,5 @@ def closed_form_pair(n: int, pair: Sequence[perm.Perm] | frozenset[perm.Perm]) -
     AvoidanceQuery(n, pair_set)  # validates the patterns
     if n == 1:
         return 2 - len(pair_set & {(2, 3, 1), (3, 1, 2)})
-    for member in _pattern_orbit(pair_set):
-        value = _PAIR_CLASS_VALUES.get(member)
-        if value is not None:
-            return value
-    return 0
+    want = _kernels.pattern_mask(pair_set)
+    return sum(mask & want == want for mask in _PAIR_MEMBER_MASKS)

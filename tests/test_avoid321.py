@@ -130,6 +130,9 @@ class TestStaircaseSets:
             avoid321.check_tset((2, 3))  # 2 > 3*1-2
         with pytest.raises(ValueError):
             avoid321.check_tset((1, 1))
+        for t in [(0,), (-3, 1)]:
+            with pytest.raises(ValueError, match="elements must be >= 1"):
+                avoid321.check_tset(t)
 
 
 class TestWordAlgorithm:

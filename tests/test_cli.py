@@ -152,6 +152,8 @@ def test_usage_errors_exit_2(capsys):
             "formula engine handles one pattern or a pair",
         ),
         (["verify", "--max-n", "0"], "--max-n must be >= 1"),
+        (["paths", "--t", "0"], "staircase set elements must be >= 1: (0,)"),
+        (["paths", "--t=-3,1"], "staircase set elements must be >= 1: (-3, 1)"),
     ]:
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", f"usage error: {message}\n")

@@ -162,15 +162,19 @@ class TestBackend:
         with pytest.raises(ValueError):
             list(backend.star_walk(0, (2, 3, "231")))
         assert list(perm.iterate_star(0)) == []
-        # a root's second cycle holds the top element and no root element,
-        # and the root then does not hold the top element
+        # a root's top pairs (x, y), 1 < x < y < 3n, partner the top element
+        # and hold no root element, and the root then does not hold the top
+        # element: any other pair would overwrite placed entries
         for root in [
-            (2, 3, "231", 3, 5, "231"),
-            (2, 6, "231", 4, 5, "231"),
-            (2, 3, "231", 5, 4, "231"),
-            (2, 3, "231", 0, 5, "312"),
-            (2, 3, "231", 4, 5, "213"),
-            (2, 3, "231", 4, 5),
+            (2, 3, "231", [(3, 5)]),  # overlaps the root
+            (2, 3, "231", [(4, 5), (2, 4)]),  # a later pair overlaps it
+            (2, 3, "231", [(1, 4)]),  # the root's element 1
+            (2, 3, "231", [(5, 4)]),  # x > y
+            (2, 3, "231", [(4, 4)]),  # x = y
+            (2, 3, "231", [(4, 6)]),  # touches 3n
+            (2, 3, "231", [(0, 5)]),  # out of range
+            (2, 6, "231", [(4, 5)]),  # given when c = 3n
+            (2, 3, "231", [(4, 5)], "231"),  # a fifth field
         ]:
             with pytest.raises(ValueError):
                 list(backend.star_walk(2, root))
@@ -211,12 +215,20 @@ def without_column_0(table):
     return [[0, *row[1:]] for row in table]
 
 
+def top_cycle(p):
+    """The cycle 3n -> u -> v of the top element: its pair (x, y), x < y,
+    and its form, 231 (x -> y -> 3n) when v > u and 312 (x -> 3n -> y)
+    otherwise."""
+    u = p[-1]
+    v = p[u - 1]
+    return (min(u, v), max(u, v)), "231" if v > u else "312"
+
+
 def top_image(p):
     """The involution of the profile's orbit rule: with T the cycle of the
-    top element 3n, reverse-complement after inverse when T is 231
-    (3n -> x -> y with x < y), reverse-complement when T is 312."""
-    x = p[-1]
-    if x < p[x - 1]:
+    top element 3n, reverse-complement after inverse when T is 231,
+    reverse-complement when T is 312."""
+    if top_cycle(p)[1] == "231":
         return perm.reverse_complement(perm.inverse(p))
     return perm.reverse_complement(p)
 
@@ -229,7 +241,7 @@ def root_pair(p):
 def orbit_key(p):
     """(N+1-y, N+1-x) for the top cycle {x, y, N} of ``p``, N = 3n, x < y."""
     m = len(p)
-    x, y = sorted((p[-1], p[p[-1] - 1]))
+    (x, y), _ = top_cycle(p)
     return m + 1 - y, m + 1 - x
 
 
@@ -372,24 +384,32 @@ def test_profile_invariant_under_reverse_complement(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_top_cycle_roots_partition_the_root_walk(n):
-    # a root that does not hold the top element 3n, extended by each cycle
-    # the top element can close, in both forms, walks the root's members
-    # once each; under a form only that form's extensions yield
+    # a root that does not hold the top element 3n, given every pair the top
+    # element can close a cycle with, walks the root's members once each;
+    # the top pairs one at a time walk the same members in the same order,
+    # each pair's 231 cycle before its 312 one, and under a form only that
+    # form's cycles yield
     m = 3 * n
     for b, c in _kernels.star_pairs(n):
         if c == m:
             continue
         rest = [v for v in range(2, m) if v not in (b, c)]
+        tops = list(itertools.combinations(rest, 2))
         for form, patterns in [(None, ()), ("231", ()), (None, [(3, 2, 1)])]:
-            parts = [
-                p
-                for x, y in itertools.combinations(rest, 2)
-                for top in ("231", "312")
-                for p in star_part(n, (b, c, "231", x, y, top), form, patterns)
-            ]
+            got = star_part(n, (b, c, "231", tops), form, patterns)
             whole = star_part(n, (b, c, "231"), form, patterns)
-            assert sorted(parts) == sorted(whole), (n, b, c, form, patterns)
-            assert len(set(parts)) == len(parts)
+            assert sorted(got) == sorted(whole), (n, b, c, form, patterns)
+            assert len(set(got)) == len(got)
+            pieces = [
+                star_part(n, (b, c, "231", [top]), form, patterns) for top in tops
+            ]
+            assert [p for piece in pieces for p in piece] == got
+            for top, piece in zip(tops, pieces):
+                cycles = [top_cycle(p) for p in piece]
+                assert {pair for pair, _ in cycles} <= {top}
+                forms = [f for _, f in cycles]
+                assert forms == sorted(forms)
+                assert set(forms) <= ({form} if form else {"231", "312"})
 
 
 def test_profile_walk_yields_only_unsaturated_members():
@@ -453,9 +473,9 @@ def test_saturated_prefix_split(cycles, first, rows):
 @pytest.mark.parametrize(
     "run,scans,asked",
     [
-        (lambda: oracle.avoidance_profile(3), 934, 3444),
+        (lambda: oracle.avoidance_profile(3), 733, 2238),
         (lambda: oracle.oracle_count(oracle.query(3, "321")), 778, 778),
-        (lambda: oracle.avoidance_profile(4), 27645, 49678),
+        (lambda: oracle.avoidance_profile(4), 26390, 42148),
         (lambda: oracle.oracle_count(oracle.query(4, "321")), 13339, 13339),
         (lambda: whole_count(4, [(1, 3, 2)]), 22959, 22959),
         (lambda: oracle.oracle_count(oracle.query(4, "213")), 16855, 16855),
@@ -496,10 +516,11 @@ def test_walk_containment_tests_pinned(run, scans, asked, monkeypatch):
     # contains an avoided pattern, or the 1 -> c -> b root half that the
     # inverses give, raises the scans; losing the mask of the patterns
     # already contained raises the patterns asked for.  The profile walks
-    # one member of each orbit under the top cycle's involution, placing
-    # the root once per top cycle it walks.  The oracle counts 132 as its
-    # twin 213, and enumerate walks each pair's root half once when the
-    # query is its own mirror, and both roots directly otherwise.
+    # one member of each orbit under the top cycle's involution, in one
+    # walk per root pair that places the root once.  The oracle counts 132
+    # as its twin 213, and a count or enumerate walks each pair's root half
+    # once when the query is its own inverse image, and both roots directly
+    # otherwise.
     real = _kernels.contained_patterns
     seen = [0, 0]
 
@@ -511,6 +532,25 @@ def test_walk_containment_tests_pinned(run, scans, asked, monkeypatch):
     monkeypatch.setattr(_kernels, "contained_patterns", counting)
     run()
     assert seen == [scans, asked]
+
+
+@pytest.mark.parametrize("n, calls", [(1, 1), (2, 7), (3, 25), (4, 50)])
+def test_profile_walks_once_per_root_pair(n, calls, monkeypatch):
+    # one star_walk call per root pair that has a member to count, the kept
+    # top pairs making its second frame: at n = 4, 50 of the 55 pairs (the
+    # members of the five pairs (b, 12) with b > 6 are counted as the images
+    # of lower pairs' members)
+    real = _kernels.star_walk
+    roots = []
+
+    def counting(n, root, *args):
+        roots.append(root)
+        return real(n, root, *args)
+
+    monkeypatch.setattr(_kernels, "star_walk", counting)
+    oracle.avoidance_profile(n)
+    assert len(roots) == calls
+    assert len({root[:2] for root in roots}) == calls
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import PATTERN_SETS, mark_members, select
+from conftest import (
+    PATTERN_SETS,
+    cycle_lengths,
+    mark_members,
+    naive_contains,
+    select,
+)
 from threecycle import cli, oracle, perm
 from threecycle.errors import ResourceLimitError
 
@@ -440,6 +446,40 @@ class TestClosedForms:
         monkeypatch.undo()
         for (n, pair), value in closed.items():
             assert value == walk(oracle.AvoidanceQuery(n, frozenset(pair))), (n, pair)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_pair_members_keep_their_masks(self, n):
+        # the four families of closed_form_pair's docstring, each followed by
+        # its inverse, are eight distinct 3-cycle-only members whose
+        # avoidance masks are the ones the pair counts are read from; n = 7
+        # is past the oracle's bound
+        families = [
+            [(3 * i - 2, 3 * i - 1, 3 * i) for i in range(1, n + 1)],
+            [(i, n + i, 2 * n + i) for i in range(1, n + 1)],
+            [(i, n + i, 3 * n + 1 - i) for i in range(1, n + 1)],
+            [(i, 2 * n + 1 - i, 3 * n + 1 - i) for i in range(1, n + 1)],
+        ]
+        members = []
+        for cycles in families:
+            p = [0] * (3 * n)
+            for a, b, c in cycles:
+                p[a - 1], p[b - 1], p[c - 1] = b, c, a
+            inv = [0] * (3 * n)
+            for i, v in enumerate(p, 1):
+                inv[v - 1] = i
+            members += [tuple(p), tuple(inv)]
+        assert len(set(members)) == 8
+        assert all(cycle_lengths(p) == [3] * n for p in members)
+        masks = tuple(
+            sum(
+                1 << i
+                for i, sigma in enumerate(ALL_PATTERNS)
+                if not naive_contains(p, sigma)
+            )
+            for p in members
+        )
+        assert tuple(ALL_PATTERNS) == oracle._kernels.PROFILE_PATTERNS
+        assert masks == oracle._PAIR_MEMBER_MASKS
 
     def test_symmetric_pairs_share_values(self):
         # the closed form must be constant on symmetry orbits of pairs
