@@ -35,7 +35,6 @@ from threecycle.perm import (
     inverse,
     is_three_cycle_only,
     iterate_star,
-    parse_cycles,
     parse_one_line,
     reverse_complement,
     star_cardinality,
@@ -80,7 +79,6 @@ __all__ = [
     "kernel_backend",
     "oracle_count",
     "oracle_enumerate",
-    "parse_cycles",
     "parse_one_line",
     "reverse_complement",
     "star_cardinality",

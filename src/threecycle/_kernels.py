@@ -191,8 +191,8 @@ def star_walk(
 
     ``root = (b, c, root_form)``, with ``(b, c)`` in :func:`star_pairs` and
     ``root_form`` "231" or "312", is the cycle 1 -> b -> c or 1 -> c -> b.
-    It may go on with a list of partner pairs ``(x, y)`` for the top element
-    3n, each with 1 < x < y < 3n, x and y not b or c, when c < 3n: the
+    It may go on with a list of distinct partner pairs ``(x, y)`` for the top
+    element 3n, each with 1 < x < y < 3n, x and y not b or c, when c < 3n: the
     second frame places 3n -> x -> y, the cycle x -> y -> 3n (231), and
     3n -> y -> x, the cycle x -> 3n -> y (312), for each pair in the order
     given.  Anything else, and any root at n = 0, raises ValueError.  The
@@ -241,6 +241,7 @@ def star_walk(
             for tops in more
             for x, y in tops
         )
+        and all(len({(x, y) for x, y in tops}) == len(tops) for tops in more)
     ):
         raise ValueError(f"invalid root {root} for n={n}")
     perm = [0] * m  # perm[i - 1] is the image of i; 0 while i is unplaced

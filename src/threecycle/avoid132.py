@@ -140,27 +140,6 @@ def motzkin_to_dyck11(mot: str) -> str:
     return word
 
 
-def dyck11_to_motzkin(word: str) -> str:
-    """Inverse of :func:`motzkin_to_dyck11`; rejects words whose type is not
-    all ones."""
-    k = _require_dyck(word)
-    if type_of(word) != (1,) * k:
-        raise ValueError(f"type of {word!r} is not (1,...,1)")
-    ones = [i for i, ch in enumerate(word) if ch == "1"]
-    twos = [i for i, ch in enumerate(word) if ch == "2"]
-    letters = []
-    for i in range(k - 1):
-        after_one = word[ones[i] + 1]
-        after_two = word[twos[i] + 1]
-        if after_one == "1" and after_two == "1":
-            letters.append("U")
-        elif after_one == "2" and after_two == "2":
-            letters.append("D")
-        else:
-            letters.append("F")
-    return "".join(letters)
-
-
 def expand_type(word11: str, parts: Sequence[int]) -> str:
     """Replace the i-th 1 of an all-ones-type word by parts[i] ones and the
     i-th 2 by parts[i] twos."""
@@ -180,33 +159,6 @@ def expand_type(word11: str, parts: Sequence[int]) -> str:
             ones += 1
         else:
             out.append("2" * parts[twos])
-            twos += 1
-    return "".join(out)
-
-
-def contract_type(word: str) -> str:
-    """Collapse each type-group of 1s (and of 2s) to a single letter; inverse
-    of :func:`expand_type` for the word's own type.
-
-    >>> contract_type("112211122122")
-    '12112122'
-    """
-    parts = type_of(word)
-    starts = {0}
-    acc = 0
-    for x in parts:
-        acc += x
-        starts.add(acc)
-    out = []
-    ones = twos = 0
-    for ch in word:
-        if ch == "1":
-            if ones in starts:
-                out.append("1")
-            ones += 1
-        else:
-            if twos in starts:
-                out.append("2")
             twos += 1
     return "".join(out)
 

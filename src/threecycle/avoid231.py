@@ -82,42 +82,6 @@ def anchor(p: perm.Perm) -> tuple[int, int]:
     return a, b
 
 
-def _insert(p: perm.Perm, letter: str) -> perm.Perm:
-    if letter not in LETTERS:
-        raise ValueError(f"letter must be one of {LETTERS!r}: {letter!r}")
-    return encode(decode(p) + letter)
-
-
-def insert_E(p: perm.Perm) -> perm.Perm:
-    """Append a new maximal 3-cycle at the end."""
-    return _insert(p, "E")
-
-
-def insert_L(p: perm.Perm) -> perm.Perm:
-    """Insert the new cycle left of both anchor positions."""
-    return _insert(p, "L")
-
-
-def insert_R(p: perm.Perm) -> perm.Perm:
-    """Insert the new cycle left of the first anchor position and right of
-    the second."""
-    return _insert(p, "R")
-
-
-def decode_step(p: perm.Perm) -> tuple[perm.Perm, str]:
-    """Undo the unique insertion that produced ``p``; returns the smaller
-    member and the letter.  Requires ``len(p) >= 6``.
-
-    >>> decode_step((6, 5, 1, 2, 4, 3))
-    ((3, 1, 2), 'L')
-    """
-    m = len(p)
-    if m < 6 or m % 3:
-        raise MembershipError(f"length {m} leaves nothing to decode")
-    w = decode(p)
-    return encode(w[:-1]), w[-1]
-
-
 def encode(word: str) -> perm.Perm:
     """The 231-avoiding member of size 3n that a word of length n-1 names:
     each letter places its A, M and H in one linked order, and the

@@ -188,15 +188,6 @@ def perm_from_tset(t: Sequence[int]) -> perm.Perm:
     return perm_from_choices(t, (perm.FORM_312,) * _kernels.h_of_tset(t))
 
 
-def tset_min_partition(p: perm.Perm) -> tuple[int, ...]:
-    """The cycle minima of a 3-cycle-only permutation, sorted; recovers the
-    staircase set of the all-312 construction."""
-    decomp = perm.cycle_decomposition(p)
-    if not decomp.three_cycle_only:
-        raise ValueError(f"not composed only of 3-cycles: {p}")
-    return tuple(sorted(min(c) for c in decomp.cycles))
-
-
 def enumerate_321(n: int) -> Iterator[perm.Perm]:
     """All 321-avoiding star permutations, one per (staircase set, segment
     form vector), sets lexicographic, form vectors with 312 before 231."""

@@ -131,11 +131,6 @@ def _largest_first(ns: range, route: Callable[[int], int]) -> list[int]:
     return [*map(route, ns[:-1]), last]
 
 
-def formula_count(n: int, patterns: Sequence[perm.Perm], form: str | None) -> int:
-    """:func:`formula_counts` for one n."""
-    return formula_counts(range(n, n + 1), patterns, form)[0]
-
-
 #: The most n values one ``count`` answers: avoid231.COUNT_LIMIT, the
 #: longest range any bounded route answers.  The 123 and pair routes have no
 #: bound on n, so this is their only limit.
@@ -262,14 +257,14 @@ def _sweep_check(
     queries: Sequence[tuple[str, str | None]],
     passed: str,
 ) -> Check:
-    """formula_count against the swept profile for each (patterns, form)."""
+    """formula_counts against the swept profile for each (patterns, form)."""
     parsed = [(_parse_pattern_set(text), form) for text, form in queries]
     return Check(
         label,
         selected_by,
         lambda max_n: range(1, max_n + 1),
         lambda n, profile: (
-            [formula_count(n, pats, form) for pats, form in parsed],
+            [formula_counts(range(n, n + 1), pats, form)[0] for pats, form in parsed],
             [oracle.profile_count(profile, pats, form) for pats, form in parsed],
         ),
         passed,
@@ -444,7 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hpoly)
 
     p = sub.add_parser("paths", help="staircase set <-> lattice path")
-    p.add_argument("--t", help='comma-separated staircase set, e.g. "1,4"')
+    p.add_argument(
+        "--t",
+        help='comma-separated staircase set, e.g. "1,4"; a list that starts'
+        ' with "-" must be written --t=LIST',
+    )
     p.add_argument("--path", help='word over E/N, e.g. "EENEEN"')
     p.add_argument("--n", type=int, help="list all sets of this size with paths")
     p.set_defaults(func=_cmd_paths)

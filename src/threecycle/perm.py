@@ -13,7 +13,6 @@ realize the pattern 231 when b < c and 312 when c < b.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from threecycle import _kernels
@@ -117,44 +116,12 @@ def is_three_cycle_only(p: Perm) -> bool:
     return cycle_decomposition(p).three_cycle_only
 
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
 def format_cycles(p: Perm) -> str:
     """Cycle notation, e.g. ``"(1,3,2)(4,6,5)"``; fixed points print as (k)."""
     return "".join(
         "(" + ",".join(str(v) for v in cyc) + ")"
         for cyc in cycle_decomposition(p).cycles
     )
-
-
-def parse_cycles(text: str) -> Perm:
-    """Parse cycle notation produced by :func:`format_cycles`.
-
-    Every element of [m] must appear exactly once (fixed points included), so
-    the ground set is implied by the input.
-    """
-    stripped = text.replace(" ", "")
-    if not stripped or _CYCLE_RE.sub("", stripped):
-        raise PermutationError(f"cannot parse cycle notation: {text!r}")
-    cycles = []
-    for group in _CYCLE_RE.findall(stripped):
-        try:
-            cyc = [int(tok) for tok in group.split(",")]
-        except ValueError:
-            raise PermutationError(f"cannot parse cycle notation: {text!r}") from None
-        if not cyc:
-            raise PermutationError(f"empty cycle in: {text!r}")
-        cycles.append(cyc)
-    elements = [v for cyc in cycles for v in cyc]
-    m = len(elements)
-    if any(not 1 <= v <= m for v in elements) or len(set(elements)) != m:
-        raise PermutationError(f"cycles do not partition [{m}]: {text!r}")
-    perm = [0] * m
-    for cyc in cycles:
-        for i, v in enumerate(cyc):
-            perm[v - 1] = cyc[(i + 1) % len(cyc)]
-    return check_permutation(perm)
 
 
 def contains_pattern(p: Perm, sigma: Perm) -> bool:
@@ -196,8 +163,9 @@ def iterate_star(
     form, and ``patterns`` (length 3) only members avoiding them all; both
     cut the stream without reordering it.  ``n = 0`` yields nothing.
 
-    A query that is its own mirror under inversion walks each root partner
-    pair's 1 -> b -> c half once and reads the other half off its inverses
+    A query that is its own inverse image
+    (:func:`threecycle._kernels.self_inverse`) walks each root partner pair's
+    1 -> b -> c half once and reads the other half off its inverses
     (:func:`threecycle._kernels.star_members`); the stream is the same.
     """
     yield from _kernels.star_members(n, form, patterns)

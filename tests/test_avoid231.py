@@ -43,21 +43,24 @@ class TestAnchor:
             avoid231.anchor((1, 2, 3))
 
 
+def extend(p, letter):
+    """The member one letter longer than ``p``: the E/L/R insertion."""
+    return avoid231.encode(avoid231.decode(p) + letter)
+
+
 class TestInsertions:
     def test_worked_examples(self):
-        assert avoid231.insert_E(EXAMPLE) == perm.parse_one_line(
-            "3 1 2 12 11 10 5 4 6 9 7 8 15 13 14"
-        )
-        assert avoid231.insert_L(EXAMPLE) == perm.parse_one_line(
-            "3 1 2 15 14 13 12 6 4 5 7 11 8 10 9"
-        )
-        assert avoid231.insert_R(EXAMPLE) == perm.parse_one_line(
-            "3 1 2 15 14 13 12 6 5 4 7 11 8 9 10"
-        )
+        for letter, want in (
+            ("E", "3 1 2 12 11 10 5 4 6 9 7 8 15 13 14"),
+            ("L", "3 1 2 15 14 13 12 6 4 5 7 11 8 10 9"),
+            ("R", "3 1 2 15 14 13 12 6 5 4 7 11 8 9 10"),
+        ):
+            assert extend(EXAMPLE, letter) == perm.parse_one_line(want)
+            assert insert_by_rerank(EXAMPLE, letter) == perm.parse_one_line(want)
 
     def test_seed_insertions(self):
-        assert avoid231.insert_E((3, 1, 2)) == (3, 1, 2, 6, 4, 5)
-        assert avoid231.insert_L((3, 1, 2)) == (6, 5, 1, 2, 4, 3)
+        assert extend((3, 1, 2), "E") == (3, 1, 2, 6, 4, 5)
+        assert extend((3, 1, 2), "L") == (6, 5, 1, 2, 4, 3)
 
     def test_inserted_value_sets(self):
         # E adds the three new maxima; L adds {a, b+1, max}; R adds {a, b+2, max}
@@ -68,10 +71,10 @@ class TestInsertions:
             ("L", {a, b + 1, m + 3}),
             ("R", {a, b + 2, m + 3}),
         ):
-            result = avoid231._insert(EXAMPLE, letter)
+            result = extend(EXAMPLE, letter)
             # the new values are those whose removal re-ranks back to EXAMPLE
-            tau, got_letter = avoid231.decode_step(result)
-            assert got_letter == letter and tau == EXAMPLE
+            word = avoid231.decode(result)
+            assert word[-1] == letter and avoid231.encode(word[:-1]) == EXAMPLE
             # check the advertised value set directly: re-rank the complement
             fresh = sorted(set(range(1, m + 4)) - expected)
             relabeled = tuple(fresh[v - 1] for v in EXAMPLE)
@@ -81,8 +84,9 @@ class TestInsertions:
     def test_closure_into_next_class(self):
         for n in (1, 2, 3):
             for p in class_members(n):
-                for insert in (avoid231.insert_E, avoid231.insert_L, avoid231.insert_R):
-                    q = insert(p)
+                for letter in avoid231.LETTERS:
+                    q = extend(p, letter)
+                    assert q == insert_by_rerank(p, letter)
                     assert len(q) == 3 * (n + 1)
                     assert perm.is_three_cycle_only(q)
                     assert perm.avoids(q, (2, 3, 1))
@@ -91,37 +95,41 @@ class TestInsertions:
         # in every L/R output the entry right of the maximum is maximum-1
         for n in (1, 2, 3):
             for p in class_members(n):
-                for insert in (avoid231.insert_L, avoid231.insert_R):
-                    q = insert(p)
+                for letter in "LR":
+                    q = extend(p, letter)
+                    assert q == insert_by_rerank(p, letter)
                     top = len(q)
                     assert q[q.index(top) + 1] == top - 1
 
     def test_rejects_non_members(self):
         with pytest.raises(MembershipError):
-            avoid231.insert_E((2, 3, 1))
+            extend((2, 3, 1), "E")
 
     def test_rejects_bad_letter(self):
-        with pytest.raises(ValueError, match="letter must be one of"):
-            avoid231._insert(EXAMPLE, "X")
+        with pytest.raises(ValueError, match="word letters must be in"):
+            extend(EXAMPLE, "X")
 
 
 class TestDecodeStep:
+    # the last letter of decode(q) names the insertion that made q, and the
+    # word without it encodes the member q was made from
     def test_inverse_of_worked_examples(self):
-        e = perm.parse_one_line("3 1 2 12 11 10 5 4 6 9 7 8 15 13 14")
-        assert avoid231.decode_step(e) == (EXAMPLE, "E")
-        assert avoid231.decode_step((6, 5, 1, 2, 4, 3)) == ((3, 1, 2), "L")
-        assert avoid231.decode_step((3, 1, 2, 6, 4, 5)) == ((3, 1, 2), "E")
+        for q, p, letter in (
+            (perm.parse_one_line("3 1 2 12 11 10 5 4 6 9 7 8 15 13 14"), EXAMPLE, "E"),
+            ((6, 5, 1, 2, 4, 3), (3, 1, 2), "L"),
+            ((3, 1, 2, 6, 4, 5), (3, 1, 2), "E"),
+        ):
+            word = avoid231.decode(q)
+            assert word[-1] == letter
+            assert avoid231.encode(word[:-1]) == p
 
     def test_round_trip_on_class(self):
         for n in (1, 2, 3):
             for p in class_members(n):
                 for letter in avoid231.LETTERS:
-                    q = avoid231._insert(p, letter)
-                    assert avoid231.decode_step(q) == (p, letter)
-
-    def test_too_short_rejected(self):
-        with pytest.raises(MembershipError):
-            avoid231.decode_step((3, 1, 2))
+                    word = avoid231.decode(extend(p, letter))
+                    assert word[-1] == letter
+                    assert avoid231.encode(word[:-1]) == p
 
 
 class TestWordBijection:

@@ -213,14 +213,17 @@ class TestAll312Construction:
                 assert perm.avoids(p, (3, 2, 1))
                 forms = perm.cycle_decomposition(p).forms
                 assert forms is not None and set(forms) == {perm.FORM_312}
-                # the cycle minima recover the staircase set uniquely
-                assert avoid321.tset_min_partition(p) == t
+                # the cycle minima recover the staircase set uniquely; each
+                # cycle starts at its minimum, and cycles go by that element
+                assert tuple(c[0] for c in perm.cycle_decomposition(p).cycles) == t
 
     def test_matches_oracle_subclass(self):
         for n in (1, 2, 3):
             built = {avoid321.perm_from_tset(t) for t in avoid321.enumerate_tsets(n)}
             want = set(oracle.oracle_enumerate(oracle.query(n, "321", form="312")))
             assert built == want
+            # one member per staircase set: perm_from_tset is injective
+            assert len(built) == avoid321.fuss_catalan(n)
             # mirror subclass via the inverse map
             mirrored = {perm.inverse(p) for p in built}
             want231 = set(oracle.oracle_enumerate(oracle.query(n, "321", form="231")))
@@ -347,7 +350,7 @@ class TestFormChoices:
         assert cycle_lengths(p) == [3] * len(t)
         assert not naive_contains(p, (3, 2, 1))
         assert cycle_forms(p) == set(forms)
-        assert avoid321.tset_min_partition(p) == t
+        assert tuple(c[0] for c in perm.cycle_decomposition(p).cycles) == t
 
 
 class TestEnumerate321:

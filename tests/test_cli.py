@@ -164,6 +164,22 @@ def test_usage_errors_exit_2(capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_paths_list_starting_with_minus_needs_equals(capsys):
+    # argparse reads "-3,1" after a space as an option and refuses it before
+    # the staircase check runs; the help names --t=-3,1, which reaches it
+    # (its message is pinned in test_usage_errors_exit_2)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["paths", "--t", "-3,1"])
+    assert exc.value.code == 2
+    assert "argument --t: expected one argument" in capsys.readouterr().err
+    assert cli.main(["paths", "--t=-3,1"]) == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["paths", "--help"])
+    assert exc.value.code == 0
+    assert "--t=LIST" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_refused_on_formula_engine(jobs, capsys):
     assert cli.main(["count", "--pattern", "321", "--n", "3", "--jobs", jobs]) == 2

@@ -164,10 +164,12 @@ class TestBackend:
         assert list(perm.iterate_star(0)) == []
         # a root's top pairs (x, y), 1 < x < y < 3n, partner the top element
         # and hold no root element, and the root then does not hold the top
-        # element: any other pair would overwrite placed entries
+        # element: any other pair would overwrite placed entries, and a
+        # repeated pair would walk its members twice
         for root in [
             (2, 3, "231", [(3, 5)]),  # overlaps the root
             (2, 3, "231", [(4, 5), (2, 4)]),  # a later pair overlaps it
+            (2, 3, "231", [(4, 5), (4, 5)]),  # a repeated pair
             (2, 3, "231", [(1, 4)]),  # the root's element 1
             (2, 3, "231", [(5, 4)]),  # x > y
             (2, 3, "231", [(4, 4)]),  # x = y
@@ -434,19 +436,20 @@ def test_triple_splits_times_orientations_is_star_cardinality():
 
 
 @pytest.mark.parametrize(
-    "cycles,first,rows",
+    "prefix,first,rows",
     [
-        # (1,5,2)(3,6,4) is one-line 5 1 6 3 2 4 so far: all six patterns
-        ("(1,5,2)(3,6,4)", (2, 5, _kernels.FORM_312), (30, 10, 0)),
-        ("(1,2,5)(3,4,6)", (2, 5, _kernels.FORM_231), (30, 0, 10)),
-        ("(1,2,5)(3,6,4)", (2, 5, _kernels.FORM_231), (40, 0, 0)),
+        # the cycles (1,5,2)(3,6,4), so far: all six patterns
+        ((5, 1, 6, 3, 2, 4), (2, 5, _kernels.FORM_312), (30, 10, 0)),
+        # (1,2,5)(3,4,6)
+        ((2, 5, 4, 6, 1, 3), (2, 5, _kernels.FORM_231), (30, 0, 10)),
+        # (1,2,5)(3,6,4)
+        ((2, 5, 6, 3, 1, 4), (2, 5, _kernels.FORM_231), (40, 0, 0)),
     ],
     ids=["all-312", "all-231", "mixed"],
 )
-def test_saturated_prefix_split(cycles, first, rows):
+def test_saturated_prefix_split(prefix, first, rows):
     # two cycles placed at n = 4 already contain all six patterns; the 40
     # completions put the star set of [7..12] on the free positions
-    prefix = perm.parse_cycles(cycles)
     completions = [
         prefix + tuple(v + 6 for v in rest) for rest in perm.iterate_star(2)
     ]
