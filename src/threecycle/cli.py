@@ -171,8 +171,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     patterns = _parse_pattern_set(args.pattern)
     form = _parse_form(args.form)
     ns = _parse_n_range(args.n)
-    # a bad pattern is a usage error before any refusal, and both come first
-    oracle.AvoidanceQuery(ns[-1], frozenset(patterns), form)
+    # the parsers have refused a bad pattern, form or n; refuse before output
     oracle.check_limits(ns[-1])
     for n in ns:
         q = oracle.AvoidanceQuery(n, frozenset(patterns), form)
@@ -280,8 +279,8 @@ def _encode_image_sides(n: int, _profile: None) -> tuple:
 
 
 def _series_identity_sides(order: int, _profile: None) -> tuple:
-    # B is built as 2A/(1 - A), so B(1 - A) = 2A alone re-checks the
-    # division; the paper's A = (c - 1) m(c - 1), composed, checks A itself
+    # B is built from B = 2A + AB, which B(1 - A) = 2A checks by multiplying;
+    # the paper's A = (c - 1) m(c - 1), composed, checks A itself
     a = series.series_A(order)
     b = series.series_B(order)
     u = series.catalan_series(order) - series.one(order)

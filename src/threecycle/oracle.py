@@ -88,9 +88,6 @@ class AvoidanceQuery(_AvoidanceQueryFields):
         # _replace builds through _make, which would skip the checks above
         return cls(*iterable)
 
-    def sorted_patterns(self) -> tuple[perm.Perm, ...]:
-        return tuple(sorted(self.patterns))
-
 
 def query(n: int, patterns: str | Sequence[str], form: str | None = None) -> AvoidanceQuery:
     """Convenience constructor from pattern strings, e.g. ``query(3, "231")``
@@ -115,7 +112,7 @@ def oracle_enumerate(q: AvoidanceQuery) -> Iterator[perm.Perm]:
     """Every member of the star set matching ``q``, in the deterministic order
     of the direct generator, each exactly once."""
     check_limits(q.n)
-    yield from perm.iterate_star(q.n, form=q.form, patterns=q.sorted_patterns())
+    yield from perm.iterate_star(q.n, form=q.form, patterns=q.patterns)
 
 
 def _workers(jobs: int, tasks: int) -> int:
@@ -233,7 +230,7 @@ def oracle_counts(
     q = AvoidanceQuery(max(ns, default=0), patterns, form)
     if q.patterns == {(1, 3, 2)}:
         q = q._replace(patterns=frozenset({(2, 1, 3)}))
-    parts = _fan_out(_kernels.count_avoiders, ns, jobs, q.sorted_patterns(), q.form)
+    parts = _fan_out(_kernels.count_avoiders, ns, jobs, q.patterns, q.form)
     return [sum(p) for p in parts]
 
 
@@ -350,8 +347,7 @@ def closed_form_pair(n: int, pair: Sequence[perm.Perm] | frozenset[perm.Perm]) -
     pair_set = frozenset(tuple(sigma) for sigma in pair)
     if len(pair_set) != 2:
         raise ValueError("pair must contain exactly two distinct patterns")
-    AvoidanceQuery(n, pair_set)  # validates the patterns
+    want = _kernels.pattern_mask(pair_set)  # validates the patterns
     if n == 1:
         return 2 - len(pair_set & {(2, 3, 1), (3, 1, 2)})
-    want = _kernels.pattern_mask(pair_set)
     return sum(mask & want == want for mask in _PAIR_MEMBER_MASKS)

@@ -22,7 +22,9 @@ class IntegerSeries:
     def __init__(self, coeffs: Sequence[int]):
         if len(coeffs) == 0:
             raise ValueError("a series needs at least the constant coefficient")
-        self.coeffs: tuple[int, ...] = tuple(int(c) for c in coeffs)
+        if not all(isinstance(c, int) for c in coeffs):
+            raise ValueError("series coefficients must be ints")
+        self.coeffs: tuple[int, ...] = tuple(coeffs)
 
     @property
     def order(self) -> int:
@@ -32,11 +34,6 @@ class IntegerSeries:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
         return self.coeffs[n]
-
-    def truncate(self, order: int) -> "IntegerSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return IntegerSeries(self.coeffs[: order + 1])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntegerSeries) and self.coeffs == other.coeffs
@@ -59,9 +56,6 @@ class IntegerSeries:
             [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)]
         )
 
-    def __neg__(self) -> "IntegerSeries":
-        return IntegerSeries([-c for c in self.coeffs])
-
     def scale(self, k: int) -> "IntegerSeries":
         return IntegerSeries([k * c for c in self.coeffs])
 
@@ -80,28 +74,11 @@ class IntegerSeries:
         if inner.coeffs[0] != 0:
             raise ValueError("composition needs a zero constant term inside")
         n = min(self.order, inner.order)
-        inner_t = inner.truncate(n)
-        # Horner from the top coefficient down; each step re-truncates at n.
+        # Horner from the top coefficient down; each product truncates at n.
         result = constant(self.coeffs[n], n)
         for k in range(n - 1, -1, -1):
-            result = result * inner_t + constant(self.coeffs[k], n)
+            result = result * inner + constant(self.coeffs[k], n)
         return result
-
-    def __truediv__(self, other: "IntegerSeries") -> "IntegerSeries":
-        """Exact division; the divisor's constant term must be a unit (+-1)."""
-        g0 = other.coeffs[0]
-        if g0 not in (1, -1):
-            raise ValueError(
-                f"division needs a divisor with constant term +-1, got {g0}"
-            )
-        n = min(self.order, other.order)
-        out = [0] * (n + 1)
-        for k in range(n + 1):
-            acc = self.coeffs[k]
-            for i in range(k):
-                acc -= out[i] * other.coeffs[k - i]
-            out[k] = acc * g0  # exact: dividing by +-1
-        return IntegerSeries(out)
 
 
 #: The largest order the series routes compute.  At this order
@@ -195,9 +172,17 @@ def series_all312_avoiders(order: int) -> IntegerSeries:
 
 def series_132_avoiders(order: int) -> IntegerSeries:
     """Generating function for all 132-avoiding star permutations:
-    2A / (1 - A) where A = :func:`series_all312_avoiders`."""
-    a = series_all312_avoiders(order)
-    return a.scale(2) / (one(order) - a)
+    B = 2A / (1 - A), A = :func:`series_all312_avoiders`, built as A is, one
+    coefficient at a time from B = 2A + A B (a[0] = 0), refused above
+    ``ORDER_LIMIT``: b[k] = 2 a[k] + sum(a[i] b[k-i], i = 1..k-1)."""
+    a = series_all312_avoiders(order).coeffs
+    b = [0] * (order + 1)
+    for k in range(1, order + 1):
+        acc = 2 * a[k]
+        for i in range(1, k):
+            acc += a[i] * b[k - i]
+        b[k] = acc
+    return IntegerSeries(b)
 
 
 # short aliases matching the A/B naming used throughout the tests and CLI

@@ -151,6 +151,43 @@ def composed_series_A(order):
     return u * series.motzkin_series(order).compose(u)
 
 
+def recurrence_B(max_n):
+    """B(1..max_n), the 132-avoider counts, by the order-2 recurrence with
+    polynomial coefficients guessed from the series (not proved):
+    3(n+1)(n+2) B(n+2) = 2(n+1)(14n+15) B(n+1) - 4(4n+1)(4n+3) B(n), from
+    B(1), B(2) = 2, 8, each division exact.  The reference for ``series_B``
+    that shares no code with it."""
+    b = [None, 2, 8]
+    for n in range(1, max_n - 1):
+        num = (
+            2 * (n + 1) * (14 * n + 15) * b[n + 1]
+            - 4 * (4 * n + 1) * (4 * n + 3) * b[n]
+        )
+        q, r = divmod(num, 3 * (n + 1) * (n + 2))
+        assert r == 0, n
+        b.append(q)
+    return b[1 : max_n + 1]
+
+
+def recurrence_A(max_n):
+    """A(1..max_n), the all-312 132-avoider counts, by the order-3 recurrence
+    guessed from the series (not proved), from A(1..3) = 1, 3, 11, each
+    division exact:
+    3(n+2)(n+3)(n+4)(4n+3) A(n+3) = 8(n+2)(n+3)(20n^2+53n+27) A(n+2)
+    - 8(n+2)(4n+7)(22n^2+38n+15) A(n+1) + 8(2n+1)(4n+1)(4n+3)(4n+7) A(n)."""
+    a = [None, 1, 3, 11]
+    for n in range(1, max_n - 2):
+        num = (
+            8 * (n + 2) * (n + 3) * (20 * n * n + 53 * n + 27) * a[n + 2]
+            - 8 * (n + 2) * (4 * n + 7) * (22 * n * n + 38 * n + 15) * a[n + 1]
+            + 8 * (2 * n + 1) * (4 * n + 1) * (4 * n + 3) * (4 * n + 7) * a[n]
+        )
+        q, r = divmod(num, 3 * (n + 2) * (n + 3) * (n + 4) * (4 * n + 3))
+        assert r == 0, n
+        a.append(q)
+    return a[1 : max_n + 1]
+
+
 def tset_sum_by_enumeration(n):
     """The sum of 2^h over the staircase sets of size n, one scan per set:
     the reference for the library's staircase automaton."""

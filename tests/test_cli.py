@@ -154,6 +154,7 @@ def test_usage_errors_exit_2(capsys):
         (["verify", "--max-n", "0"], "--max-n must be >= 1"),
         (["paths", "--t", "0"], "staircase set elements must be >= 1: (0,)"),
         (["paths", "--t=-3,1"], "staircase set elements must be >= 1: (-3, 1)"),
+        (["paths", "--path", "EEEEEE"], "path needs 2n east and n north steps: 'EEEEEE'"),
     ]:
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", f"usage error: {message}\n")

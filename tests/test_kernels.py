@@ -155,6 +155,13 @@ class TestBackend:
             backend.count_avoiders(2, ((3, 2, 1),), None, (2, 3, 7))
         with pytest.raises(ValueError):
             backend.avoidance_profile(2, (2, 3, 3))
+        # pairs of the right shape outside 1 < b < c <= 3n reach each
+        # function's own check
+        for pair in [(3, 2), (1, 2), (2, 7)]:
+            with pytest.raises(ValueError, match="invalid root"):
+                backend.count_avoiders(2, ((3, 2, 1),), None, pair)
+            with pytest.raises(ValueError, match="invalid pair"):
+                backend.avoidance_profile(2, pair)
         # every walk is rooted, and no root exists at n = 0; the enumeration
         # there loops over no pair
         with pytest.raises(ValueError):

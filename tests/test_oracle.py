@@ -138,6 +138,11 @@ class TestCount:
         with pytest.raises(ValueError, match="patterns must have length 3"):
             oracle.profile_count(table, [(3, 2, 1), pattern])
 
+    def test_profile_count_refuses_unknown_form(self):
+        table = oracle.avoidance_profile(1)
+        with pytest.raises(ValueError, match="form must be one of"):
+            oracle.profile_count(table, [(3, 2, 1)], "213")
+
     def test_profile_parallel_merge(self):
         assert oracle.avoidance_profile(2, jobs=2) == oracle.avoidance_profile(2)
 
@@ -405,6 +410,8 @@ class TestClosedForms:
         assert oracle.closed_form_123(2) == 6
         assert oracle.closed_form_123(3) == 0
         assert oracle.closed_form_123(7) == 0
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            oracle.closed_form_123(0)
 
     def test_123_matches_oracle(self):
         for n in (1, 2, 3):
@@ -419,6 +426,11 @@ class TestClosedForms:
     def test_pair_rejects_duplicates(self):
         with pytest.raises(ValueError):
             oracle.closed_form_pair(3, ((1, 3, 2), (1, 3, 2)))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            oracle.closed_form_pair(0, ((1, 3, 2), (2, 1, 3)))
+        # n = 1 has its own count, but the patterns are checked before it
+        with pytest.raises(ValueError, match="patterns must have length 3"):
+            oracle.closed_form_pair(1, [(1, 2), (3, 2, 1)])
 
     def test_all_pairs_match_oracle(self):
         for n in (1, 2, 3):
