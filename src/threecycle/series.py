@@ -165,8 +165,13 @@ def series_all312_avoiders(order: int) -> IntegerSeries:
     a = [0] * (order + 1)
     w = [1] + [0] * order
     for k in range(1, order + 1):
-        a[k] = sum(u[i] * w[k - i] for i in range(1, k + 1))
-        w[k] = a[k] + sum(a[i] * a[k - i] for i in range(1, k))
+        acc = 0
+        for i in range(1, k + 1):
+            acc += u[i] * w[k - i]
+        a[k] = acc
+        for i in range(1, k):  # w[k] goes on from a[k]
+            acc += a[i] * a[k - i]
+        w[k] = acc
     return IntegerSeries(a)
 
 

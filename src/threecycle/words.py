@@ -31,27 +31,28 @@ def is_balanced(word: str, up: str, down: str) -> bool:
 def dyck_words(n: int, up: str = "1", down: str = "2") -> Iterator[str]:
     """All Dyck words of semilength ``n``, openers-first.
 
+    One loop over an explicit stack of (prefix, opens, closes): the closer
+    is pushed before the opener, so the opener is popped first, and a
+    prefix with all ``n`` openers is completed by its closers in one step.
+
     >>> list(dyck_words(2))
     ['1122', '1212']
     """
     if n < 0:
         raise ValueError("semilength must be nonnegative")
-    prefix: list[str] = []
 
-    def rec(opens: int, closes: int) -> Iterator[str]:
-        if opens == n and closes == n:
-            yield "".join(prefix)
-            return
-        if opens < n:
-            prefix.append(up)
-            yield from rec(opens + 1, closes)
-            prefix.pop()
-        if closes < opens:
-            prefix.append(down)
-            yield from rec(opens, closes + 1)
-            prefix.pop()
+    def walk() -> Iterator[str]:
+        stack = [("", 0, 0)]
+        while stack:
+            prefix, opens, closes = stack.pop()
+            if opens == n:
+                yield prefix + down * (n - closes)
+                continue
+            if closes < opens:
+                stack.append((prefix + down, opens, closes + 1))
+            stack.append((prefix + up, opens + 1, closes))
 
-    return rec(0, 0)
+    return walk()
 
 
 def motzkin_words(k: int) -> Iterator[str]:

@@ -5,8 +5,28 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import sys
 
 import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _src_slot():
+    """Where this checkout's ``src`` goes on ``sys.path``: just after the
+    ``PYTHONPATH`` entries, so that a package named there is the one tested,
+    and ahead of site-packages, so that an installed copy is not."""
+    entries = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    listed = {os.path.abspath(p) for p in entries if p}
+    return max(
+        (i + 1 for i, p in enumerate(sys.path) if p and os.path.abspath(p) in listed),
+        default=0,
+    )
+
+
+if SRC not in sys.path:
+    sys.path.insert(_src_slot(), SRC)
 
 
 def rank_word(values):

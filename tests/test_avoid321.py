@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -506,6 +507,23 @@ class TestDyckTransfer:
     def test_matches_the_staircase_automaton(self):
         for n in range(1, 13):
             assert avoid321.dyck_h_sum(n, 2) == avoid321.tset_h_sum(n, 2), n
+
+    def test_polynomial_sums_dyck_stats_in_any_word_order(self, monkeypatch):
+        # the prefix-sharing scan against dyck_stats word by word, with the
+        # words in their own order, reversed and shuffled
+        from threecycle import words
+
+        real = words.dyck_words
+        for n in range(1, 9):
+            every = list(real(n, "x", "y"))
+            coeffs = [0] * (n + 1)
+            for stats in map(avoid321.dyck_stats, every):
+                coeffs[stats.h] += stats.binomial_weight()
+            shuffled = every[:]
+            random.Random(n).shuffle(shuffled)
+            for order in (every, every[::-1], shuffled):
+                monkeypatch.setattr(words, "dyck_words", lambda *args: iter(order))
+                assert avoid321.h_polynomial(n).coefficients == tuple(coeffs), n
 
     def test_identity_walks_no_word(self, monkeypatch):
         from threecycle import words

@@ -15,7 +15,8 @@ import pytest
 from threecycle import _kernels, avoid231, avoid321, cli, oracle, series, words
 
 GOLDEN = Path(__file__).parent / "golden"
-SRC = Path(__file__).parent.parent / "src"
+# the src imported above, so that a subprocess runs the code under test
+SRC = Path(cli.__file__).parent.parent
 
 CASES = [
     ("count_321_text.txt", ["count", "--pattern", "321", "--n", "1..5"]),

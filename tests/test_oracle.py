@@ -22,7 +22,8 @@ from conftest import (
 from threecycle import cli, oracle, perm
 from threecycle.errors import ResourceLimitError
 
-SRC = Path(__file__).parent.parent / "src"
+# the src imported above, so that a subprocess runs the code under test
+SRC = Path(oracle.__file__).parent.parent
 
 ALL_PATTERNS = [tuple(p) for p in itertools.permutations((1, 2, 3))]
 
