@@ -8,7 +8,16 @@ pattern, for 123, 132 and 213 over the values and for their reverses over
 the values reversed, each from bit sets of the values left and right of each
 entry; it answers with a bit mask over ``PROFILE_PATTERNS``.  The walk places
 one 3-cycle per frame, drawing its partner pairs from one free list per
-frame.  Every walk, enumeration included, covers one root partner pair
+frame, and rules a child out before placing it when the placed entries
+settle it.  A cycle a -> b -> c with a < b < c is itself a 231, and
+a -> c -> b a 312, so the form's bit joins the child's mask before any
+scan.  A frame where every open pattern must stay out (a pruned walk, or a
+profile frame with one pattern open) and at least two cycles are left marks
+its dead cells (``dead_cells``), where one more entry completes an open
+pattern with two placed entries, and drops every child with an entry on
+one, or all of its children when some unplaced position has only dead
+cells.  Every other child makes one containment call, for the patterns
+still open.  Every walk, enumeration included, covers one root partner pair
 (``star_pairs``) under one root cycle, 1 -> b -> c or 1 -> c -> b.  One
 rule halves a count and an enumeration: a query that is its own inverse
 image (``self_inverse``) walks the root 1 -> b -> c and reads the
@@ -147,6 +156,140 @@ def contained_patterns(values: Sequence[int], bits: int, wanted: int) -> int:
     return found
 
 
+def _dead_123(values: Sequence[int], free: int) -> list[int]:
+    # v last (x < y < v): above an ascent's top; first (v < x < y): below an
+    # ascent's bottom; middle (x < v < y): between the least value left and
+    # the greatest right.  Sets above a value are negative ints.
+    dead = [0] * len(values)
+    lows = dead[:]
+    low = last = 0  # low: the least value so far, as a bit
+    for p, v in enumerate(values):
+        if v:
+            bit = 1 << v
+            if low and low < bit:
+                last |= -(bit << 1)
+            else:
+                low = bit
+        else:
+            dead[p] = last
+            lows[p] = low
+    high = first = 0  # high: the greatest value so far, as a bit
+    for p in range(len(values) - 1, -1, -1):
+        v = values[p]
+        if v:
+            bit = 1 << v
+            if bit < high:
+                first |= bit - 1
+            else:
+                high = bit
+        else:
+            low = lows[p]
+            middle = high - (low << 1) if 0 < low < high else 0
+            dead[p] = (dead[p] | first | middle) & free
+    return dead
+
+
+def _dead_132(values: Sequence[int], free: int) -> list[int]:
+    # v last (x < v < y): between the least value left of an entry y and y;
+    # first (v < y < x): below the greatest y right of x with y < x; middle
+    # (x < y < v): above the least value right that exceeds one left
+    dead = [0] * len(values)
+    lows = dead[:]
+    low = last = 0
+    for p, v in enumerate(values):
+        if v:
+            bit = 1 << v
+            if low and low < bit:
+                last |= bit - (low << 1)
+            else:
+                low = bit
+        else:
+            dead[p] = last
+            lows[p] = low
+    right = first = 0
+    for p in range(len(values) - 1, -1, -1):
+        v = values[p]
+        if v:
+            bit = 1 << v
+            ys = right & bit - 1
+            if ys:
+                first |= (1 << ys.bit_length() - 1) - 1
+            right |= bit
+        else:
+            ys = right & -(lows[p] << 1)
+            middle = -((ys & -ys) << 1) if ys else 0
+            dead[p] = (dead[p] | first | middle) & free
+    return dead
+
+
+def _dead_213(values: Sequence[int], free: int) -> list[int]:
+    # v last (y < x < v): above the least x left of an entry y with x > y;
+    # first (x < v < y): between x and the greatest value right of it; middle
+    # (v < x < y): below the greatest value left that is below one right
+    dead = [0] * len(values)
+    lefts = dead[:]
+    left = last = 0
+    for p, v in enumerate(values):
+        if v:
+            xs = left >> v + 1
+            if xs:
+                last |= -((xs & -xs) << v + 2)
+            left |= 1 << v
+        else:
+            dead[p] = last
+            lefts[p] = left
+    high = first = 0
+    for p in range(len(values) - 1, -1, -1):
+        v = values[p]
+        if v:
+            bit = 1 << v
+            if bit < high:
+                first |= high - (bit << 1)
+            else:
+                high = bit
+        else:
+            xs = lefts[p] & high - 1 if high else 0
+            middle = (1 << xs.bit_length() - 1) - 1 if xs else 0
+            dead[p] = (dead[p] | first | middle) & free
+    return dead
+
+
+#: bit -> (sweep, reversed?), as for _SCANS: a pattern's cells in the values
+#: are its reverse's cells in the reversed values, read back to front
+_SWEEPS = {1: (_dead_123, False), 2: (_dead_132, False), 4: (_dead_213, False)}
+_SWEEPS.update({32: (_dead_123, True), 8: (_dead_132, True), 16: (_dead_213, True)})
+
+
+def dead_cells(values: Sequence[int], free: int, wanted: int) -> list[int]:
+    """The cells where one more entry completes a ``wanted`` pattern with two
+    entries of ``values``: bit ``v`` of ``dead[p]`` is set, for an unplaced
+    position ``p`` (a 0 entry) and a value ``v`` in ``free``, exactly when
+    some two nonzero entries and ``v`` at ``p`` realize a wanted pattern.
+    ``values`` are as for :func:`contained_patterns`, and ``free`` has no
+    bit of a value in them.
+
+    A permutation that puts ``v`` at ``p`` below ``values`` contains the
+    pattern, so a walk rules out such a child before placing it.  Each
+    pattern takes two sweeps, one from each end: the new entry is the
+    pattern's first entry, its middle or its last, and its rank there says
+    whether its value lies above, below or between those of the two placed
+    entries, which the sweeps keep as bit sets.
+
+    >>> dead_cells((3, 0, 0, 1), 0b10100, 32)  # 321: 3 2 1, not 3 4 1
+    [0, 4, 4, 0]
+    >>> dead_cells((1, 0, 3, 0), 0b10100, 2)  # 132: 1 4 3 and 1 3 2
+    [0, 16, 0, 4]
+    """
+    dead = None
+    while wanted:
+        bit = wanted & -wanted
+        wanted ^= bit
+        sweep, backwards = _SWEEPS[bit]
+        cells = sweep(values[::-1], free)[::-1] if backwards else sweep(values, free)
+        dead = cells if dead is None else [d | c for d, c in zip(dead, cells)]
+    return [0] * len(values) if dead is None else dead
+
+
 def star_pairs(n: int) -> list[tuple[int, int]]:
     """The root's partner pairs, 1-based ``(b, c)`` in walk order: the root
     cycle is 1 -> b -> c or 1 -> c -> b, and the walks under all pairs and
@@ -175,9 +318,44 @@ def inverse_mask(mask: int) -> int:
 #: column -> the column of its inverses, for relabelling a profile half
 _INVERSE_COLUMNS = tuple(map(inverse_mask, range(64)))
 
+#: the pattern bit of each cycle form: a -> b -> c with a < b < c is itself
+#: an occurrence of 231, and a -> c -> b of 312
+_FORM_BITS = {FORM_231: _PATTERN_BITS[2, 3, 1], FORM_312: _PATTERN_BITS[3, 1, 2]}
+
+#: the fewest elements left to place at which a walk frame builds its dead
+#: cells: a frame placing the last cycle has one pair, too few to pay
+_DEAD_CELL_WIDTH = 6
+
+
 def _check_form(form: str | None) -> None:
     if form not in (None, FORM_231, FORM_312):
         raise ValueError(f"unknown form filter: {form!r}")
+
+
+def _live_pairs(a: int, free: list[int], dead: list[int]) -> list[tuple[int, int]]:
+    # the pairs (b, c) of ``free``, in lexicographic order, less those whose
+    # two children both have an entry on a dead cell: a -> b -> c puts b at
+    # a, c at b and a at c, and a -> c -> b puts c at a and a at b (and b at
+    # c, which the walk tests with each child's other entries)
+    top = 0
+    for p in free:
+        top |= 1 << p
+    first = top & ~(dead[a] >> 1)  # b of a -> b -> c, c of a -> c -> b
+    back = 0  # c of a -> b -> c, b of a -> c -> b
+    for p in free:
+        if not dead[p] & 2 << a:
+            back |= 1 << p
+    pairs = []
+    for b in free:
+        top ^= 1 << b
+        ok = top & ~(dead[b] >> 1) & back if first >> b & 1 else 0
+        if back >> b & 1:
+            ok |= top & first
+        while ok:
+            low = ok & -ok
+            ok ^= low
+            pairs.append((b, low.bit_length() - 1))
+    return pairs
 
 
 def star_walk(
@@ -214,7 +392,16 @@ def star_walk(
     ValueError before the walk starts).  A placed entry never changes, so an
     occurrence among the placed entries is one in every permutation below:
     the mask only grows, and a node's one :func:`contained_patterns` call
-    asks only for the patterns not yet in it.
+    asks only for the patterns not yet in it.  Two rules settle a child
+    before it is placed or scanned: its cycle's form bit (231 for
+    a -> b -> c, 312 for a -> c -> b) joins the mask first, and in a frame
+    with two or more cycles left, where every open pattern must stay out (a
+    pruned walk, or one pattern open), a child with an entry on one of the
+    frame's :func:`dead_cells` contains that pattern, and when an unplaced
+    position has only dead cells every completion does, so the frame
+    places no child.  Both drop only children that a walk without them
+    would prune or saturate, or whose every completion it would, so the
+    yields, their order and their masks are the same.
 
     With ``prune`` (the default) the patterns are avoided: a subtree is
     dropped at its first contained pattern, so the walk yields exactly the
@@ -247,6 +434,7 @@ def star_walk(
     ):
         raise ValueError(f"invalid root {root} for n={n}")
     perm = [0] * m  # perm[i - 1] is the image of i; 0 while i is unplaced
+    all_values = (2 << m) - 2  # bit v for each value v
     # the root's frames: the element placed, its partner pairs and the
     # forms it may take, all 0-based like perm's indices
     frames = [(0, [(b - 1, c - 1)], (root_form,) if root_form in forms else ())]
@@ -258,37 +446,68 @@ def star_walk(
         mask: int,
         placed: int,
         a: int,
-        pairs: Iterable[tuple[int, int]],
+        pairs: Iterable[tuple[int, int]] | None,
         cycle_forms: tuple[str, ...],
     ) -> Iterator[tuple[list[int], int]]:
-        # place a with each pair and form as cycle number ``depth``, then
-        # clear it; the placed values are the placed positions, so
-        # ``placed`` (bit v for value v) grows by the cycle's three
+        # place a with each pair (None: each pair of the unplaced elements
+        # above a) and form as cycle number ``depth``, then clear it; the
+        # placed values are the placed positions, so ``placed`` (bit v for
+        # value v) grows by the cycle's three.  The cycle is itself a 231 or
+        # a 312, so its form's bit joins the mask before any scan: a form
+        # that prunes or saturates places no child.
+        kept = []
+        for cycle_form in cycle_forms:
+            seen = mask | _FORM_BITS[cycle_form] & want
+            if not (prune and seen or seen == full):
+                kept.append((cycle_form == FORM_231, seen, want & ~seen))
+        if not kept:
+            return
+        # where every open pattern must stay out, a child with an entry on a
+        # dead cell contains one, and is ruled out unplaced; so is every
+        # child when some unplaced position has no free value but dead ones
+        wanted = want & ~mask
+        dead = None
+        if (
+            wanted
+            and (prune or not wanted & wanted - 1)
+            and m - 3 * depth + 3 >= _DEAD_CELL_WIDTH
+        ):
+            free_values = all_values & ~placed
+            dead = dead_cells(perm, free_values, wanted)
+            if free_values in dead:
+                return
+        if pairs is None:
+            free = [i for i in range(a + 1, m) if not perm[i]]
+            if dead is None:
+                pairs = itertools.combinations(free, 2)
+            else:
+                pairs = _live_pairs(a, free, dead)
         for b, c in pairs:
             bits = placed | 2 << a | 2 << b | 2 << c
-            for cycle_form in cycle_forms:
-                if cycle_form == FORM_231:
+            for rising, seen, ask in kept:
+                if rising:
+                    if dead and (
+                        dead[a] & 2 << b or dead[b] & 2 << c or dead[c] & 2 << a
+                    ):
+                        continue
                     perm[a], perm[b], perm[c] = b + 1, c + 1, a + 1
                 else:
+                    if dead and (
+                        dead[a] & 2 << c or dead[b] & 2 << a or dead[c] & 2 << b
+                    ):
+                        continue
                     perm[a], perm[b], perm[c] = c + 1, a + 1, b + 1
-                seen = mask
-                # a node is visited only below a parent neither pruned nor
-                # saturated, so some pattern is still wanted: one call per node
-                if want:
-                    seen |= contained_patterns(perm, bits, want & ~mask)
-                if prune and seen or seen == full:
-                    continue
+                # every child left makes one scan, for the patterns still open
+                if ask:
+                    seen |= contained_patterns(perm, bits, ask)
+                    if prune and seen or seen == full:
+                        continue
                 if depth == n:
                     yield perm, seen
-                    continue
-                if depth < preset:
+                elif depth < preset:
                     yield from walk(depth + 1, seen, bits, *frames[depth])
-                    continue
-                below = perm.index(0)
-                free = [i for i in range(below + 1, m) if not perm[i]]
-                yield from walk(
-                    depth + 1, seen, bits, below, itertools.combinations(free, 2), forms
-                )
+                else:
+                    yield from walk(depth + 1, seen, bits, perm.index(0), None, forms)
             perm[a] = perm[b] = perm[c] = 0
 
     try:

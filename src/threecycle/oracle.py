@@ -4,9 +4,13 @@ pattern-avoiding 3-cycle-only permutations, plus the degenerate closed forms
 
 Counts and enumerations are an exact pruned walk over the star set
 (``_kernels.star_walk``): a branch is dropped as soon as the entries placed
-so far contain an avoided pattern, found by one linear containment scan per
-node.  That loses no member, since a placed entry never changes, so an
-occurrence among the placed entries is one in every permutation below them.
+so far contain an avoided pattern.  The walk sees that before placing a
+cycle when the cycle's own form (231 or 312), or one of its entries with
+two placed ones (``_kernels.dead_cells``), completes an avoided pattern,
+and otherwise by one linear containment scan of the child; and it places
+no cycle at all where some unplaced position can take no value that does
+not complete one.  That loses no member, since a placed entry never changes, so an occurrence among the
+placed entries is one in every permutation below them.
 The avoidance profile runs the same walk unpruned and drops a subtree whose
 placed entries already contain all six patterns; their members are column
 0, which :func:`avoidance_profiles` fills once per table by subtraction from
@@ -222,11 +226,13 @@ def oracle_counts(
     reverse-complement (conjugation by the reversal) after inverse.  Each of
     the two maps swaps the cycle forms, so together they keep them, and the
     map swaps 132 and 213 and fixes the other patterns.  The twin walks
-    fewer nodes under every form: 16,855 scans against 22,959 at n = 4 and
-    302,561 against 530,951 at n = 5 with no form, 7,328 against 8,819 and
-    122,502 against 174,056 with one.  Every larger set with 132 but not
-    213 makes as many scans as its twin at n = 4 and 5, so it is walked as
-    asked."""
+    fewer nodes under every form: 2,783 scans against 5,387 at n = 4 and
+    21,115 against 51,782 at n = 5 with no form, 1,801 against 2,176 and
+    15,311 against 18,303 with one.  A larger set with 132 but not 213 is
+    walked as asked.  Of its 45 (set, form) queries, the twin makes as many
+    scans for 30 at n = 4 and at n = 5, fewer for the rest at n = 4 (111
+    against 475 for {123, 132}) and for 13 at n = 5, and more for
+    {132, 231} with no form or 312 at n = 5 (2,318 against 2,139)."""
     q = AvoidanceQuery(max(ns, default=0), patterns, form)
     if q.patterns == {(1, 3, 2)}:
         q = q._replace(patterns=frozenset({(2, 1, 3)}))

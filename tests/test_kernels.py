@@ -8,6 +8,8 @@ import collections
 import functools
 import itertools
 import json
+import math
+import os
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from conftest import (
     first_choices,
     mark_members,
     naive_contains,
+    rank_word,
     select,
     staircase_word,
     star_by_filter,
@@ -480,48 +483,106 @@ def test_saturated_prefix_split(prefix, first, rows):
     assert all(row[0] >= count for row, count in zip(table, rows))
 
 
+needs_n5 = pytest.mark.skipif(
+    not os.environ.get("RUN_N5"),
+    reason="n=5 walks take seconds, opt in with RUN_N5=1",
+)
+
+
 @pytest.mark.parametrize(
-    "run,scans,asked",
+    "run,scans,asked,dropped",
     [
-        (lambda: oracle.avoidance_profile(3), 733, 2238),
-        (lambda: oracle.oracle_count(oracle.query(3, "321")), 778, 778),
-        (lambda: oracle.avoidance_profile(4), 26390, 42148),
-        (lambda: oracle.oracle_count(oracle.query(4, "321")), 13339, 13339),
-        (lambda: whole_count(4, [(1, 3, 2)]), 22959, 22959),
-        (lambda: oracle.oracle_count(oracle.query(4, "213")), 16855, 16855),
-        (lambda: oracle.oracle_count(oracle.query(4, "132")), 16855, 16855),
-        (lambda: oracle.oracle_count(oracle.query(4, "132", form="312")), 7328, 7328),
-        (lambda: list(perm.iterate_star(4, patterns=[(1, 3, 2)])), 22959, 22959),
-        (lambda: list(perm.iterate_star(4, patterns=[(2, 3, 1)])), 13022, 13022),
-        (
+        pytest.param(lambda: oracle.avoidance_profile(3), 733, 2014, 0, id="profile"),
+        pytest.param(
+            lambda: oracle.oracle_count(oracle.query(3, "321")),
+            313,
+            313,
+            465,
+            id="count-321",
+        ),
+        pytest.param(
+            lambda: oracle.avoidance_profile(4), 12591, 25229, 13799, id="profile-n4"
+        ),
+        pytest.param(
+            lambda: oracle.oracle_count(oracle.query(4, "321")),
+            2712,
+            2712,
+            10627,
+            id="count-321-n4",
+        ),
+        pytest.param(
+            lambda: whole_count(4, [(1, 3, 2)]), 5387, 5387, 17572, id="count-132-n4"
+        ),
+        pytest.param(
+            lambda: oracle.oracle_count(oracle.query(4, "213")),
+            2783,
+            2783,
+            14072,
+            id="count-213-n4",
+        ),
+        pytest.param(
+            lambda: oracle.oracle_count(oracle.query(4, "132")),
+            2783,
+            2783,
+            14072,
+            id="oracle-count-132-n4",
+        ),
+        pytest.param(
+            lambda: oracle.oracle_count(oracle.query(4, "132", form="312")),
+            1801,
+            1801,
+            5527,
+            id="oracle-count-132-312-n4",
+        ),
+        pytest.param(
+            lambda: list(perm.iterate_star(4, patterns=[(1, 3, 2)])),
+            5387,
+            5387,
+            17572,
+            id="enumerate-132-n4",
+        ),
+        pytest.param(
+            lambda: list(perm.iterate_star(4, patterns=[(2, 3, 1)])),
+            1807,
+            1807,
+            11215,
+            id="enumerate-231-n4",
+        ),
+        pytest.param(
             lambda: list(perm.iterate_star(4, form="312", patterns=[(1, 3, 2)])),
-            8819,
-            8819,
+            2176,
+            2176,
+            6643,
+            id="enumerate-132-312-n4",
         ),
-        (
+        pytest.param(
             lambda: list(perm.iterate_star(4, form="231", patterns=[(3, 2, 1)])),
-            5206,
-            5206,
+            1117,
+            1117,
+            4089,
+            id="enumerate-321-231-n4",
         ),
-    ],
-    ids=[
-        "profile",
-        "count-321",
-        "profile-n4",
-        "count-321-n4",
-        "count-132-n4",
-        "count-213-n4",
-        "oracle-count-132-n4",
-        "oracle-count-132-312-n4",
-        "enumerate-132-n4",
-        "enumerate-231-n4",
-        "enumerate-132-312-n4",
-        "enumerate-321-231-n4",
+        pytest.param(
+            lambda: oracle.oracle_count(oracle.query(5, "213")),
+            21115,
+            21115,
+            281446,
+            id="count-213-n5",
+            marks=needs_n5,
+        ),
+        pytest.param(
+            lambda: oracle.avoidance_profile(5),
+            137616,
+            249681,
+            397065,
+            id="profile-n5",
+            marks=needs_n5,
+        ),
     ],
 )
-def test_walk_containment_tests_pinned(run, scans, asked, monkeypatch):
+def test_walk_containment_tests_pinned(run, scans, asked, dropped, monkeypatch):
     # the results above do not show how much work the walk does; the number
-    # of containment scans (one per node visited) and of patterns they are
+    # of containment scans (one per child placed) and of patterns they are
     # asked for do.  Walking a saturated subtree, or a subtree that already
     # contains an avoided pattern, or the 1 -> c -> b root half that the
     # inverses give, raises the scans; losing the mask of the patterns
@@ -530,7 +591,9 @@ def test_walk_containment_tests_pinned(run, scans, asked, monkeypatch):
     # walk per root pair that places the root once.  The oracle counts 132
     # as its twin 213, and a count or enumerate walks each pair's root half
     # once when the query is its own inverse image, and both roots directly
-    # otherwise.
+    # otherwise.  A child whose cycle form or dead cells settle it is
+    # dropped unscanned: with both rules off the walk scans ``dropped``
+    # more children, and answers the same.
     real = _kernels.contained_patterns
     seen = [0, 0]
 
@@ -540,8 +603,13 @@ def test_walk_containment_tests_pinned(run, scans, asked, monkeypatch):
         return real(values, bits, wanted)
 
     monkeypatch.setattr(_kernels, "contained_patterns", counting)
-    run()
+    got = run()
     assert seen == [scans, asked]
+    seen[:] = [0, 0]
+    monkeypatch.setattr(_kernels, "_FORM_BITS", dict.fromkeys(_kernels._FORM_BITS, 0))
+    monkeypatch.setattr(_kernels, "_DEAD_CELL_WIDTH", math.inf)
+    assert run() == got
+    assert seen[0] - scans == dropped
 
 
 @pytest.mark.parametrize("n, calls", [(1, 1), (2, 7), (3, 25), (4, 50)])
@@ -660,6 +728,67 @@ def test_scan_matches_naive_on_partial_placements(values, holes, wanted):
         values.insert(at, 0)
     contained = naive_mask(values)
     assert _kernels.contained_patterns(values, bits, wanted) == contained & wanted
+
+
+def completed_patterns(values, free):
+    """For each position, a dict from each value ``v`` in ``free`` to the
+    mask of PATTERNS3 that ``v`` there, if the position is unplaced (0),
+    realizes with two nonzero entries of ``values``, by ranking every such
+    triple."""
+    placed = [(i, v) for i, v in enumerate(values) if v]
+    free_values = [v for v in range(free.bit_length()) if free >> v & 1]
+    cells = []
+    for p, at in enumerate(values):
+        masks = dict.fromkeys([] if at else free_values, 0)
+        for v in masks:
+            for x, y in itertools.combinations(placed, 2):
+                triple = [value for _, value in sorted([x, y, (p, v)])]
+                masks[v] |= 1 << PATTERNS3.index(rank_word(triple))
+        cells.append(masks)
+    return cells
+
+
+def naive_dead_cells(cells, wanted):
+    """The dead cells of ``wanted`` from :func:`completed_patterns`."""
+    return [
+        sum(1 << v for v, mask in masks.items() if mask & wanted) for masks in cells
+    ]
+
+
+def test_dead_cells_match_naive_on_every_small_placement():
+    # every placement of values from 1..m on positions 0..m-1, m <= 6, the
+    # full ones and those already containing the pattern included; the free
+    # values are the rest of 1..m and m + 1, or none
+    for m in range(7):
+        for k in range(m + 1):
+            for vals in itertools.permutations(range(1, m + 1), k):
+                free = (4 << m) - 2 & ~sum(1 << v for v in vals)
+                for slots in itertools.combinations(range(m), k):
+                    values = [0] * m
+                    for slot, v in zip(slots, vals):
+                        values[slot] = v
+                    cells = completed_patterns(values, free)
+                    for wanted in (1, 2, 4, 8, 16, 32, 63):
+                        want = naive_dead_cells(cells, wanted)
+                        got = _kernels.dead_cells(values, free, wanted)
+                        assert got == want, (values, wanted)
+                    assert _kernels.dead_cells(values, 0, 63) == [0] * m, values
+
+
+@given(
+    st.lists(st.integers(1, 18), unique=True, max_size=18),
+    st.lists(st.integers(0, 18), max_size=18),
+    st.integers(0, (1 << 20) - 1),
+    st.integers(0, 63),
+)
+def test_dead_cells_match_naive_on_partial_placements(values, holes, free, wanted):
+    # distinct values with gaps, unplaced entries anywhere, any free values
+    # not placed, up to 18 positions
+    free &= ~sum(1 << v for v in values) & ~1
+    for at in holes[: 18 - len(values)]:
+        values.insert(at, 0)
+    want = naive_dead_cells(completed_patterns(values, free), wanted)
+    assert _kernels.dead_cells(values, free, wanted) == want
 
 
 def test_walk_mask_bits_follow_profile_patterns():
