@@ -11,13 +11,16 @@ one 3-cycle per frame, drawing its partner pairs from one free list per
 frame, and rules a child out before placing it when the placed entries
 settle it.  A cycle a -> b -> c with a < b < c is itself a 231, and
 a -> c -> b a 312, so the form's bit joins the child's mask before any
-scan.  A frame where every open pattern must stay out (a pruned walk, or a
-profile frame with one pattern open) and at least two cycles are left marks
-its dead cells (``dead_cells``), where one more entry completes an open
-pattern with two placed entries, and drops every child with an entry on
-one, or all of its children when some unplaced position has only dead
-cells.  Every other child makes one containment call, for the patterns
-still open.  Every walk, enumeration included, covers one root partner pair
+scan.  A frame with at least two cycles left marks its dead cells
+(``dead_cells``), where one more entry completes an open pattern with two
+placed entries: a pruned walk's cells are those of every open pattern, and
+a profile frame's are each open pattern's own.  A child with an entry on a
+pattern's dead cell contains it, unscanned; a pattern whose dead cells fill
+some unplaced position's row is in every completion, so it joins the
+frame's mask.  A child that this prunes, or whose mask it fills, is dropped
+before it is placed, and so is every child of a frame it prunes or fills.
+Every other child makes one containment call, for the patterns still
+open.  Every walk, enumeration included, covers one root partner pair
 (``star_pairs``) under one root cycle, 1 -> b -> c or 1 -> c -> b.  One
 rule halves a count and an enumeration: a query that is its own inverse
 image (``self_inverse``) walks the root 1 -> b -> c and reads the
@@ -392,16 +395,21 @@ def star_walk(
     ValueError before the walk starts).  A placed entry never changes, so an
     occurrence among the placed entries is one in every permutation below:
     the mask only grows, and a node's one :func:`contained_patterns` call
-    asks only for the patterns not yet in it.  Two rules settle a child
-    before it is placed or scanned: its cycle's form bit (231 for
+    asks only for the patterns not yet in it.  Two rules add to a child's
+    mask before it is placed or scanned: its cycle's form bit (231 for
     a -> b -> c, 312 for a -> c -> b) joins the mask first, and in a frame
-    with two or more cycles left, where every open pattern must stay out (a
-    pruned walk, or one pattern open), a child with an entry on one of the
-    frame's :func:`dead_cells` contains that pattern, and when an unplaced
-    position has only dead cells every completion does, so the frame
-    places no child.  Both drop only children that a walk without them
-    would prune or saturate, or whose every completion it would, so the
-    yields, their order and their masks are the same.
+    with two or more cycles left, a child with an entry on one of the
+    frame's :func:`dead_cells` contains that cell's pattern.  A pruned walk
+    marks the cells of all its open patterns at once, since any one prunes;
+    an unpruned walk marks each open pattern's cells apart, and a child on
+    one takes that pattern's bit and is scanned only for the patterns still
+    open.  A pattern whose cells fill an unplaced position's row is in
+    every completion, so its bit joins the frame's mask, and a frame that
+    this prunes or saturates places no child.  Both rules set only the bits
+    of patterns that every member below contains, and drop only children
+    that a walk without them would prune or saturate, or whose every
+    completion it would, so the yields, their order and their masks are the
+    same.
 
     With ``prune`` (the default) the patterns are avoided: a subtree is
     dropped at its first contained pattern, so the walk yields exactly the
@@ -452,9 +460,28 @@ def star_walk(
         # place a with each pair (None: each pair of the unplaced elements
         # above a) and form as cycle number ``depth``, then clear it; the
         # placed values are the placed positions, so ``placed`` (bit v for
-        # value v) grows by the cycle's three.  The cycle is itself a 231 or
-        # a 312, so its form's bit joins the mask before any scan: a form
-        # that prunes or saturates places no child.
+        # value v) grows by the cycle's three.  A child with an entry on a
+        # dead cell contains a pattern of the cells' group, and takes the
+        # group's bits unscanned: a pruned walk's group is every open
+        # pattern, since any one prunes, and an unpruned walk has one group
+        # per open pattern.  A group whose cells fill some unplaced
+        # position's row is in every completion, so its bits join the mask.
+        groups = []  # (pattern bits, dead cells)
+        wanted = want & ~mask
+        # (the root frame has no placed entries, so no dead cells)
+        if wanted and placed and m - 3 * depth + 3 >= _DEAD_CELL_WIDTH:
+            free_values = all_values & ~placed
+            while wanted:
+                group = wanted if prune else wanted & -wanted
+                wanted ^= group
+                dead = dead_cells(perm, free_values, group)
+                if free_values in dead:
+                    mask |= group
+                else:
+                    groups.append((group, dead))
+        # the cycle is itself a 231 or a 312, so its form's bit joins the
+        # mask before any scan: a mask or form that prunes or saturates
+        # places no child
         kept = []
         for cycle_form in cycle_forms:
             seen = mask | _FORM_BITS[cycle_form] & want
@@ -462,41 +489,25 @@ def star_walk(
                 kept.append((cycle_form == FORM_231, seen, want & ~seen))
         if not kept:
             return
-        # where every open pattern must stay out, a child with an entry on a
-        # dead cell contains one, and is ruled out unplaced; so is every
-        # child when some unplaced position has no free value but dead ones
-        wanted = want & ~mask
-        dead = None
-        if (
-            wanted
-            and (prune or not wanted & wanted - 1)
-            and m - 3 * depth + 3 >= _DEAD_CELL_WIDTH
-        ):
-            free_values = all_values & ~placed
-            dead = dead_cells(perm, free_values, wanted)
-            if free_values in dead:
-                return
         if pairs is None:
             free = [i for i in range(a + 1, m) if not perm[i]]
-            if dead is None:
-                pairs = itertools.combinations(free, 2)
+            if len(groups) == 1:  # an entry on a dead cell settles the child
+                pairs = _live_pairs(a, free, groups[0][1])
             else:
-                pairs = _live_pairs(a, free, dead)
+                pairs = itertools.combinations(free, 2)
         for b, c in pairs:
             bits = placed | 2 << a | 2 << b | 2 << c
             for rising, seen, ask in kept:
-                if rising:
-                    if dead and (
-                        dead[a] & 2 << b or dead[b] & 2 << c or dead[c] & 2 << a
-                    ):
-                        continue
-                    perm[a], perm[b], perm[c] = b + 1, c + 1, a + 1
-                else:
-                    if dead and (
-                        dead[a] & 2 << c or dead[b] & 2 << a or dead[c] & 2 << b
-                    ):
-                        continue
-                    perm[a], perm[b], perm[c] = c + 1, a + 1, b + 1
+                # the values at a, b and c, less one: a -> b -> c puts b at a,
+                # c at b and a at c
+                x, y, z = (b, c, a) if rising else (c, a, b)
+                for group, dead in groups:
+                    if dead[a] & 2 << x or dead[b] & 2 << y or dead[c] & 2 << z:
+                        seen |= group
+                        ask &= ~group
+                if prune and seen or seen == full:
+                    continue
+                perm[a], perm[b], perm[c] = x + 1, y + 1, z + 1
                 # every child left makes one scan, for the patterns still open
                 if ask:
                     seen |= contained_patterns(perm, bits, ask)

@@ -237,15 +237,18 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 
 
 class Check(NamedTuple):
-    """A row of the verify suite: for each n in ``ns(max_n)`` the values
-    ``sides(n, profile)`` returns must be equal.  ``profile`` is the shared
-    ``oracle.avoidance_profile(n)`` table (all n's swept together by
-    ``oracle.avoidance_profiles``) if the row ``sweeps``, else None."""
+    """A row of the verify suite: for each n in ``ns(max_n)`` the values the
+    sides take at n must be equal.  ``sides(ns, profiles)`` returns each
+    side as a sequence over the whole range ``ns``, so a route that reads
+    every n off one pass makes that pass once per row.  ``profiles`` are the
+    shared ``oracle.avoidance_profile(n)`` tables of the n's in ``ns`` (all
+    n's swept together by ``oracle.avoidance_profiles``) if the row
+    ``sweeps``, else None."""
 
     label: str
     selected_by: tuple[str, ...]  # single --pattern names; "all" selects every row
     ns: Callable[[int], range]
-    sides: Callable[[int, list[list[int]] | None], tuple]
+    sides: Callable[[range, list[list[list[int]]] | None], tuple]
     passed: str  # the pass line; {last} is the last n checked
     sweeps: bool = False
 
@@ -258,27 +261,40 @@ def _sweep_check(
 ) -> Check:
     """formula_counts against the swept profile for each (patterns, form)."""
     parsed = [(_parse_pattern_set(text), form) for text, form in queries]
+
+    def sides(ns: range, profiles: list[list[list[int]]]) -> tuple:
+        counts = [formula_counts(ns, pats, form) for pats, form in parsed]
+        return (
+            [list(at) for at in zip(*counts)],
+            [
+                [oracle.profile_count(table, pats, form) for pats, form in parsed]
+                for table in profiles
+            ],
+        )
+
     return Check(
         label,
         selected_by,
         lambda max_n: range(1, max_n + 1),
-        lambda n, profile: (
-            [formula_counts(range(n, n + 1), pats, form)[0] for pats, form in parsed],
-            [oracle.profile_count(profile, pats, form) for pats, form in parsed],
-        ),
+        sides,
         passed,
         sweeps=True,
     )
 
 
-def _encode_image_sides(n: int, _profile: None) -> tuple:
+def _each_n(sides_at: Callable[[int], tuple]) -> Callable[[range, None], tuple]:
+    """The sides of a row whose routes take one n at a time."""
+    return lambda ns, _profiles: tuple(zip(*map(sides_at, ns)))
+
+
+def _encode_image_sides(n: int) -> tuple:
     q = oracle.AvoidanceQuery(n, frozenset({(2, 3, 1)}))
     want = set(oracle.oracle_enumerate(q))
     got = {avoid231.encode(w) for w in avoid231.words(n - 1)}
     return (want, avoid231.count_231(n)), (got, len(got))
 
 
-def _series_identity_sides(order: int, _profile: None) -> tuple:
+def _series_identity_sides(order: int) -> tuple:
     # B is built from B = 2A + AB, which B(1 - A) = 2A checks by multiplying;
     # the paper's A = (c - 1) m(c - 1), composed, checks A itself
     a = series.series_A(order)
@@ -316,25 +332,26 @@ CHECKS = (
         "bijection 231",
         ("231", "312"),
         lambda max_n: range(1, max_n + 1),
-        _encode_image_sides,
+        _each_n(_encode_image_sides),
         "bijection 231: encode image matches oracle for n=1..{last}",
     ),
     Check(
         "series identity",
         ("132", "213"),
         lambda max_n: range(20, 21),
-        _series_identity_sides,
+        _each_n(_series_identity_sides),
         "identity: series B*(1-A) = 2A to order {last}",
     ),
-    # the per-word Dyck sum pins the Dyck-path transfer that "Dyck identity" reads
+    # the per-word Dyck sum pins the Dyck-path transfer that "Dyck identity"
+    # reads; the staircase and transfer routes read every n off one pass
     Check(
         "route check 321",
         ("321",),
         lambda max_n: range(1, 9),
-        lambda n, _profile: (
-            avoid321.count_321_via_tsets(n),
-            avoid321.count_321_via_dyck(n),
-            avoid321.dyck_h_sum(n, 2),
+        lambda ns, _profiles: (
+            avoid321.count_321_via_tsets(ns),
+            [avoid321.count_321_via_dyck(n) for n in ns],
+            avoid321.dyck_h_sum(ns, 2),
         ),
         "route check 321: staircase sum = Dyck sum = f(2) for n=1..{last}",
     ),
@@ -342,7 +359,7 @@ CHECKS = (
         "Dyck identity",
         ("321",),
         lambda max_n: range(1, 11),
-        lambda n, _profile: (avoid321.dyck_identity_check(n), True),
+        lambda ns, _profiles: (avoid321.dyck_identity_check(ns), [True] * len(ns)),
         "identity: Dyck binomial sum = Fuss-Catalan for n=1..{last}",
     ),
 )
@@ -377,11 +394,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failed = False
     for check in checks:
         ns = check.ns(args.max_n)
-        bad = []
-        for n in ns:
-            sides = check.sides(n, profiles[n] if check.sweeps else None)
-            if any(side != sides[0] for side in sides):
-                bad.append((n, *sides))
+        sides = check.sides(ns, [profiles[n] for n in ns] if check.sweeps else None)
+        bad = [(n, *at) for n, *at in zip(ns, *sides) if any(v != at[0] for v in at)]
         failed |= bool(bad)
         passed = check.passed.format(last=ns[-1])
         print(f"{check.label}: MISMATCH {bad}" if bad else passed)

@@ -9,19 +9,23 @@ cycle when the cycle's own form (231 or 312), or one of its entries with
 two placed ones (``_kernels.dead_cells``), completes an avoided pattern,
 and otherwise by one linear containment scan of the child; and it places
 no cycle at all where some unplaced position can take no value that does
-not complete one.  That loses no member, since a placed entry never changes, so an occurrence among the
-placed entries is one in every permutation below them.
-The avoidance profile runs the same walk unpruned and drops a subtree whose
-placed entries already contain all six patterns; their members are column
-0, which :func:`avoidance_profiles` fills once per table by subtraction from
-the closed-form row totals.  Every walk, enumeration included, covers one
-root partner pair (b, c).  A query that is its own inverse image (no form,
-and 231 and 312 both avoided or neither) walks only the pair's members whose
-root cycle is 1 -> b -> c: their inverses are the members with root
-1 -> c -> b, and a permutation contains a pattern exactly when its inverse
-contains the pattern's inverse, so the other half is read off the walked
-one, a count by doubling and an enumeration by inverting and sorting into
-the walk's order.  Any other query walks both roots
+not complete one.  That loses no member, since a placed entry never
+changes, so an occurrence among the placed entries is one in every
+permutation below them.  The avoidance profile runs the same walk unpruned
+and drops a subtree whose placed entries already contain all six patterns,
+or whose every completion does.  It marks each open pattern's dead cells
+apart: a cycle with an entry on one contains that pattern without a scan,
+and a pattern whose dead cells fill some unplaced position's row is
+contained by every completion.  The members of the dropped subtrees are
+column 0, which :func:`avoidance_profiles` fills once per table by
+subtraction from the closed-form row totals.  Every walk, enumeration
+included, covers one root partner pair (b, c).  A query that is its own
+inverse image (no form, and 231 and 312 both avoided or neither) walks only
+the pair's members whose root cycle is 1 -> b -> c: their inverses are the
+members with root 1 -> c -> b, and a permutation contains a pattern exactly
+when its inverse contains the pattern's inverse, so the other half is read
+off the walked one, a count by doubling and an enumeration by inverting and
+sorting into the walk's order.  Any other query walks both roots
 (``_kernels.self_inverse``).  The profile walks the 1 -> b -> c half and
 relabels its inverses' columns.  It also uses the other symmetry of the
 pattern classes, reverse-complement: in one walk per pair it takes one

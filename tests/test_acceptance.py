@@ -72,12 +72,12 @@ def _oracle_equivalence(ns, jobs=1):
     # the rows of the verify table that read the sweep: the single patterns,
     # the fifteen pairs and the three flagged subclasses
     swept = [check for check in cli.CHECKS if check.sweeps]
-    for n in ns:
-        table = oracle.avoidance_profile(n, jobs=jobs)
-        for check in swept:
-            sides = check.sides(n, table)
-            assert all(side == sides[0] for side in sides), (n, check.label, sides)
-        # spot-check the batched sweep against the per-query oracle
+    tables = [oracle.avoidance_profile(n, jobs=jobs) for n in ns]
+    for check in swept:
+        for n, *at in zip(ns, *check.sides(ns, tables)):
+            assert all(side == at[0] for side in at), (n, check.label, at)
+    # spot-check the batched sweep against the per-query oracle
+    for n, table in zip(ns, tables):
         if n <= 3:
             for sigma in PATTERNS3:
                 q = oracle.AvoidanceQuery(n, frozenset({sigma}))
@@ -95,7 +95,7 @@ def test_criterion_2_oracle_equivalence():
 )
 def test_criterion_2_oracle_equivalence_n5():
     with _Timer(2, "oracle equivalence n=5", 300.0):
-        _oracle_equivalence([5], jobs=os.cpu_count() or 1)
+        _oracle_equivalence(range(5, 6), jobs=os.cpu_count() or 1)
 
 
 @pytest.mark.skipif(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 from pathlib import Path
 
@@ -534,6 +535,61 @@ class TestDyckTransfer:
         monkeypatch.setattr(words, "dyck_words", fail)
         monkeypatch.setattr(avoid321, "dyck_stats", fail)
         assert all(avoid321.dyck_identity_check(n) for n in range(1, 13))
+
+    @pytest.mark.parametrize(
+        "top",
+        [
+            14,
+            pytest.param(
+                avoid321.TSET_LIMIT,
+                marks=pytest.mark.skipif(
+                    not os.environ.get("RUN_N6"),
+                    reason="the bound's passes take about a minute and 300 MB,"
+                    " opt in with RUN_N6=1",
+                ),
+            ),
+        ],
+    )
+    def test_range_matches_each_n(self, top):
+        # the pass at the top n holds every smaller n
+        ns = range(1, top + 1)
+        for t in (1, 2, 3):
+            assert avoid321.dyck_h_sum(ns, t) == [avoid321.dyck_h_sum(n, t) for n in ns]
+        assert avoid321.dyck_identity_check(ns) == [True] * top
+        assert avoid321.dyck_identity_check(range(3, top + 1, 2)) == [True] * (
+            (top - 1) // 2
+        )
+
+    @pytest.mark.parametrize(
+        "ns",
+        [range(3, 3), range(0, 4), range(-2, 3), range(5, 1, -1)],
+        ids=["empty", "from-0", "negative", "decreasing"],
+    )
+    def test_rejects_bad_ranges_before_any_work(self, ns, monkeypatch):
+        def fail(*args):
+            raise AssertionError("closed a pair")
+
+        monkeypatch.setattr(math, "comb", fail)
+        for route in (
+            lambda: avoid321.dyck_h_sum(ns, 2),
+            lambda: avoid321.dyck_identity_check(ns),
+            lambda: avoid321.tset_h_sum(ns, 2),
+        ):
+            with pytest.raises(ValueError, match="increasing range"):
+                route()
+
+    def test_range_over_the_bound_refused_before_any_work(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("closed a pair")
+
+        monkeypatch.setattr(math, "comb", fail)
+        monkeypatch.setattr(_kernels, "is_y_slot", fail)
+        top = avoid321.TSET_LIMIT + 1
+        for route in (avoid321.dyck_h_sum, avoid321.tset_h_sum):
+            with pytest.raises(ResourceLimitError, match=f"n={top} exceeds"):
+                route(range(1, top + 1), 1)
+        with pytest.raises(ResourceLimitError, match=f"n={top} exceeds"):
+            avoid321.dyck_identity_check(range(top - 1, top + 1))
 
     def test_rejects_n_below_one(self):
         with pytest.raises(ValueError):

@@ -335,11 +335,19 @@ def test_321_range_reads_one_pass(monkeypatch, capsys):
 def test_verify_pins_the_dyck_transfer(monkeypatch, capsys):
     # a wrong transfer shows in both rows that read it
     real = avoid321.dyck_h_sum
-    monkeypatch.setattr(avoid321, "dyck_h_sum", lambda n, t: real(n, t) + (n == 5))
+    calls = []
+
+    def wrong_at_5(ns, t):
+        calls.append((ns, t))
+        return [s + (n == 5) for n, s in zip(ns, real(ns, t))]
+
+    monkeypatch.setattr(avoid321, "dyck_h_sum", wrong_at_5)
     assert cli.main(["verify", "--pattern", "321", "--max-n", "2"]) == 1
     out = capsys.readouterr().out
     assert "route check 321: MISMATCH [(5, 2606, 2606, 2607)]\n" in out
     assert "Dyck identity: MISMATCH [(5, False, True)]\n" in out
+    # one transfer pass per row, over its whole range
+    assert calls == [(range(1, 9), 2), (range(1, 11), 1)]
 
 
 def test_321_counts_past_the_dyck_bound(capsys):
@@ -398,7 +406,11 @@ BREAKERS = {
             [c + 1 for c in real(n)] if isinstance(n, range) else real(n) + 1
         ),
     ),
-    "Dyck identity": (avoid321, "dyck_identity_check", lambda real: lambda n: False),
+    "Dyck identity": (
+        avoid321,
+        "dyck_identity_check",
+        lambda real: lambda ns: [False] * len(ns),
+    ),
 }
 SWEPT_BREAKER = (oracle, "profile_count", lambda real: lambda *a: real(*a) + 1)
 
