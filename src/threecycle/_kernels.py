@@ -1,41 +1,17 @@
-"""The search layer: pattern containment, the star walk under every count,
-enumeration and profile, and the staircase scan behind every z/x/y word and
-its balanced-prefix cuts, with its greedy rule (``is_y_slot``), which
-the staircase automaton of :mod:`threecycle.avoid321` steps slot by slot.
+"""The search layer: pattern containment (``contained_patterns``), the star
+walk under every count, enumeration and profile (``star_walk``), and the
+staircase scan behind every z/x/y word and its balanced-prefix cuts
+(``tset_scan``), with its greedy rule (``is_y_slot``), which the staircase
+automaton of :mod:`threecycle.avoid321` steps slot by slot.
 
-Containment (``contained_patterns``) is one scan per wanted length-3
-pattern, for 123, 132 and 213 over the values and for their reverses over
-the values reversed, each from bit sets of the values left and right of each
-entry; it answers with a bit mask over ``PROFILE_PATTERNS``.  The walk places
-one 3-cycle per frame, drawing its partner pairs from one free list per
-frame, and rules a child out before placing it when the placed entries
-settle it.  A cycle a -> b -> c with a < b < c is itself a 231, and
-a -> c -> b a 312, so the form's bit joins the child's mask before any
-scan.  A frame with at least two cycles left marks its dead cells
-(``dead_cells``), where one more entry completes an open pattern with two
-placed entries: a pruned walk's cells are those of every open pattern, and
-a profile frame's are each open pattern's own.  A child with an entry on a
-pattern's dead cell contains it, unscanned; a pattern whose dead cells fill
-some unplaced position's row is in every completion, so it joins the
-frame's mask.  A child that this prunes, or whose mask it fills, is dropped
-before it is placed, and so is every child of a frame it prunes or fills.
-Every other child makes one containment call, for the patterns still
-open.  Every walk, enumeration included, covers one root partner pair
-(``star_pairs``) under one root cycle, 1 -> b -> c or 1 -> c -> b.  One
-rule halves a count and an enumeration: a query that is its own inverse
-image (``self_inverse``) walks the root 1 -> b -> c and reads the
-1 -> c -> b half off its inverses, and any other query walks both roots.
-Enumeration (``star_members``) sorts the inverses into the walk's order,
-and walks both roots of a query with no patterns, whose walk makes no
-scans to save, since inverting and sorting cost more than walking.
-The profile walks the root 1 -> b -> c and relabels its inverses' columns
-(``inverse_mask``); it drops a subtree once its placed entries contain all
-six patterns, and leaves column 0 to the oracle.  Its one walk per pair
-places the cycle of the top element 3n second, from a list of partner pairs
-carried by the root, and takes one member of each orbit of an involution,
-reverse-complement after inverse or reverse-complement by that cycle's
-form, counting the other member by a column relabel.  The oracle adds up
-one call per pair.
+Each rule of the walk is stated once, in the docstring of the function that
+applies it: the cycle's form bit and the frames that mark dead cells
+(``star_walk``), the dead cells themselves (``dead_cells``), the pairs a
+frame draws from them (``_live_pairs``), halving a query that is its own
+inverse image (``self_inverse``, applied by ``count_avoiders`` and
+``star_members``), and the profile's orbit rule (``avoidance_profile``).
+Every walk covers one root partner pair (``star_pairs``), the oracle's unit
+of work.
 
 Conventions: permutations are 1-based one-line sequences; a 3-cycle placed as
 a -> b -> c with a < b < c realizes the pattern 231, while a -> c -> b
@@ -51,6 +27,8 @@ from typing import Iterable, Iterator, Sequence
 
 FORM_231 = "231"
 FORM_312 = "312"
+#: every form filter: None allows both orientations
+FORMS = (None, FORM_312, FORM_231)
 
 #: Fixed pattern order for every pattern bit mask: bit i of a containment
 #: mask is set when PROFILE_PATTERNS[i] is contained, of a profile column
@@ -325,21 +303,20 @@ _INVERSE_COLUMNS = tuple(map(inverse_mask, range(64)))
 #: an occurrence of 231, and a -> c -> b of 312
 _FORM_BITS = {FORM_231: _PATTERN_BITS[2, 3, 1], FORM_312: _PATTERN_BITS[3, 1, 2]}
 
-#: the fewest elements left to place at which a walk frame builds its dead
-#: cells: a frame placing the last cycle has one pair, too few to pay
-_DEAD_CELL_WIDTH = 6
-
 
 def _check_form(form: str | None) -> None:
-    if form not in (None, FORM_231, FORM_312):
-        raise ValueError(f"unknown form filter: {form!r}")
+    """Refuse a form filter not in ``FORMS`` with ValueError."""
+    if form not in FORMS:
+        raise ValueError(f"unknown form filter {form!r}: form must be one of {FORMS}")
 
 
 def _live_pairs(a: int, free: list[int], dead: list[int]) -> list[tuple[int, int]]:
-    # the pairs (b, c) of ``free``, in lexicographic order, less those whose
-    # two children both have an entry on a dead cell: a -> b -> c puts b at
-    # a, c at b and a at c, and a -> c -> b puts c at a and a at b (and b at
-    # c, which the walk tests with each child's other entries)
+    """The pairs ``(b, c)`` of ``free``, in lexicographic order, that
+    :func:`star_walk` places with ``a`` in a frame with one group of dead
+    cells: every pair less those whose two children both have an entry on a
+    dead cell.  a -> b -> c puts b at a, c at b and a at c, and a -> c -> b
+    puts c at a and a at b (and b at c, which the walk tests with each
+    child's other entries)."""
     top = 0
     for p in free:
         top |= 1 << p
@@ -397,19 +374,21 @@ def star_walk(
     the mask only grows, and a node's one :func:`contained_patterns` call
     asks only for the patterns not yet in it.  Two rules add to a child's
     mask before it is placed or scanned: its cycle's form bit (231 for
-    a -> b -> c, 312 for a -> c -> b) joins the mask first, and in a frame
-    with two or more cycles left, a child with an entry on one of the
+    a -> b -> c, 312 for a -> c -> b) joins the mask first, and in every
+    frame but the root's, which has no placed entries, and the last, whose
+    one pair is too few to pay for them, a child with an entry on one of the
     frame's :func:`dead_cells` contains that cell's pattern.  A pruned walk
     marks the cells of all its open patterns at once, since any one prunes;
     an unpruned walk marks each open pattern's cells apart, and a child on
     one takes that pattern's bit and is scanned only for the patterns still
-    open.  A pattern whose cells fill an unplaced position's row is in
-    every completion, so its bit joins the frame's mask, and a frame that
-    this prunes or saturates places no child.  Both rules set only the bits
-    of patterns that every member below contains, and drop only children
-    that a walk without them would prune or saturate, or whose every
-    completion it would, so the yields, their order and their masks are the
-    same.
+    open.  A frame with one group of cells draws its pairs from
+    :func:`_live_pairs`.  A pattern whose cells fill an unplaced position's
+    row is in every completion, so its bit joins the frame's mask, and a
+    frame that this prunes or saturates places no child.  Both rules set
+    only the bits of patterns that every member below contains, and drop
+    only children that a walk without them would prune or saturate, or
+    whose every completion it would, so the yields, their order and their
+    masks are the same.
 
     With ``prune`` (the default) the patterns are avoided: a subtree is
     dropped at its first contained pattern, so the walk yields exactly the
@@ -460,16 +439,10 @@ def star_walk(
         # place a with each pair (None: each pair of the unplaced elements
         # above a) and form as cycle number ``depth``, then clear it; the
         # placed values are the placed positions, so ``placed`` (bit v for
-        # value v) grows by the cycle's three.  A child with an entry on a
-        # dead cell contains a pattern of the cells' group, and takes the
-        # group's bits unscanned: a pruned walk's group is every open
-        # pattern, since any one prunes, and an unpruned walk has one group
-        # per open pattern.  A group whose cells fill some unplaced
-        # position's row is in every completion, so its bits join the mask.
+        # value v) grows by the cycle's three
         groups = []  # (pattern bits, dead cells)
         wanted = want & ~mask
-        # (the root frame has no placed entries, so no dead cells)
-        if wanted and placed and m - 3 * depth + 3 >= _DEAD_CELL_WIDTH:
+        if wanted and 1 < depth < n:
             free_values = all_values & ~placed
             while wanted:
                 group = wanted if prune else wanted & -wanted
@@ -479,9 +452,7 @@ def star_walk(
                     mask |= group
                 else:
                     groups.append((group, dead))
-        # the cycle is itself a 231 or a 312, so its form's bit joins the
-        # mask before any scan: a mask or form that prunes or saturates
-        # places no child
+        # a mask or form bit that prunes or saturates places no child
         kept = []
         for cycle_form in cycle_forms:
             seen = mask | _FORM_BITS[cycle_form] & want

@@ -1,41 +1,18 @@
 """Brute-force ground truth: exhaustive counting and enumeration of
-pattern-avoiding 3-cycle-only permutations, plus the degenerate closed forms
-(the 123 pattern and pattern pairs).
+pattern-avoiding 3-cycle-only permutations, the avoidance profile, and the
+degenerate closed forms (the 123 pattern and pattern pairs).
 
-Counts and enumerations are an exact pruned walk over the star set
-(``_kernels.star_walk``): a branch is dropped as soon as the entries placed
-so far contain an avoided pattern.  The walk sees that before placing a
-cycle when the cycle's own form (231 or 312), or one of its entries with
-two placed ones (``_kernels.dead_cells``), completes an avoided pattern,
-and otherwise by one linear containment scan of the child; and it places
-no cycle at all where some unplaced position can take no value that does
-not complete one.  That loses no member, since a placed entry never
-changes, so an occurrence among the placed entries is one in every
-permutation below them.  The avoidance profile runs the same walk unpruned
-and drops a subtree whose placed entries already contain all six patterns,
-or whose every completion does.  It marks each open pattern's dead cells
-apart: a cycle with an entry on one contains that pattern without a scan,
-and a pattern whose dead cells fill some unplaced position's row is
-contained by every completion.  The members of the dropped subtrees are
-column 0, which :func:`avoidance_profiles` fills once per table by
-subtraction from the closed-form row totals.  Every walk, enumeration
-included, covers one root partner pair (b, c).  A query that is its own
-inverse image (no form, and 231 and 312 both avoided or neither) walks only
-the pair's members whose root cycle is 1 -> b -> c: their inverses are the
-members with root 1 -> c -> b, and a permutation contains a pattern exactly
-when its inverse contains the pattern's inverse, so the other half is read
-off the walked one, a count by doubling and an enumeration by inverting and
-sorting into the walk's order.  Any other query walks both roots
-(``_kernels.self_inverse``).  The profile walks the 1 -> b -> c half and
-relabels its inverses' columns.  It also uses the other symmetry of the
-pattern classes, reverse-complement: in one walk per pair it takes one
-member of each pair {p, tau(p)} of walked members, tau chosen by the form of
-the top element's cycle, and counts tau(p) by relabelling p's column
-(``_kernels.avoidance_profile``).  A count of the single pattern 132 walks
-its twin 213, its image under reverse-complement after inverse, which walks
-fewer nodes.  No counting shortcut from the formula modules is consulted,
-so these results can serve as the independent side of every
-formula-vs-oracle check.
+Every count, enumeration and profile runs the star walk of
+:mod:`threecycle._kernels` (``star_walk``), which drops a branch once its
+placed entries contain an avoided pattern: exact, since a placed entry
+never changes.  Its rules are stated there, each in the docstring of the
+function that applies it.  A count adds up ``count_avoiders`` over the
+root partner pairs, an enumeration is ``perm.iterate_star`` (over
+``star_members``), and a profile adds up ``avoidance_profile`` and fills
+column 0 (:func:`avoidance_profiles`).  :func:`oracle_counts` says why the
+single pattern 132 is counted as 213.  No counting shortcut from the
+formula modules is consulted, so these results can serve as the
+independent side of every formula-vs-oracle check.
 
 Sizes are bounded by one constant, n <= WALK_LIMIT, checked before any
 work; no flag lifts it (the star set grows by a factor ~270 per step).
@@ -59,7 +36,7 @@ from threecycle.errors import ResourceLimitError
 
 WALK_LIMIT = 6
 
-FORMS = (None, perm.FORM_312, perm.FORM_231)
+FORMS = _kernels.FORMS
 
 
 class _AvoidanceQueryFields(NamedTuple):
@@ -87,8 +64,7 @@ class AvoidanceQuery(_AvoidanceQueryFields):
             perm.check_permutation(sigma)
             if len(sigma) != 3:
                 raise ValueError(f"oracle patterns must have length 3: {sigma}")
-        if form not in FORMS:
-            raise ValueError(f"form must be one of {FORMS}, got {form!r}")
+        _kernels._check_form(form)
         return super().__new__(cls, n, patterns, form)
 
     @classmethod
@@ -227,16 +203,9 @@ def oracle_counts(
     bad query is refused before a size over the bound, both before any work.
 
     The single pattern 132 is counted as its twin 213, its image under
-    reverse-complement (conjugation by the reversal) after inverse.  Each of
-    the two maps swaps the cycle forms, so together they keep them, and the
-    map swaps 132 and 213 and fixes the other patterns.  The twin walks
-    fewer nodes under every form: 2,783 scans against 5,387 at n = 4 and
-    21,115 against 51,782 at n = 5 with no form, 1,801 against 2,176 and
-    15,311 against 18,303 with one.  A larger set with 132 but not 213 is
-    walked as asked.  Of its 45 (set, form) queries, the twin makes as many
-    scans for 30 at n = 4 and at n = 5, fewer for the rest at n = 4 (111
-    against 475 for {123, 132}) and for 13 at n = 5, and more for
-    {132, 231} with no form or 312 at n = 5 (2,318 against 2,139)."""
+    reverse-complement after inverse, a map that keeps the cycle forms,
+    because the twin's walk makes fewer scans under every form; a larger
+    set is walked as asked."""
     q = AvoidanceQuery(max(ns, default=0), patterns, form)
     if q.patterns == {(1, 3, 2)}:
         q = q._replace(patterns=frozenset({(2, 1, 3)}))
@@ -284,14 +253,8 @@ def profile_count(
     (2, 40)
     """
     required = _kernels.pattern_mask(patterns)
-    if form is None:
-        rows: tuple[int, ...] = (0, 1, 2)
-    elif form == perm.FORM_312:
-        rows = (1,)
-    elif form == perm.FORM_231:
-        rows = (2,)
-    else:
-        raise ValueError(f"form must be one of {FORMS}, got {form!r}")
+    _kernels._check_form(form)
+    rows = {None: (0, 1, 2), perm.FORM_312: (1,), perm.FORM_231: (2,)}[form]
     return sum(
         table[row][mask]
         for row in rows

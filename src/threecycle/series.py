@@ -157,8 +157,6 @@ def series_all312_avoiders(order: int) -> IntegerSeries:
         a[k] = sum(u[i] w[k-i], i = 1..k),
         w[k] = a[k] + sum(a[i] a[k-i], i = 1..k-1).
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
     _check_order(order)
     u = catalan_numbers(order)
     u[0] = 0

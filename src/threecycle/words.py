@@ -1,10 +1,10 @@
-"""Balanced-word and composition generators shared by the counting modules.
+"""Balanced-word generators shared by the counting modules.
 
 Dyck words are produced over a caller-chosen (open, close) letter pair so the
 same machinery serves both the {1,2} words of the 132 analysis and the {x,y}
 words of the 321 analysis.  Motzkin words use the fixed alphabet U/F/D.
-All generators are deterministic: openers are tried before closers, U before
-F before D, and composition parts grow left to right.
+All generators are deterministic: openers are tried before closers, and U
+before F before D.
 """
 
 from __future__ import annotations
@@ -93,25 +93,3 @@ def is_motzkin(word: str) -> bool:
         word
     ) <= {"U", "F", "D"}
 
-
-def compositions(n: int) -> Iterator[tuple[int, ...]]:
-    """Compositions of ``n`` (ordered tuples of positive parts); parts are
-    chosen smallest-first so the stream is lexicographic.
-
-    >>> list(compositions(3))
-    [(1, 1, 1), (1, 2), (2, 1), (3,)]
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    parts: list[int] = []
-
-    def rec(remaining: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(parts)
-            return
-        for x in range(1, remaining + 1):
-            parts.append(x)
-            yield from rec(remaining - x)
-            parts.pop()
-
-    return rec(n)

@@ -135,7 +135,11 @@ def test_criterion_4_motzkin_type_machinery():
             everything = set(words.dyck_words(n, "1", "2"))
             assert len(everything) == catalan[n]
             seen: set[str] = set()
-            for parts in words.compositions(n):
+            # each composition of n, built from its cut points
+            cut_sets = (itertools.combinations(range(1, n), k) for k in range(n))
+            for cuts in itertools.chain.from_iterable(cut_sets):
+                bounds = (0, *cuts, n)
+                parts = tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
                 fiber = list(avoid132.enumerate_dyck_of_type(parts))
                 assert len(set(fiber)) == len(fiber) == motzkin[len(parts) - 1], parts
                 assert seen.isdisjoint(fiber)

@@ -142,19 +142,6 @@ class TestEnumerateByType:
     def test_motzkin_cardinality(self):
         assert len(list(avoid132.enumerate_dyck_of_type((1, 1, 1)))) == 2
 
-    def test_census_partitions_dyck_words(self):
-        motzkin = series.motzkin_numbers(8)
-        for n in range(1, 7):
-            everything = set(words.dyck_words(n, "1", "2"))
-            seen = set()
-            for parts in words.compositions(n):
-                fiber = list(avoid132.enumerate_dyck_of_type(parts))
-                assert len(set(fiber)) == len(fiber) == motzkin[len(parts) - 1]
-                assert all(avoid132.type_of(w) == parts for w in fiber)
-                assert seen.isdisjoint(fiber)
-                seen.update(fiber)
-            assert seen == everything
-
 
 class TestConstruction:
     def test_worked_examples(self):

@@ -289,6 +289,20 @@ def test_formula_bounds_refuse_before_work(argv, module, name, monkeypatch, caps
 
 
 @pytest.mark.parametrize(
+    "which, constant", [("A", 0), ("B", 0), ("catalan", 1), ("motzkin", 1)]
+)
+def test_series_order_0_prints_the_constant_term(which, constant, capsys):
+    # order 0 is the constant term alone, for every series; a negative order
+    # is a usage error
+    assert cli.main(["series", "--which", which, "--order", "0"]) == 0
+    assert capsys.readouterr() == (f"0: {constant}\n", "")
+    assert cli.main(["series", "--which", which, "--order", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "usage error: order must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
     "argv, name",
     [
         (["count", "--pattern", "132"], "series_B"),

@@ -8,7 +8,6 @@ import collections
 import functools
 import itertools
 import json
-import math
 import os
 from pathlib import Path
 
@@ -593,8 +592,9 @@ def test_walk_containment_tests_pinned(run, scans, asked, dropped, monkeypatch):
     # once when the query is its own inverse image, and both roots directly
     # otherwise.  A child whose cycle form or dead cells settle it is
     # dropped unscanned, and a profile child on one open pattern's dead
-    # cells is not asked for that pattern: with both rules off the walk
-    # scans ``dropped`` more children, and answers the same.
+    # cells is not asked for that pattern: with both rules off (no form
+    # bits, and no dead cells) the walk scans ``dropped`` more children, and
+    # answers the same.
     real = _kernels.contained_patterns
     seen = [0, 0]
 
@@ -608,9 +608,35 @@ def test_walk_containment_tests_pinned(run, scans, asked, dropped, monkeypatch):
     assert seen == [scans, asked]
     seen[:] = [0, 0]
     monkeypatch.setattr(_kernels, "_FORM_BITS", dict.fromkeys(_kernels._FORM_BITS, 0))
-    monkeypatch.setattr(_kernels, "_DEAD_CELL_WIDTH", math.inf)
+    monkeypatch.setattr(_kernels, "dead_cells", lambda values, *_: [0] * len(values))
     assert run() == got
     assert seen[0] - scans == dropped
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize(
+    "run",
+    [oracle.avoidance_profile, lambda n: whole_count(n, [(3, 2, 1)])],
+    ids=["profile", "count-321"],
+)
+def test_dead_cells_marked_in_every_frame_but_the_root_and_the_last(
+    run, n, monkeypatch
+):
+    # the root frame has no placed entry to complete a pattern with, and the
+    # last frame, with three entries left, has one pair to place: every
+    # frame between marks its dead cells
+    real = _kernels.dead_cells
+    depths = set()
+
+    def watching(values, free, wanted):
+        placed = sum(1 for v in values if v)
+        assert placed >= 1 and len(values) - placed >= 6, values
+        depths.add(placed // 3 + 1)  # the frame places cycle number depth
+        return real(values, free, wanted)
+
+    monkeypatch.setattr(_kernels, "dead_cells", watching)
+    run(n)
+    assert depths == set(range(2, n))
 
 
 @pytest.mark.parametrize("n, calls", [(1, 1), (2, 7), (3, 25), (4, 50)])
