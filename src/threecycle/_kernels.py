@@ -13,6 +13,13 @@ inverse image (``self_inverse``, applied by ``count_avoiders`` and
 Every walk covers one root partner pair (``star_pairs``), the oracle's unit
 of work.
 
+The six length-3 patterns live in one table, ``PROFILE_PATTERNS``, whose
+order is every pattern mask's bit order (``pattern_mask``); the CLI takes
+their names and the query its pattern check from it.  Which patterns are
+reverses of which is stated once too, in the reversal table ``_RULES``,
+from which both the scans and the dead-cell sweeps are read.  The forms are
+listed once, in ``FORMS``.
+
 Conventions: permutations are 1-based one-line sequences; a 3-cycle placed as
 a -> b -> c with a < b < c realizes the pattern 231, while a -> c -> b
 realizes 312.  The walk names each orientation by its form, ``FORM_231`` or
@@ -98,12 +105,6 @@ def _has_213(values: Iterable[int], bits: int) -> bool:
     return False
 
 
-#: bit -> (scan, reversed?): the scans of 123, 132 and 213, and over the
-#: reversed values, of their reverses 321, 231 and 312
-_SCANS = {1: (_has_123, False), 2: (_has_132, False), 4: (_has_213, False)}
-_SCANS.update({32: (_has_123, True), 8: (_has_132, True), 16: (_has_213, True)})
-
-
 def contained_patterns(values: Sequence[int], bits: int, wanted: int) -> int:
     """The mask of the ``wanted`` patterns that ``values`` contain, one scan
     per wanted pattern.  ``values`` are distinct positive ints, 0 entries
@@ -131,7 +132,7 @@ def contained_patterns(values: Sequence[int], bits: int, wanted: int) -> int:
     while wanted:
         bit = wanted & -wanted
         wanted ^= bit
-        scan, backwards = _SCANS[bit]
+        scan, _, backwards = _RULES[bit]
         if scan(reversed(values) if backwards else values, bits):
             found |= bit
     return found
@@ -235,10 +236,20 @@ def _dead_213(values: Sequence[int], free: int) -> list[int]:
     return dead
 
 
-#: bit -> (sweep, reversed?), as for _SCANS: a pattern's cells in the values
-#: are its reverse's cells in the reversed values, read back to front
-_SWEEPS = {1: (_dead_123, False), 2: (_dead_132, False), 4: (_dead_213, False)}
-_SWEEPS.update({32: (_dead_123, True), 8: (_dead_132, True), 16: (_dead_213, True)})
+#: The reversal table, bit -> (scan, sweep, reversed?): the rules of 123,
+#: 132 and 213, and over the reversed values, of their reverses 321, 231 and
+#: 312.  A pattern is contained in the values exactly when its reverse is in
+#: the reversed values, and its dead cells are its reverse's cells in the
+#: reversed values, read back to front.
+_RULES = {
+    _PATTERN_BITS[q]: (scan, sweep, q != p)
+    for p, scan, sweep in (
+        ((1, 2, 3), _has_123, _dead_123),
+        ((1, 3, 2), _has_132, _dead_132),
+        ((2, 1, 3), _has_213, _dead_213),
+    )
+    for q in (p, p[::-1])
+}
 
 
 def dead_cells(values: Sequence[int], free: int, wanted: int) -> list[int]:
@@ -265,7 +276,7 @@ def dead_cells(values: Sequence[int], free: int, wanted: int) -> list[int]:
     while wanted:
         bit = wanted & -wanted
         wanted ^= bit
-        sweep, backwards = _SWEEPS[bit]
+        _, sweep, backwards = _RULES[bit]
         cells = sweep(values[::-1], free)[::-1] if backwards else sweep(values, free)
         dead = cells if dead is None else [d | c for d, c in zip(dead, cells)]
     return [0] * len(values) if dead is None else dead
@@ -404,7 +415,9 @@ def star_walk(
     _check_form(form)
     forms = (FORM_231, FORM_312) if form is None else (form,)
     want = pattern_mask(patterns)
-    full = want if want and not prune else -1
+    # a child's mask holds only wanted bits, so it stops the child at any bit
+    # when pruning, else at all of them (never, with no patterns)
+    stop = 1 if prune else want or 64
     m = 3 * n
     if root is None or len(root) not in (3, 4):
         raise ValueError(f"invalid root {root} for n={n}")
@@ -456,7 +469,7 @@ def star_walk(
         kept = []
         for cycle_form in cycle_forms:
             seen = mask | _FORM_BITS[cycle_form] & want
-            if not (prune and seen or seen == full):
+            if seen < stop:
                 kept.append((cycle_form == FORM_231, seen, want & ~seen))
         if not kept:
             return
@@ -476,13 +489,13 @@ def star_walk(
                     if dead[a] & 2 << x or dead[b] & 2 << y or dead[c] & 2 << z:
                         seen |= group
                         ask &= ~group
-                if prune and seen or seen == full:
+                if seen >= stop:
                     continue
                 perm[a], perm[b], perm[c] = x + 1, y + 1, z + 1
                 # every child left makes one scan, for the patterns still open
                 if ask:
                     seen |= contained_patterns(perm, bits, ask)
-                    if prune and seen or seen == full:
+                    if seen >= stop:
                         continue
                 if depth == n:
                     yield perm, seen

@@ -25,7 +25,8 @@ from typing import Iterator, NamedTuple, Sequence
 from threecycle import _kernels, perm, words
 from threecycle.errors import MAX_DIGITS, InternalInvariantError, ResourceLimitError
 
-FORM_CHOICES = (perm.FORM_312, perm.FORM_231)
+#: the two cycle forms, 312 first: ``_kernels.FORMS`` less None
+FORM_CHOICES = _kernels.FORMS[1:]
 
 #: The Dyck-word sum walks all Catalan(n) words; at this n, 742,900 of them,
 #: ``hpoly --n`` takes about 2 s on one core.

@@ -7,6 +7,12 @@ reports for a program a broken pipe kills), e.g. ``threecycle paths --n 9 |
 head``.  Output is deterministic byte for byte, including across worker
 counts, so it can be diffed or golden-filed.
 
+Pattern names and forms come from :mod:`threecycle._kernels`: a pattern is
+one of the six names of its one pattern table, ``PROFILE_PATTERNS`` (the
+same parser serves ``count``, ``enumerate`` and ``verify``), and a form is
+"all" or one of ``FORMS``.  Its one reversal table, ``_RULES``, serves the
+scans and sweeps behind every oracle run.
+
 A call imports only what every verb needs: ``json`` is imported where JSON
 is printed (``_print_json``), and ``pickle`` where the oracle forks its
 workers (:mod:`threecycle.oracle`).
@@ -20,12 +26,17 @@ import os
 import sys
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from threecycle import avoid132, avoid231, avoid321, oracle, perm, series
+from threecycle import _kernels, avoid132, avoid231, avoid321, oracle, perm, series
 from threecycle.errors import ResourceLimitError
 
 
 class UsageError(Exception):
     pass
+
+
+#: name -> pattern for the six length-3 patterns, in the pattern table's
+#: bit order
+_PATTERNS = {"".join(map(str, p)): p for p in _kernels.PROFILE_PATTERNS}
 
 
 def _parse_pattern_set(text: str) -> tuple[perm.Perm, ...]:
@@ -34,13 +45,10 @@ def _parse_pattern_set(text: str) -> tuple[perm.Perm, ...]:
         token = token.strip()
         if not token:
             raise UsageError(f"empty pattern in {text!r}")
-        try:
-            sigma = perm.check_permutation(tuple(int(ch) for ch in token))
-        except ValueError:
-            raise UsageError(f"not a pattern: {token!r}") from None
-        if len(sigma) != 3:
-            raise UsageError(f"patterns must have length 3: {text!r}")
-        out.append(sigma)
+        if token not in _PATTERNS:
+            names = ", ".join(_PATTERNS)
+            raise UsageError(f"patterns must have length 3, one of {names}: {token!r}")
+        out.append(_PATTERNS[token])
     if len(set(out)) != len(out):
         raise UsageError(f"duplicate patterns in {text!r}")
     return tuple(out)
@@ -60,11 +68,10 @@ def _parse_n_range(text: str) -> range:
 
 
 def _parse_form(text: str) -> str | None:
-    if text == "all":
-        return None
-    if text in (perm.FORM_312, perm.FORM_231):
-        return text
-    raise UsageError(f"form must be all, 312 or 231: {text!r}")
+    form = None if text == "all" else text
+    if form not in _kernels.FORMS:
+        raise UsageError(f"form must be all, 312 or 231: {text!r}")
+    return form
 
 
 def _render(values: Iterable[int]) -> list[str]:
@@ -86,9 +93,6 @@ def _print_json(value: object) -> None:
     import json
 
     print(json.dumps(value, sort_keys=True))
-
-
-_PATTERN_NAMES = ("123", "132", "213", "231", "312", "321")
 
 
 def formula_counts(
@@ -314,12 +318,12 @@ CHECKS = (
             [(name, None)],
             f"pattern {name}: formula=oracle for n=1..{{last}}",
         )
-        for name in _PATTERN_NAMES
+        for name in _PATTERNS
     ),
     _sweep_check(
         "pairs",
         (),
-        [(",".join(pair), None) for pair in itertools.combinations(_PATTERN_NAMES, 2)],
+        [(",".join(pair), None) for pair in itertools.combinations(_PATTERNS, 2)],
         "pairs: closed-form=oracle for n=1..{last} (15 pairs)",
     ),
     _sweep_check(
@@ -370,15 +374,15 @@ def _select_checks(text: str) -> tuple[Check, ...]:
     one pattern name selects, or one row for a pair of distinct names."""
     if text == "all":
         return CHECKS
-    names = [token.strip() for token in text.split(",")]
-    if len(names) == 1 and names[0] in _PATTERN_NAMES:
+    names = ["".join(map(str, p)) for p in _parse_pattern_set(text)]
+    if len(names) == 1:
         return tuple(check for check in CHECKS if names[0] in check.selected_by)
-    if len(set(names)) == len(names) == 2 and set(names) <= set(_PATTERN_NAMES):
+    if len(names) == 2:
         pair = ",".join(names)
         passed = f"pair {pair}: closed-form=oracle for n=1..{{last}}"
         return (_sweep_check(f"pair {pair}", (), [(pair, None)], passed),)
     raise UsageError(
-        f"verify takes all, one of {', '.join(_PATTERN_NAMES)}, or two distinct"
+        f"verify takes all, one of {', '.join(_PATTERNS)}, or two distinct"
         f" of them joined by a comma, not {text!r}"
     )
 

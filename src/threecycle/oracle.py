@@ -60,10 +60,7 @@ class AvoidanceQuery(_AvoidanceQueryFields):
         patterns = frozenset(tuple(p) for p in patterns)
         if not patterns:
             raise ValueError("pattern set must be non-empty")
-        for sigma in patterns:
-            perm.check_permutation(sigma)
-            if len(sigma) != 3:
-                raise ValueError(f"oracle patterns must have length 3: {sigma}")
+        _kernels.pattern_mask(patterns)  # refuses any but the six patterns
         _kernels._check_form(form)
         return super().__new__(cls, n, patterns, form)
 

@@ -596,15 +596,33 @@ def test_import_loads_only_what_every_verb_needs():
     assert proc.stdout == "\n"
 
 
+NOT_A_NAME = "usage error: patterns must have length 3, one of 123, 132, 213, 231, 312, 321"
+
+
 @pytest.mark.parametrize(
-    "pattern", ["1234", "12", "1234,321", "132,132", "132,213,321"]
+    "pattern,message",
+    [
+        pytest.param(pattern, message, id=pattern)
+        for pattern, message in [
+            ("1234", f"{NOT_A_NAME}: '1234'"),
+            ("12", f"{NOT_A_NAME}: '12'"),
+            ("1234,321", f"{NOT_A_NAME}: '1234'"),
+            # the parser that count and enumerate use refuses a repeat
+            ("132,132", "usage error: duplicate patterns in '132,132'"),
+            (
+                "132,213,321",
+                "usage error: verify takes all, one of 123, 132, 213, 231, 312, 321,"
+                " or two distinct of them joined by a comma, not '132,213,321'",
+            ),
+        ]
+    ],
 )
-def test_verify_rejects_bad_pattern_before_sweeping(pattern, profile_calls, capsys):
+def test_verify_rejects_bad_pattern_before_sweeping(
+    pattern, message, profile_calls, capsys
+):
     assert cli.main(["verify", "--pattern", pattern]) == 2
     assert profile_calls == []
-    err = capsys.readouterr().err
-    assert "one of 123, 132, 213, 231, 312, 321" in err
-    assert "--engine" not in err
+    assert capsys.readouterr().err == message + "\n"
 
 
 def test_verify_pair_label_ignores_spaces(capsys):

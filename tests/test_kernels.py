@@ -691,8 +691,11 @@ def test_one_pattern_scans_run_only_inside_contained_patterns(run, monkeypatch):
 
         return run_scan
 
-    scans = {bit: (guarded(scan), rev) for bit, (scan, rev) in _kernels._SCANS.items()}
-    monkeypatch.setattr(_kernels, "_SCANS", scans)
+    rules = {
+        bit: (guarded(scan), sweep, rev)
+        for bit, (scan, sweep, rev) in _kernels._RULES.items()
+    }
+    monkeypatch.setattr(_kernels, "_RULES", rules)
     monkeypatch.setattr(_kernels, "contained_patterns", counting)
     run()
     assert calls[0] > 0

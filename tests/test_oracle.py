@@ -34,8 +34,10 @@ class TestQueries:
             oracle.AvoidanceQuery(0, frozenset({(2, 3, 1)}))
         with pytest.raises(ValueError, match="pattern set must be non-empty"):
             oracle.AvoidanceQuery(1, frozenset())
-        with pytest.raises(ValueError, match="oracle patterns must have length 3"):
-            oracle.AvoidanceQuery(1, frozenset({(1, 2, 3, 4)}))
+        # the pattern table's one check, for a length or a repeated value
+        for sigma in [(1, 2, 3, 4), (1, 1, 2)]:
+            with pytest.raises(ValueError, match="patterns must have length 3"):
+                oracle.AvoidanceQuery(1, frozenset({(2, 3, 1), sigma}))
         with pytest.raises(ValueError, match="form must be one of"):
             oracle.AvoidanceQuery(1, frozenset({(2, 3, 1)}), form="213")
 
@@ -122,15 +124,28 @@ class TestCount:
         assert oracle.oracle_count(q, jobs=2) == serial
         assert oracle.oracle_count(q, jobs=3) == serial
 
-    def test_profile_agrees_with_counts(self):
-        for n in (1, 2, 3):
+    def _profile_agrees_with_counts(self, ns):
+        # every query, all 63 pattern sets under each form: the pruned
+        # count's rules (dead cells, live pairs, form bits, the 132 twin,
+        # halving) against the profile's walk, which marks dead cells per
+        # pattern and never prunes
+        for n in ns:
             table = oracle.avoidance_profile(n)
-            for sigma in ALL_PATTERNS:
-                q = oracle.AvoidanceQuery(n, frozenset({sigma}))
-                assert oracle.profile_count(table, [sigma]) == oracle.oracle_count(q)
-            for pair in itertools.combinations(ALL_PATTERNS, 2):
-                q = oracle.AvoidanceQuery(n, frozenset(pair))
-                assert oracle.profile_count(table, pair) == oracle.oracle_count(q)
+            for patterns in PATTERN_SETS:
+                for form in oracle.FORMS:
+                    q = oracle.AvoidanceQuery(n, frozenset(patterns), form)
+                    want = oracle.profile_count(table, patterns, form)
+                    assert oracle.oracle_count(q) == want, (n, patterns, form)
+
+    def test_profile_agrees_with_counts(self):
+        self._profile_agrees_with_counts((1, 2, 3, 4))
+
+    @pytest.mark.skipif(
+        not os.environ.get("RUN_N5"),
+        reason="189 walks at n=5 take seconds, opt in with RUN_N5=1",
+    )
+    def test_profile_agrees_with_counts_n5(self):
+        self._profile_agrees_with_counts((5,))
 
     @pytest.mark.parametrize("pattern", [(1, 2), (1, 2, 4), (3, 2, 1, 4)])
     def test_profile_count_refuses_malformed_pattern(self, pattern):
