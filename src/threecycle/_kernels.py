@@ -14,11 +14,13 @@ Every walk covers one root partner pair (``star_pairs``), the oracle's unit
 of work.
 
 The six length-3 patterns live in one table, ``PROFILE_PATTERNS``, whose
-order is every pattern mask's bit order (``pattern_mask``); the CLI takes
-their names and the query its pattern check from it.  Which patterns are
-reverses of which is stated once too, in the reversal table ``_RULES``,
-from which both the scans and the dead-cell sweeps are read.  The forms are
-listed once, in ``FORMS``.
+order is every pattern mask's bit order (``pattern_mask``); their names are
+stated once, in ``PATTERN_NAMES`` (read back by ``pattern_named``), from
+which the CLI and ``oracle.query`` take them.  Which patterns are reverses
+of which is stated once too, in the reversal table ``_RULES``, from which
+both the scans and the dead-cell sweeps are read.  The form filters are
+listed once, in ``FORMS``, and the walk's order of the two forms, with each
+form's profile row, in ``FORM_ROWS``.
 
 Conventions: permutations are 1-based one-line sequences; a 3-cycle placed as
 a -> b -> c with a < b < c realizes the pattern 231, while a -> c -> b
@@ -36,6 +38,9 @@ FORM_231 = "231"
 FORM_312 = "312"
 #: every form filter: None allows both orientations
 FORMS = (None, FORM_312, FORM_231)
+#: the cycle forms in the walk's order, a -> b -> c before a -> c -> b,
+#: each with its row of a profile table (row 0 counts mixed forms)
+FORM_ROWS = {FORM_231: 2, FORM_312: 1}
 
 #: Fixed pattern order for every pattern bit mask: bit i of a containment
 #: mask is set when PROFILE_PATTERNS[i] is contained, of a profile column
@@ -49,8 +54,25 @@ PROFILE_PATTERNS = (
     (3, 2, 1),
 )
 
+#: pattern -> name, e.g. (2, 3, 1) -> "231", in PROFILE_PATTERNS order
+PATTERN_NAMES = {p: "".join(map(str, p)) for p in PROFILE_PATTERNS}
+_NAMED_PATTERNS = {name: p for p, name in PATTERN_NAMES.items()}
 
 _PATTERN_BITS = {p: 1 << i for i, p in enumerate(PROFILE_PATTERNS)}
+
+
+def pattern_named(name: str) -> tuple[int, ...]:
+    """The pattern called ``name``, one of the six names of
+    ``PATTERN_NAMES``; any other name raises ValueError.
+
+    >>> pattern_named("231")
+    (2, 3, 1)
+    """
+    pattern = _NAMED_PATTERNS.get(name) if isinstance(name, str) else None
+    if pattern is None:
+        names = ", ".join(PATTERN_NAMES.values())
+        raise ValueError(f"patterns must have length 3, one of {names}: {name!r}")
+    return pattern
 
 
 def pattern_mask(patterns: Iterable[Sequence[int]]) -> int:
@@ -370,12 +392,12 @@ def star_walk(
     walks under all roots ``(b, c, root_form)``, taken pair by pair with 231
     before 312, partition the star set at ``n``; and given the parts of any
     partition of the pairs the top element can take, a root's walks
-    partition its plain walk.  Each cycle is one frame.  Every further frame
-    places the smallest unplaced element ``a`` with each pair of partners
-    from its free list, the unplaced elements above ``a``, in lexicographic
-    order, and each pair as a -> b -> c before a -> c -> b, so the order is
-    reproducible.  ``form`` ("231" or "312") allows only one orientation,
-    the root's included.
+    partition its plain walk.  Each cycle is one frame but the last (see
+    below).  Every further frame places the smallest unplaced element ``a``
+    with each pair of partners from its free list, the unplaced elements
+    above ``a``, in lexicographic order, and each pair as a -> b -> c before
+    a -> c -> b, so the order is reproducible.  ``form`` ("231" or "312")
+    allows only one orientation, the root's included.
 
     Each node carries the mask of the patterns the entries placed so far
     contain: bit i stands for ``PROFILE_PATTERNS[i]``, whatever the order of
@@ -386,20 +408,26 @@ def star_walk(
     asks only for the patterns not yet in it.  Two rules add to a child's
     mask before it is placed or scanned: its cycle's form bit (231 for
     a -> b -> c, 312 for a -> c -> b) joins the mask first, and in every
-    frame but the root's, which has no placed entries, and the last, whose
-    one pair is too few to pay for them, a child with an entry on one of the
-    frame's :func:`dead_cells` contains that cell's pattern.  A pruned walk
-    marks the cells of all its open patterns at once, since any one prunes;
-    an unpruned walk marks each open pattern's cells apart, and a child on
-    one takes that pattern's bit and is scanned only for the patterns still
-    open.  A frame with one group of cells draws its pairs from
-    :func:`_live_pairs`.  A pattern whose cells fill an unplaced position's
-    row is in every completion, so its bit joins the frame's mask, and a
-    frame that this prunes or saturates places no child.  Both rules set
-    only the bits of patterns that every member below contains, and drop
-    only children that a walk without them would prune or saturate, or
-    whose every completion it would, so the yields, their order and their
-    masks are the same.
+    frame after the root's, which has no placed entries, a child with an
+    entry on one of the frame's :func:`dead_cells` contains that cell's
+    pattern.  A pruned walk marks the cells of all its open patterns at
+    once, since any one prunes; an unpruned walk marks each open pattern's
+    cells apart, and a child on one takes that pattern's bit and is scanned
+    only for the patterns still open.  A frame with one group of cells
+    draws its pairs from :func:`_live_pairs`.  A pattern whose cells fill an
+    unplaced position's row is in every completion, so its bit joins the
+    frame's mask, and a frame that this prunes or saturates places no
+    child.
+
+    The last cycle has no frame of its own, unless it is the second frame
+    (``root`` with top pairs at n = 2), which marks no cells: each child of
+    the frame before it closes the three elements left, in each form, and
+    checks them on that frame's cells.  Those cells come from the entries
+    placed before the frame, with the last cycle's values still free, so a
+    hit is a pattern the member contains.  Both rules set only the bits of
+    patterns that every member below contains, and drop only children that
+    a walk without them would prune or saturate, or whose every completion
+    it would, so the yields, their order and their masks are the same.
 
     With ``prune`` (the default) the patterns are avoided: a subtree is
     dropped at its first contained pattern, so the walk yields exactly the
@@ -413,7 +441,7 @@ def star_walk(
     between yields: copy it to keep it) and the mask.
     """
     _check_form(form)
-    forms = (FORM_231, FORM_312) if form is None else (form,)
+    forms = tuple(FORM_ROWS) if form is None else (form,)
     want = pattern_mask(patterns)
     # a child's mask holds only wanted bits, so it stops the child at any bit
     # when pruning, else at all of them (never, with no patterns)
@@ -424,7 +452,7 @@ def star_walk(
     b, c, root_form, *more = root  # more: [] or [the top pairs]
     if not (
         1 < b < c <= m
-        and root_form in (FORM_231, FORM_312)
+        and root_form in FORM_ROWS
         and all(
             c < m and 1 < x < y < m and not {x, y} & {b, c}
             for tops in more
@@ -440,6 +468,8 @@ def star_walk(
     frames = [(0, [(b - 1, c - 1)], (root_form,) if root_form in forms else ())]
     frames += [(m - 1, [(x - 1, y - 1) for x, y in tops], forms) for tops in more]
     preset = len(frames)
+    # the last cycle's forms, as (a -> b -> c?, form bit)
+    last_forms = [(f == FORM_231, _FORM_BITS[f] & want) for f in forms]
 
     def walk(
         depth: int,
@@ -501,8 +531,32 @@ def star_walk(
                     yield perm, seen
                 elif depth < preset:
                     yield from walk(depth + 1, seen, bits, *frames[depth])
-                else:
+                elif depth < n - 1:
                     yield from walk(depth + 1, seen, bits, perm.index(0), None, forms)
+                else:
+                    # the last cycle, on the three elements left (0-based
+                    # u < v < w), closes here, on this frame's dead cells
+                    u = perm.index(0)
+                    v = perm.index(0, u + 1)
+                    w = perm.index(0, v + 1)
+                    for last_rising, form_bit in last_forms:
+                        done = seen | form_bit
+                        if done >= stop:
+                            continue
+                        x, y, z = (v, w, u) if last_rising else (w, u, v)
+                        for group, dead in groups:
+                            if dead[u] & 2 << x or dead[v] & 2 << y or dead[w] & 2 << z:
+                                done |= group
+                        if done >= stop:
+                            continue
+                        perm[u], perm[v], perm[w] = x + 1, y + 1, z + 1
+                        still_open = want & ~done
+                        if still_open:
+                            done |= contained_patterns(perm, all_values, still_open)
+                            if done >= stop:
+                                continue
+                        yield perm, done
+                    perm[u] = perm[v] = perm[w] = 0
             perm[a] = perm[b] = perm[c] = 0
 
     try:
@@ -691,10 +745,11 @@ def avoidance_profile(n: int, pair: tuple[int, int]) -> list[list[int]]:
         walks = [(b, c, FORM_231, tops)] if tops else []
     else:
         walks = [(b, c, FORM_231)] if (m + 1 - b, m) >= pair else []
+    all_231 = half[FORM_ROWS[FORM_231]]
     for root in walks:
         for vals, contained in star_walk(n, root, None, PROFILE_PATTERNS, False):
             rises = sum(i < v for i, v in enumerate(vals, 1))
-            row = half[2 if rises == 2 * n else 0]
+            row = all_231 if rises == 2 * n else half[0]
             col = 63 ^ contained
             row[col] += 1
             u = vals[-1]  # T is N -> u -> v

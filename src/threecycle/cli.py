@@ -8,10 +8,11 @@ head``.  Output is deterministic byte for byte, including across worker
 counts, so it can be diffed or golden-filed.
 
 Pattern names and forms come from :mod:`threecycle._kernels`: a pattern is
-one of the six names of its one pattern table, ``PROFILE_PATTERNS`` (the
-same parser serves ``count``, ``enumerate`` and ``verify``), and a form is
-"all" or one of ``FORMS``.  Its one reversal table, ``_RULES``, serves the
-scans and sweeps behind every oracle run.
+one of the six names of its one name table, ``PATTERN_NAMES`` (the same
+parser serves ``count``, ``enumerate`` and ``verify``, and
+``oracle.query`` reads the same table), and a form is "all" or one of
+``FORMS``.  Its one reversal table, ``_RULES``, serves the scans and sweeps
+behind every oracle run.
 
 A call imports only what every verb needs: ``json`` is imported where JSON
 is printed (``_print_json``), and ``pickle`` where the oracle forks its
@@ -34,9 +35,8 @@ class UsageError(Exception):
     pass
 
 
-#: name -> pattern for the six length-3 patterns, in the pattern table's
-#: bit order
-_PATTERNS = {"".join(map(str, p)): p for p in _kernels.PROFILE_PATTERNS}
+#: the six pattern names, in the pattern table's bit order
+_NAMES = tuple(_kernels.PATTERN_NAMES.values())
 
 
 def _parse_pattern_set(text: str) -> tuple[perm.Perm, ...]:
@@ -45,10 +45,7 @@ def _parse_pattern_set(text: str) -> tuple[perm.Perm, ...]:
         token = token.strip()
         if not token:
             raise UsageError(f"empty pattern in {text!r}")
-        if token not in _PATTERNS:
-            names = ", ".join(_PATTERNS)
-            raise UsageError(f"patterns must have length 3, one of {names}: {token!r}")
-        out.append(_PATTERNS[token])
+        out.append(_kernels.pattern_named(token))
     if len(set(out)) != len(out):
         raise UsageError(f"duplicate patterns in {text!r}")
     return tuple(out)
@@ -110,7 +107,7 @@ def formula_counts(
         return _largest_first(ns, lambda n: oracle.closed_form_pair(n, patterns))
     if len(patterns) != 1:
         raise UsageError("formula engine handles one pattern or a pair")
-    sigma = "".join(str(v) for v in patterns[0])
+    sigma = _kernels.PATTERN_NAMES[tuple(patterns[0])]
     if sigma in ("132", "213"):
         # all-312 and all-231 subclasses are equinumerous by symmetry
         return (avoid132.count_132 if form is None else avoid132.count_all312)(ns)
@@ -163,7 +160,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         for n, c in zip(ns, counts):  # json converts c again; _render checked it fits
             record = {
                 "n": n,
-                "patterns": ["".join(str(v) for v in p) for p in sorted(patterns)],
+                "patterns": [_kernels.PATTERN_NAMES[p] for p in sorted(patterns)],
                 "form": form,
                 "count": c,
             }
@@ -245,9 +242,8 @@ class Check(NamedTuple):
     sides take at n must be equal.  ``sides(ns, profiles)`` returns each
     side as a sequence over the whole range ``ns``, so a route that reads
     every n off one pass makes that pass once per row.  ``profiles`` are the
-    shared ``oracle.avoidance_profile(n)`` tables of the n's in ``ns`` (all
-    n's swept together by ``oracle.avoidance_profiles``) if the row
-    ``sweeps``, else None."""
+    shared ``oracle.avoidance_profile`` tables of the n's in ``ns`` (verify
+    sweeps all its n's in one call) if the row ``sweeps``, else None."""
 
     label: str
     selected_by: tuple[str, ...]  # single --pattern names; "all" selects every row
@@ -291,11 +287,29 @@ def _each_n(sides_at: Callable[[int], tuple]) -> Callable[[range, None], tuple]:
     return lambda ns, _profiles: tuple(zip(*map(sides_at, ns)))
 
 
-def _encode_image_sides(n: int) -> tuple:
-    q = oracle.AvoidanceQuery(n, frozenset({(2, 3, 1)}))
-    want = set(oracle.oracle_enumerate(q))
-    got = {avoid231.encode(w) for w in avoid231.words(n - 1)}
-    return (want, avoid231.count_231(n)), (got, len(got))
+def _encode_image_sides(ns: range, profiles: list[list[list[int]]]) -> tuple:
+    """The 231 class by its formula and by the sweep, the words of length
+    n - 1, and the distinct members of the class among their encode images.
+    All four equal says that the image is distinct and lies in the class,
+    and so, being as large, is the class."""
+
+    def image(n: int) -> tuple[int, int]:
+        words = list(avoid231.words(n - 1))
+        values = list(range(1, 3 * n + 1))
+        members = {
+            p
+            for p in map(avoid231.encode, words)
+            if sorted(p) == values  # a permutation of [3n], as the cycles need
+            and perm.is_three_cycle_only(p)
+            and perm.avoids(p, (2, 3, 1))
+        }
+        return len(words), len(members)
+
+    return (
+        [avoid231.count_231(n) for n in ns],
+        [oracle.profile_count(table, [(2, 3, 1)]) for table in profiles],
+        *zip(*map(image, ns)),
+    )
 
 
 def _series_identity_sides(order: int) -> tuple:
@@ -318,12 +332,12 @@ CHECKS = (
             [(name, None)],
             f"pattern {name}: formula=oracle for n=1..{{last}}",
         )
-        for name in _PATTERNS
+        for name in _NAMES
     ),
     _sweep_check(
         "pairs",
         (),
-        [(",".join(pair), None) for pair in itertools.combinations(_PATTERNS, 2)],
+        [(",".join(pair), None) for pair in itertools.combinations(_NAMES, 2)],
         "pairs: closed-form=oracle for n=1..{last} (15 pairs)",
     ),
     _sweep_check(
@@ -336,8 +350,9 @@ CHECKS = (
         "bijection 231",
         ("231", "312"),
         lambda max_n: range(1, max_n + 1),
-        _each_n(_encode_image_sides),
+        _encode_image_sides,
         "bijection 231: encode image matches oracle for n=1..{last}",
+        sweeps=True,
     ),
     Check(
         "series identity",
@@ -374,7 +389,7 @@ def _select_checks(text: str) -> tuple[Check, ...]:
     one pattern name selects, or one row for a pair of distinct names."""
     if text == "all":
         return CHECKS
-    names = ["".join(map(str, p)) for p in _parse_pattern_set(text)]
+    names = [_kernels.PATTERN_NAMES[p] for p in _parse_pattern_set(text)]
     if len(names) == 1:
         return tuple(check for check in CHECKS if names[0] in check.selected_by)
     if len(names) == 2:
@@ -382,7 +397,7 @@ def _select_checks(text: str) -> tuple[Check, ...]:
         passed = f"pair {pair}: closed-form=oracle for n=1..{{last}}"
         return (_sweep_check(f"pair {pair}", (), [(pair, None)], passed),)
     raise UsageError(
-        f"verify takes all, one of {', '.join(_PATTERNS)}, or two distinct"
+        f"verify takes all, one of {', '.join(_NAMES)}, or two distinct"
         f" of them joined by a comma, not {text!r}"
     )
 
@@ -393,7 +408,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks = _select_checks(args.pattern)
     oracle.check_limits(args.max_n)
     sizes = range(1, args.max_n + 1)
-    tables = oracle.avoidance_profiles(sizes, args.jobs)
+    tables = oracle.avoidance_profile(sizes, args.jobs)
     profiles = dict(zip(sizes, tables))
     failed = False
     for check in checks:

@@ -8,8 +8,9 @@ placed entries contain an avoided pattern: exact, since a placed entry
 never changes.  Its rules are stated there, each in the docstring of the
 function that applies it.  A count adds up ``count_avoiders`` over the
 root partner pairs, an enumeration is ``perm.iterate_star`` (over
-``star_members``), and a profile adds up ``avoidance_profile`` and fills
-column 0 (:func:`avoidance_profiles`).  :func:`oracle_counts` says why the
+``star_members``), and a profile, of one n or of a range, adds up the
+kernel's ``avoidance_profile`` parts and fills column 0
+(:func:`avoidance_profile`).  :func:`oracle_counts` says why the
 single pattern 132 is counted as 213.  No counting shortcut from the
 formula modules is consulted, so these results can serve as the
 independent side of every formula-vs-oracle check.
@@ -71,11 +72,12 @@ class AvoidanceQuery(_AvoidanceQueryFields):
 
 
 def query(n: int, patterns: str | Sequence[str], form: str | None = None) -> AvoidanceQuery:
-    """Convenience constructor from pattern strings, e.g. ``query(3, "231")``
-    or ``query(3, ["132", "213"])``."""
+    """Convenience constructor from pattern names, e.g. ``query(3, "231")``
+    or ``query(3, ["132", "213"])``; a name that is not one of the six of
+    ``_kernels.PATTERN_NAMES`` raises ValueError."""
     if isinstance(patterns, str):
         patterns = [patterns]
-    parsed = frozenset(tuple(int(ch) for ch in s) for s in patterns)
+    parsed = frozenset(map(_kernels.pattern_named, patterns))
     return AvoidanceQuery(n, parsed, form)
 
 
@@ -210,28 +212,28 @@ def oracle_counts(
     return [sum(p) for p in parts]
 
 
-def avoidance_profiles(ns: Sequence[int], jobs: int = 1) -> list[list[list[int]]]:
-    """The :func:`avoidance_profile` table of each n in ``ns``, in order: the
-    pair parts added, and column 0 (every pattern contained), which no part
-    counts, filled as each row's total minus the rest.  Of the
-    ``triple_splits(n)`` ways to split [3n] into triples, each closes in
-    ``2**n`` ways: one all-312, one all-231, and the rest mixed."""
-    tables = []
-    for n, parts in zip(ns, _fan_out(_kernels.avoidance_profile, ns, jobs)):
-        table = [[sum(cells) for cells in zip(*rows)] for rows in zip(*parts)]
-        splits = _kernels.triple_splits(n)
-        for row, total in zip(table, ((splits << n) - 2 * splits, splits, splits)):
-            row[0] = total - sum(row[1:])
-        tables.append(table)
-    return tables
-
-
-def avoidance_profile(n: int, jobs: int = 1) -> list[list[int]]:
+def avoidance_profile(
+    n: int | range, jobs: int = 1
+) -> list[list[int]] | list[list[list[int]]]:
     """One exhaustive sweep counting, for every (form class, avoidance mask)
     cell, the star permutations in it; see :func:`profile_count` for reading
     the table.  Much cheaper than one :func:`oracle_count` per query when many
-    queries share the same ``n``."""
-    return avoidance_profiles([n], jobs)[0]
+    queries share the same ``n``.  For a range of n, the table of every n in
+    it, in order, all from one task list (:func:`_fan_out`).
+
+    Each table adds up the pair parts, and fills column 0 (every pattern
+    contained), which no part counts, as each row's total minus the rest.
+    Of the ``triple_splits(n)`` ways to split [3n] into triples, each closes
+    in ``2**n`` ways: one all-312, one all-231, and the rest mixed."""
+    ns = n if isinstance(n, range) else range(n, n + 1)
+    tables = []
+    for size, parts in zip(ns, _fan_out(_kernels.avoidance_profile, ns, jobs)):
+        table = [[sum(cells) for cells in zip(*rows)] for rows in zip(*parts)]
+        splits = _kernels.triple_splits(size)
+        for row, total in zip(table, ((splits << size) - 2 * splits, splits, splits)):
+            row[0] = total - sum(row[1:])
+        tables.append(table)
+    return tables if isinstance(n, range) else tables[0]
 
 
 def profile_count(
@@ -251,7 +253,8 @@ def profile_count(
     """
     required = _kernels.pattern_mask(patterns)
     _kernels._check_form(form)
-    rows = {None: (0, 1, 2), perm.FORM_312: (1,), perm.FORM_231: (2,)}[form]
+    form_rows = _kernels.FORM_ROWS
+    rows = (0, *form_rows.values()) if form is None else (form_rows[form],)
     return sum(
         table[row][mask]
         for row in rows

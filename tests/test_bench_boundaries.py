@@ -1,20 +1,22 @@
 """The benchmark's tracer wraps named attributes of the package, and its
 scripts call into the package; each name they use must stay, or a benchmark
 run breaks.  The tracer is loaded from its file, as the benchmark loads it,
-and nothing in it is run; the scripts are only parsed."""
+and nothing in it is run; the scripts are only parsed.  A verify run through
+counting stand-ins on the same names shows which layers the tracer sees."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import threecycle
 from conftest import naive_contains
-from threecycle import perm
+from threecycle import cli, perm
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACER = BENCH / "tracer.py"
@@ -41,6 +43,32 @@ def _boundaries():
 def test_boundary_resolves(module_name, attrs):
     for path in attrs.split():
         assert callable(_resolve(module_name, path)), (module_name, path)
+
+
+def test_verify_runs_through_the_boundaries(monkeypatch, capsys):
+    # the tracer sees verify's work only through the boundaries it wraps: a
+    # sweep or a member check moved to an unwrapped name would vanish from
+    # the per-layer record
+    calls = Counter()
+
+    def counting(module_name, fn):
+        def wrapper(*args, **kwargs):
+            calls[module_name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module_name, attrs, *_ in _boundaries():
+        for path in attrs.split():
+            owner, _, attr = path.rpartition(".")
+            target = importlib.import_module(f"threecycle.{module_name}")
+            if owner:
+                target = getattr(target, owner)
+            fn = getattr(target, attr)
+            monkeypatch.setattr(target, attr, counting(module_name, fn))
+    assert cli.main(["verify", "--max-n", "2"]) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
+    assert calls["oracle"] and calls["perm"], calls
 
 
 def test_kernel_backend_is_named():

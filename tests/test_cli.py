@@ -407,9 +407,11 @@ def test_decode_rejects_non_member(capsys):
     capsys.readouterr()
 
 
-# One wrong route per verify row that does not read the sweep; every swept row
-# is broken on its oracle side through oracle.profile_count.
+# One wrong route per verify row that does not read the sweep, and for the
+# swept row with a route of its own; every swept row is broken on its oracle
+# side through oracle.profile_count.
 BREAKERS = {
+    # every word encodes the seed, a member of size 3
     "bijection 231": (avoid231, "encode", lambda real: lambda word: real("")),
     "series identity": (series, "series_B", lambda real: series.series_A),
     # the route takes one n or, from the formula engine, a range of n
@@ -429,15 +431,69 @@ BREAKERS = {
 SWEPT_BREAKER = (oracle, "profile_count", lambda real: lambda *a: real(*a) + 1)
 
 
-@pytest.mark.parametrize("check", cli.CHECKS, ids=[c.label for c in cli.CHECKS])
-def test_verify_row_mismatch_exits_1(check, monkeypatch, capsys):
-    module, name, wrong = SWEPT_BREAKER if check.sweeps else BREAKERS[check.label]
-    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
-    pattern = check.selected_by[0] if check.selected_by else "all"
-    assert cli.main(["verify", "--pattern", pattern, "--max-n", "2"]) == 1
+def _verify_row_fails(check, breaker, capsys):
+    module, name, wrong = breaker
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(module, name, wrong(getattr(module, name)))
+        pattern = check.selected_by[0] if check.selected_by else "all"
+        assert cli.main(["verify", "--pattern", pattern, "--max-n", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith(f"{check.label}: MISMATCH ") for line in lines)
     assert lines[-1] == "FAIL"
+
+
+@pytest.mark.parametrize("check", cli.CHECKS, ids=[c.label for c in cli.CHECKS])
+def test_verify_row_mismatch_exits_1(check, capsys):
+    breakers = [SWEPT_BREAKER] if check.sweeps else []
+    if check.label in BREAKERS:
+        breakers.append(BREAKERS[check.label])
+    assert breakers
+    for breaker in breakers:
+        _verify_row_fails(check, breaker, capsys)
+
+
+def _all_231(n):
+    """The member of size 3n whose cycles are (1, 2, 3), (4, 5, 6), ...:
+    each cycle is itself a 231."""
+    return tuple(v + 3 * i for i in range(n) for v in (2, 3, 1))
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda real: lambda word: (
+            _all_231(len(word) + 1) if word.endswith("R") else real(word)
+        ),
+        lambda real: lambda word: real(word.replace("R", "L")),
+    ],
+    ids=["contains-231", "not-injective"],
+)
+def test_bijection_231_catches_a_wrong_encode(wrong, capsys):
+    # the row reads the swept class size, not the class itself: an image of
+    # that size still fails when one member leaves the class or two words
+    # share a member
+    (check,) = [c for c in cli.CHECKS if c.label == "bijection 231"]
+    _verify_row_fails(check, (avoid231, "encode", wrong), capsys)
+
+
+def test_verify_sweeps_once_and_enumerates_nothing(monkeypatch, capsys):
+    # one task list for every n, and the 231 row reads the sweep
+    fan_outs = []
+    real = oracle._fan_out
+
+    def recording(kernel, ns, *rest):
+        fan_outs.append((kernel.__name__, list(ns)))
+        return real(kernel, ns, *rest)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("verify walked the oracle again")
+
+    monkeypatch.setattr(oracle, "_fan_out", recording)
+    monkeypatch.setattr(oracle, "oracle_enumerate", refused)
+    monkeypatch.setattr(oracle, "oracle_counts", refused)
+    assert cli.main(["verify", "--max-n", "2"]) == 0
+    assert fan_outs == [("avoidance_profile", [1, 2])]
+    assert capsys.readouterr().out.endswith("PASS\n")
 
 
 def test_series_identity_checks_a_itself(monkeypatch, capsys):
@@ -469,7 +525,7 @@ def profile_calls(monkeypatch):
         calls.extend(ns)
         return [[[0] * 64 for _ in range(3)] for _ in ns]
 
-    monkeypatch.setattr(oracle, "avoidance_profiles", record)
+    monkeypatch.setattr(oracle, "avoidance_profile", record)
     return calls
 
 

@@ -47,6 +47,16 @@ class TestQueries:
         q = oracle.query(2, ["132", "213"], form="312")
         assert q.patterns == frozenset({(1, 3, 2), (2, 1, 3)})
 
+    @pytest.mark.parametrize("name", ["１２３", "12", "1234", "113", "0123"])
+    def test_query_refuses_what_the_cli_refuses(self, name, capsys):
+        # the query and the CLI read one name table, and refuse a name that
+        # is not one of the six with the same message
+        with pytest.raises(ValueError, match="patterns must have length 3") as exc:
+            oracle.query(2, name)
+        argv = ["count", "--engine", "oracle", "--pattern", name, "--n", "2"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"usage error: {exc.value}\n"
+
 
 class TestEnumerate:
     def test_n1_single_pattern(self):
@@ -164,17 +174,19 @@ class TestCount:
 
     def test_profiles_parallel_merge_per_n(self):
         # every n's parts come back on one pool and merge into its own table,
-        # in the order the sizes were given
-        want = [oracle.avoidance_profile(n) for n in (3, 1, 2)]
-        assert oracle.avoidance_profiles([3, 1, 2], jobs=2) == want
-        assert oracle.avoidance_profiles([3, 1, 2]) == want
+        # in the order of the range
+        want = [oracle.avoidance_profile(n) for n in (1, 2, 3)]
+        assert oracle.avoidance_profile(range(1, 4), jobs=2) == want
+        assert oracle.avoidance_profile(range(1, 4)) == want
+        assert oracle.avoidance_profile(range(1, 4, 2)) == want[::2]
 
     def test_profiles_refuse_bad_sizes(self):
-        for ns in ([], [2, 0]):
+        for ns in (range(0), range(0, 3), 0):
             with pytest.raises(ValueError, match="n must be >= 1"):
-                oracle.avoidance_profiles(ns)
-        with pytest.raises(ResourceLimitError, match="n <= 6"):
-            oracle.avoidance_profiles([1, 7])
+                oracle.avoidance_profile(ns)
+        for ns in (range(1, 8), 7):
+            with pytest.raises(ResourceLimitError, match="n <= 6"):
+                oracle.avoidance_profile(ns)
 
 
 class TestWorkers:
@@ -218,7 +230,7 @@ class TestWorkers:
 
     def test_verify_sweeps_every_n_on_one_pool(self, forks, capsys):
         # 1 + 10 + 28 partner-pair tasks for n = 1..3 in one fan-out of 2
-        tables = oracle.avoidance_profiles(range(1, 4), jobs=2)
+        tables = oracle.avoidance_profile(range(1, 4), jobs=2)
         assert tables == [oracle.avoidance_profile(n) for n in range(1, 4)]
         assert forks == [1]
         assert cli.main(["verify", "--max-n", "3", "--jobs", "2"]) == 0
