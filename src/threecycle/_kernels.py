@@ -5,13 +5,15 @@ staircase scan behind every z/x/y word and its balanced-prefix cuts
 automaton of :mod:`threecycle.avoid321` steps slot by slot.
 
 Each rule of the walk is stated once, in the docstring of the function that
-applies it: the cycle's form bit and the frames that mark dead cells
-(``star_walk``), the dead cells themselves (``dead_cells``), the pairs a
-frame draws from them (``_live_pairs``), halving a query that is its own
-inverse image (``self_inverse``, applied by ``count_avoiders`` and
-``star_members``), and the profile's orbit rule (``avoidance_profile``).
-Every walk covers one root partner pair (``star_pairs``), the oracle's unit
-of work.
+applies it: the root, placed before the first frame with its form bit as
+its mask, the one child rule of every later frame (form bit, dead cells,
+scan), and the last frame, which builds no cells and checks its children
+on its parent's (``star_walk``, which calls a visitor for each member); the
+dead cells themselves (``dead_cells``), the pairs a frame draws from them
+(``_live_pairs``), halving a query that is its own inverse image
+(``self_inverse``, applied by ``count_avoiders`` and ``star_members``), and
+the profile's orbit rule (``avoidance_profile``).  Every walk covers one
+root partner pair (``star_pairs``), the oracle's unit of work.
 
 The six length-3 patterns live in one table, ``PROFILE_PATTERNS``, whose
 order is every pattern mask's bit order (``pattern_mask``); their names are
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 FORM_231 = "231"
 FORM_312 = "312"
@@ -374,71 +376,72 @@ def _live_pairs(a: int, free: list[int], dead: list[int]) -> list[tuple[int, int
 def star_walk(
     n: int,
     root: tuple[int, int, str] | tuple[int, int, str, Sequence[tuple[int, int]]],
+    visit: Callable[[list[int], int], object],
     form: str | None = None,
     patterns: Sequence[Sequence[int]] = (),
     prune: bool = True,
-) -> Iterator[tuple[list[int], int]]:
+) -> None:
     """Depth-first walk over the permutations of [3n] built only from
     3-cycles whose first cycles are ``root``, tracking which of ``patterns``
-    their entries contain.
+    their entries contain, that calls ``visit(buffer, mask)`` for each
+    member: the one-line buffer (a list reused between calls: copy it to
+    keep it) and the mask.
 
     ``root = (b, c, root_form)``, with ``(b, c)`` in :func:`star_pairs` and
     ``root_form`` "231" or "312", is the cycle 1 -> b -> c or 1 -> c -> b.
     It may go on with a list of distinct partner pairs ``(x, y)`` for the top
     element 3n, each with 1 < x < y < 3n, x and y not b or c, when c < 3n: the
-    second frame places 3n -> x -> y, the cycle x -> y -> 3n (231), and
+    first frame places 3n -> x -> y, the cycle x -> y -> 3n (231), and
     3n -> y -> x, the cycle x -> 3n -> y (312), for each pair in the order
     given.  Anything else, and any root at n = 0, raises ValueError.  The
     walks under all roots ``(b, c, root_form)``, taken pair by pair with 231
     before 312, partition the star set at ``n``; and given the parts of any
     partition of the pairs the top element can take, a root's walks
-    partition its plain walk.  Each cycle is one frame but the last (see
-    below).  Every further frame places the smallest unplaced element ``a``
-    with each pair of partners from its free list, the unplaced elements
-    above ``a``, in lexicographic order, and each pair as a -> b -> c before
-    a -> c -> b, so the order is reproducible.  ``form`` ("231" or "312")
-    allows only one orientation, the root's included.
+    partition its plain walk.  The root is placed before the first frame,
+    and every later cycle is one frame.  Every frame but the top pairs'
+    places the smallest unplaced element ``a`` with each pair of partners
+    from its free list, the unplaced elements above ``a``, in lexicographic
+    order, and each pair as a -> b -> c before a -> c -> b, so the order is
+    reproducible.  ``form`` ("231" or "312") allows only one orientation,
+    the root's included.
 
     Each node carries the mask of the patterns the entries placed so far
     contain: bit i stands for ``PROFILE_PATTERNS[i]``, whatever the order of
     ``patterns`` (each a permutation of 1..3; anything else raises
     ValueError before the walk starts).  A placed entry never changes, so an
     occurrence among the placed entries is one in every permutation below:
-    the mask only grows, and a node's one :func:`contained_patterns` call
-    asks only for the patterns not yet in it.  Two rules add to a child's
-    mask before it is placed or scanned: its cycle's form bit (231 for
-    a -> b -> c, 312 for a -> c -> b) joins the mask first, and in every
-    frame after the root's, which has no placed entries, a child with an
-    entry on one of the frame's :func:`dead_cells` contains that cell's
-    pattern.  A pruned walk marks the cells of all its open patterns at
-    once, since any one prunes; an unpruned walk marks each open pattern's
-    cells apart, and a child on one takes that pattern's bit and is scanned
-    only for the patterns still open.  A frame with one group of cells
-    draws its pairs from :func:`_live_pairs`.  A pattern whose cells fill an
-    unplaced position's row is in every completion, so its bit joins the
-    frame's mask, and a frame that this prunes or saturates places no
-    child.
+    the mask only grows.  The root's mask is its form bit (231 for
+    1 -> b -> c, 312 for 1 -> c -> b), with no scan: a lone 3-cycle contains
+    only its form's pattern.  Every frame's child then takes one rule.  Its
+    cycle's form bit joins the mask first; a child with an entry on one of
+    the frame's :func:`dead_cells` contains that cell's pattern; and its one
+    :func:`contained_patterns` call asks only for the patterns still open.
+    A pruned walk marks the cells of all its open patterns at once, since
+    any one prunes; an unpruned walk marks each open pattern's cells apart,
+    and a child on one takes that pattern's bit and is not asked for it.  A
+    frame with one group of cells draws its pairs from :func:`_live_pairs`.
+    A pattern whose cells fill an unplaced position's row is in every
+    completion, so its bit joins the frame's mask, and a frame that this
+    prunes or saturates places no child.
 
-    The last cycle has no frame of its own, unless it is the second frame
-    (``root`` with top pairs at n = 2), which marks no cells: each child of
-    the frame before it closes the three elements left, in each form, and
-    checks them on that frame's cells.  Those cells come from the entries
-    placed before the frame, with the last cycle's values still free, so a
-    hit is a pattern the member contains.  Both rules set only the bits of
+    The last frame, on the three elements left, builds no cells of its
+    own: it checks its children on its parent frame's cells, which are
+    passed down (the root passes none), and its one pair is the two
+    unplaced elements above the smallest, unless it is the top pairs'
+    frame (at n = 2).  Those cells come from the entries placed before the
+    parent, with the last cycle's values still free, so a hit is a pattern
+    the member contains.  The form bits and cells set only the bits of
     patterns that every member below contains, and drop only children that
     a walk without them would prune or saturate, or whose every completion
-    it would, so the yields, their order and their masks are the same.
+    it would, so the visits, their order and their masks are the same.
 
     With ``prune`` (the default) the patterns are avoided: a subtree is
-    dropped at its first contained pattern, so the walk yields exactly the
+    dropped at its first contained pattern, so the walk visits exactly the
     members avoiding every pattern.  Without it a subtree is dropped once
     its mask holds every pattern (``patterns`` not empty): all of its
-    completions contain them all, so the walk yields exactly the members
+    completions contain them all, so the walk visits exactly the members
     that do not contain every pattern, and every member when ``patterns``
     is empty.
-
-    Yields ``(buffer, mask)`` per member: the one-line buffer (a list reused
-    between yields: copy it to keep it) and the mask.
     """
     _check_form(form)
     forms = tuple(FORM_ROWS) if form is None else (form,)
@@ -461,31 +464,40 @@ def star_walk(
         and all(len({(x, y) for x, y in tops}) == len(tops) for tops in more)
     ):
         raise ValueError(f"invalid root {root} for n={n}")
+    mask = _FORM_BITS[root_form] & want
+    if root_form not in forms or mask >= stop:
+        return
     perm = [0] * m  # perm[i - 1] is the image of i; 0 while i is unplaced
+    # 1 -> b -> c puts b at 1, c at b and 1 at c; 1 -> c -> b puts c at 1,
+    # 1 at b and b at c
+    rising = root_form == FORM_231
+    perm[0], perm[b - 1], perm[c - 1] = (b, c, 1) if rising else (c, 1, b)
+    if n == 1:
+        visit(perm, mask)
+        return
     all_values = (2 << m) - 2  # bit v for each value v
-    # the root's frames: the element placed, its partner pairs and the
-    # forms it may take, all 0-based like perm's indices
-    frames = [(0, [(b - 1, c - 1)], (root_form,) if root_form in forms else ())]
-    frames += [(m - 1, [(x - 1, y - 1) for x, y in tops], forms) for tops in more]
-    preset = len(frames)
-    # the last cycle's forms, as (a -> b -> c?, form bit)
-    last_forms = [(f == FORM_231, _FORM_BITS[f] & want) for f in forms]
+    # the top pairs, 0-based like perm's indices, or None
+    tops = [(x - 1, y - 1) for x, y in more[0]] if more else None
 
-    def walk(
+    def frame(
         depth: int,
         mask: int,
         placed: int,
-        a: int,
-        pairs: Iterable[tuple[int, int]] | None,
-        cycle_forms: tuple[str, ...],
-    ) -> Iterator[tuple[list[int], int]]:
-        # place a with each pair (None: each pair of the unplaced elements
-        # above a) and form as cycle number ``depth``, then clear it; the
-        # placed values are the placed positions, so ``placed`` (bit v for
-        # value v) grows by the cycle's three
-        groups = []  # (pattern bits, dead cells)
-        wanted = want & ~mask
-        if wanted and 1 < depth < n:
+        groups: list[tuple[int, list[int]]],
+    ) -> None:
+        # place the top element or the smallest unplaced one, a, with each
+        # pair and form as cycle number ``depth``, then clear it; the placed
+        # values are the placed positions, so ``placed`` (bit v for value v)
+        # grows by the cycle's three.  ``groups`` are the parent's
+        # (pattern bits, dead cells), which only the last frame reads
+        last = depth == n
+        if depth == 2 and tops is not None:
+            a, pairs = m - 1, tops
+        else:
+            a, pairs = perm.index(0), None
+        if not last:
+            groups = []
+            wanted = want & ~mask
             free_values = all_values & ~placed
             while wanted:
                 group = wanted if prune else wanted & -wanted
@@ -495,9 +507,12 @@ def star_walk(
                     mask |= group
                 else:
                     groups.append((group, dead))
+        elif pairs is None:  # the two unplaced elements above a
+            v = perm.index(0, a + 1)
+            pairs = [(v, perm.index(0, v + 1))]
         # a mask or form bit that prunes or saturates places no child
         kept = []
-        for cycle_form in cycle_forms:
+        for cycle_form in forms:
             seen = mask | _FORM_BITS[cycle_form] & want
             if seen < stop:
                 kept.append((cycle_form == FORM_231, seen, want & ~seen))
@@ -527,45 +542,19 @@ def star_walk(
                     seen |= contained_patterns(perm, bits, ask)
                     if seen >= stop:
                         continue
-                if depth == n:
-                    yield perm, seen
-                elif depth < preset:
-                    yield from walk(depth + 1, seen, bits, *frames[depth])
-                elif depth < n - 1:
-                    yield from walk(depth + 1, seen, bits, perm.index(0), None, forms)
+                if last:
+                    visit(perm, seen)
                 else:
-                    # the last cycle, on the three elements left (0-based
-                    # u < v < w), closes here, on this frame's dead cells
-                    u = perm.index(0)
-                    v = perm.index(0, u + 1)
-                    w = perm.index(0, v + 1)
-                    for last_rising, form_bit in last_forms:
-                        done = seen | form_bit
-                        if done >= stop:
-                            continue
-                        x, y, z = (v, w, u) if last_rising else (w, u, v)
-                        for group, dead in groups:
-                            if dead[u] & 2 << x or dead[v] & 2 << y or dead[w] & 2 << z:
-                                done |= group
-                        if done >= stop:
-                            continue
-                        perm[u], perm[v], perm[w] = x + 1, y + 1, z + 1
-                        still_open = want & ~done
-                        if still_open:
-                            done |= contained_patterns(perm, all_values, still_open)
-                            if done >= stop:
-                                continue
-                        yield perm, done
-                    perm[u] = perm[v] = perm[w] = 0
+                    frame(depth + 1, seen, bits, groups)
             perm[a] = perm[b] = perm[c] = 0
 
     try:
-        yield from walk(1, 0, 0, *frames[0])
+        frame(2, mask, 1 << 1 | 1 << b | 1 << c, [])
     finally:
-        # walk refers to itself through its closure: break that cycle, so
+        # frame refers to itself through its closure: break that cycle, so
         # that each walk's state is freed when it ends, not by the cycle
         # collector (a count or an enumeration makes a walk per root)
-        del walk
+        del frame
 
 
 def self_inverse(patterns: Sequence[Sequence[int]], form: str | None) -> bool:
@@ -603,8 +592,14 @@ def count_avoiders(
     the root 1 -> b -> c and doubles its count; any other walks both roots.
     """
     halved = self_inverse(patterns, form)
-    roots = (FORM_231,) if halved else (FORM_231, FORM_312)
-    count = sum(1 for f in roots for _ in star_walk(n, (*pair, f), form, patterns))
+    count = 0
+
+    def tally(_buffer: list[int], _mask: int) -> None:
+        nonlocal count
+        count += 1
+
+    for f in (FORM_231,) if halved else (FORM_231, FORM_312):
+        star_walk(n, (*pair, f), tally, form, patterns)
     return 2 * count if halved else count
 
 
@@ -646,11 +641,13 @@ def star_members(
     A query that is its own inverse image (:func:`self_inverse`) and has
     patterns walks only the root 1 -> b -> c, as a count does: its members
     come in walk order, and then their inverses, the members with root
-    1 -> c -> b, sorted into walk order.  Only one pair's inverses are held
-    at a time.  Any other query walks both roots, and so does the whole star
-    set (no ``patterns``): its walk makes no scans to save, and inverting
-    and sorting cost more (all 246,400 at n = 4: 0.56 s halved, 0.32 s
-    not; medians of 5, Python 3.11 on 2 cores).  A bad form or pattern is
+    1 -> c -> b, sorted into walk order.  The walk's visitor collects one
+    pair's members, which are yielded before the next pair is walked, so
+    only one pair's members (and their inverses) are held at a time.  Any
+    other query walks both roots, and so does the whole star set (no
+    ``patterns``): its walk makes no scans to save, and inverting and
+    sorting cost more (all 246,400 at n = 4: 0.56 s halved, 0.32 s not;
+    medians of 5, Python 3.11 on 2 cores).  A bad form or pattern is
     refused before any pair, at n = 0 too.
 
     >>> list(star_members(1)), list(star_members(1, patterns=[(2, 3, 1)]))
@@ -658,16 +655,18 @@ def star_members(
     """
     halved = self_inverse(patterns, form) and len(patterns) > 0
     roots = (FORM_231,) if halved else (FORM_231, FORM_312)
+    members: list[tuple[int, ...]] = []
+
+    def keep(buffer: list[int], _mask: int) -> None:
+        members.append(tuple(buffer))
+
     for b, c in star_pairs(n):
-        inverses = []
         for root_form in roots:
-            for vals, _ in star_walk(n, (b, c, root_form), form, patterns):
-                p = tuple(vals)
-                yield p
-                if halved:
-                    inverses.append(inverse(p))
-        inverses.sort(key=_walk_key)
-        yield from inverses
+            star_walk(n, (b, c, root_form), keep, form, patterns)
+        yield from members
+        if halved:
+            yield from sorted(map(inverse, members), key=_walk_key)
+        members.clear()
 
 
 def triple_splits(k: int) -> int:
@@ -746,17 +745,20 @@ def avoidance_profile(n: int, pair: tuple[int, int]) -> list[list[int]]:
     else:
         walks = [(b, c, FORM_231)] if (m + 1 - b, m) >= pair else []
     all_231 = half[FORM_ROWS[FORM_231]]
+
+    def tally(vals: list[int], contained: int) -> None:
+        rises = sum(i < v for i, v in enumerate(vals, 1))
+        row = all_231 if rises == 2 * n else half[0]
+        col = 63 ^ contained
+        row[col] += 1
+        u = vals[-1]  # T is N -> u -> v
+        v = vals[u - 1]
+        if (m + 1 - max(u, v), m + 1 - min(u, v)) != pair:
+            relabel = _RC_INVERSE_COLUMNS if v > u else _RC_COLUMNS
+            row[relabel[col]] += 1
+
     for root in walks:
-        for vals, contained in star_walk(n, root, None, PROFILE_PATTERNS, False):
-            rises = sum(i < v for i, v in enumerate(vals, 1))
-            row = all_231 if rises == 2 * n else half[0]
-            col = 63 ^ contained
-            row[col] += 1
-            u = vals[-1]  # T is N -> u -> v
-            v = vals[u - 1]
-            if (m + 1 - max(u, v), m + 1 - min(u, v)) != pair:
-                relabel = _RC_INVERSE_COLUMNS if v > u else _RC_COLUMNS
-                row[relabel[col]] += 1
+        star_walk(n, root, tally, None, PROFILE_PATTERNS, False)
     return [
         [cell + mirror[col] for cell, col in zip(cells, _INVERSE_COLUMNS)]
         for cells, mirror in zip(half, (half[0], half[2], half[1]))

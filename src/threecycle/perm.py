@@ -87,10 +87,13 @@ def cycle_form(cycle: tuple[int, int, int]) -> str:
 
 def cycle_decomposition(p: Perm) -> CycleDecomposition:
     """Disjoint cycles of ``p``, with form tags when all cycles are 3-cycles.
+    Anything but a permutation raises PermutationError, as a repeated value
+    leaves a cycle that never returns to its start.
 
     >>> cycle_decomposition((2, 4, 1, 5, 3, 7, 6)).cycles
     ((1, 2, 4, 5, 3), (6, 7))
     """
+    p = check_permutation(p)
     m = len(p)
     seen = [False] * (m + 1)
     cycles: list[tuple[int, ...]] = []

@@ -224,12 +224,21 @@ def first_choices(n):
     return [(b, c, f) for b, c in _kernels.star_pairs(n) for f in ("231", "312")]
 
 
-def star_part(n, choice, form=None, patterns=()):
-    """The pruned star walk's members under one first-cycle choice, each
-    buffer copied as it is yielded."""
+def star_visits(n, root, form=None, patterns=(), prune=True):
+    """The star walk's visits under ``root``: each member's buffer, copied
+    as it is visited, with its mask."""
     from threecycle import _kernels
 
-    return [tuple(p) for p, _ in _kernels.star_walk(n, choice, form, patterns)]
+    seen = []
+    _kernels.star_walk(
+        n, root, lambda p, mask: seen.append((tuple(p), mask)), form, patterns, prune
+    )
+    return seen
+
+
+def star_part(n, choice, form=None, patterns=()):
+    """The pruned star walk's members under one first-cycle choice."""
+    return [p for p, _ in star_visits(n, choice, form, patterns)]
 
 
 def staircase_word(t):

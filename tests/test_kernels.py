@@ -26,6 +26,7 @@ from conftest import (
     staircase_word,
     star_by_filter,
     star_part,
+    star_visits,
 )
 from threecycle import _kernels, avoid321, oracle, perm
 
@@ -167,9 +168,9 @@ class TestBackend:
         # every walk is rooted, and no root exists at n = 0; the enumeration
         # there loops over no pair
         with pytest.raises(ValueError):
-            list(backend.star_walk(2, None))
+            star_visits(2, None)
         with pytest.raises(ValueError):
-            list(backend.star_walk(0, (2, 3, "231")))
+            star_visits(0, (2, 3, "231"))
         assert list(perm.iterate_star(0)) == []
         # a root's top pairs (x, y), 1 < x < y < 3n, partner the top element
         # and hold no root element, and the root then does not hold the top
@@ -188,7 +189,7 @@ class TestBackend:
             (2, 3, "231", [(4, 5)], "231"),  # a fifth field
         ]:
             with pytest.raises(ValueError):
-                list(backend.star_walk(2, root))
+                star_visits(2, root)
 
     def test_invalid_form_rejected(self, backend):
         with pytest.raises(ValueError):
@@ -424,18 +425,18 @@ def test_top_cycle_roots_partition_the_root_walk(n):
 
 
 def test_profile_walk_yields_only_unsaturated_members():
-    # at n = 4 the walked halves hold 123,200 members, and the walk yields
+    # at n = 4 the walked halves hold 123,200 members, and the walk visits
     # only the 386 that do not contain all six patterns; the rest are column
     # 0 of the profile, by subtraction
-    yields = [
+    masks = [
         mask
         for b, c in _kernels.star_pairs(4)
-        for _, mask in _kernels.star_walk(
+        for _, mask in star_visits(
             4, (b, c, _kernels.FORM_231), None, _kernels.PROFILE_PATTERNS, False
         )
     ]
-    assert len(yields) == 386
-    assert 63 not in yields
+    assert len(masks) == 386
+    assert 63 not in masks
 
 
 def test_triple_splits_times_orientations_is_star_cardinality():
@@ -465,13 +466,11 @@ def test_saturated_prefix_split(prefix, first, rows):
     want = leaf_histogram(completions)
     assert [row[0] for row in want] == list(rows)
     assert sum(map(sum, want)) == sum(rows)
-    # the unpruned walk yields none of them: the saturated subtree is dropped
+    # the unpruned walk visits none of them: the saturated subtree is dropped
     hits = [
         vals
-        for vals, _ in _kernels.star_walk(
-            4, first, None, _kernels.PROFILE_PATTERNS, False
-        )
-        if tuple(vals[:6]) == prefix
+        for vals, _ in star_visits(4, first, None, _kernels.PROFILE_PATTERNS, False)
+        if vals[:6] == prefix
     ]
     assert hits == []
     # nor does the pair's profile count them: it is the histogram of its
@@ -491,88 +490,88 @@ needs_n5 = pytest.mark.skipif(
 @pytest.mark.parametrize(
     "run,scans,asked,dropped",
     [
-        pytest.param(lambda: oracle.avoidance_profile(3), 506, 793, 227, id="profile"),
+        pytest.param(lambda: oracle.avoidance_profile(3), 481, 668, 227, id="profile"),
         pytest.param(
             lambda: oracle.oracle_count(oracle.query(3, "321")),
-            251,
-            251,
+            223,
+            223,
             527,
             id="count-321",
         ),
         pytest.param(
-            lambda: oracle.avoidance_profile(4), 4370, 5459, 22020, id="profile-n4"
+            lambda: oracle.avoidance_profile(4), 4320, 5209, 22020, id="profile-n4"
         ),
         pytest.param(
             lambda: oracle.oracle_count(oracle.query(4, "321")),
-            2052,
-            2052,
+            1997,
+            1997,
             11287,
             id="count-321-n4",
         ),
         pytest.param(
-            lambda: whole_count(4, [(1, 3, 2)]), 3501, 3501, 19458, id="count-132-n4"
+            lambda: whole_count(4, [(1, 3, 2)]), 3446, 3446, 19458, id="count-132-n4"
         ),
         pytest.param(
             lambda: oracle.oracle_count(oracle.query(4, "213")),
-            2012,
-            2012,
+            1957,
+            1957,
             14843,
             id="count-213-n4",
         ),
         pytest.param(
             lambda: oracle.oracle_count(oracle.query(4, "132")),
-            2012,
-            2012,
+            1957,
+            1957,
             14843,
             id="oracle-count-132-n4",
         ),
         pytest.param(
             lambda: oracle.oracle_count(oracle.query(4, "132", form="312")),
-            1343,
-            1343,
+            1288,
+            1288,
             5985,
             id="oracle-count-132-312-n4",
         ),
         pytest.param(
             lambda: list(perm.iterate_star(4, patterns=[(1, 3, 2)])),
-            3501,
-            3501,
+            3446,
+            3446,
             19458,
             id="enumerate-132-n4",
         ),
         pytest.param(
             lambda: list(perm.iterate_star(4, patterns=[(2, 3, 1)])),
-            1583,
-            1583,
-            11439,
+            1528,
+            1528,
+            14464,
             id="enumerate-231-n4",
         ),
         pytest.param(
             lambda: list(perm.iterate_star(4, form="312", patterns=[(1, 3, 2)])),
-            1664,
-            1664,
+            1609,
+            1609,
             7155,
             id="enumerate-132-312-n4",
         ),
         pytest.param(
             lambda: list(perm.iterate_star(4, form="231", patterns=[(3, 2, 1)])),
-            929,
-            929,
+            874,
+            874,
             4277,
             id="enumerate-321-231-n4",
         ),
         pytest.param(
             lambda: oracle.oracle_count(oracle.query(5, "213")),
-            16033,
-            16033,
+            15942,
+            15942,
             286528,
             id="count-213-n5",
             marks=needs_n5,
         ),
         pytest.param(
             lambda: oracle.avoidance_profile(5),
-            40160,
-            43954,
+            40075,
+            43529,
             494521,
             id="profile-n5",
             marks=needs_n5,
@@ -581,8 +580,8 @@ needs_n5 = pytest.mark.skipif(
 )
 def test_walk_containment_tests_pinned(run, scans, asked, dropped, monkeypatch):
     # the results above do not show how much work the walk does; the number
-    # of containment scans (one per child placed) and of patterns they are
-    # asked for do.  Walking a saturated subtree, or a subtree that already
+    # of containment scans (one per child placed below the root) and of
+    # patterns they are asked for do.  Walking a saturated subtree, or a subtree that already
     # contains an avoided pattern, or the 1 -> c -> b root half that the
     # inverses give, raises the scans; losing the mask of the patterns
     # already contained raises the patterns asked for.  The profile walks
@@ -595,7 +594,9 @@ def test_walk_containment_tests_pinned(run, scans, asked, dropped, monkeypatch):
     # a profile child on one open pattern's dead cells is not asked for that
     # pattern: with both rules off (no form bits, and no dead cells, so no
     # cells for the last cycle either) the walk scans ``dropped`` more
-    # children, and answers the same.
+    # children, and answers the same.  The root's mask is its form bit
+    # alone, so with the form bits off a 231 query walks below its 231
+    # roots too.
     real = _kernels.contained_patterns
     seen = [0, 0]
 
@@ -623,10 +624,9 @@ def test_walk_containment_tests_pinned(run, scans, asked, dropped, monkeypatch):
 def test_dead_cells_marked_in_every_frame_but_the_root_and_the_last(
     run, n, monkeypatch
 ):
-    # the root frame has no placed entry to complete a pattern with, and the
-    # last cycle, on the three entries left, has no frame of its own: it is
-    # checked on its parent frame's cells.  Every frame between marks its
-    # dead cells
+    # the root is placed before the first frame, and the last frame, on the
+    # three entries left, builds no cells: it checks its children on its
+    # parent frame's cells.  Every frame between marks its dead cells
     real = _kernels.dead_cells
     depths = set()
 
@@ -639,6 +639,52 @@ def test_dead_cells_marked_in_every_frame_but_the_root_and_the_last(
     monkeypatch.setattr(_kernels, "dead_cells", watching)
     run(n)
     assert depths == set(range(2, n))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda n: oracle.avoidance_profile(n),
+        lambda n: whole_count(n, [(3, 2, 1)]),
+        lambda n: whole_count(n, [(2, 3, 1)], "312"),
+        lambda n: list(perm.iterate_star(n, patterns=[(1, 3, 2)])),
+        lambda n: star_visits(n, (2, 3, "231", [(4, 5)]), None, [(3, 2, 1)]),
+    ],
+    ids=["profile", "count-321", "count-231-312", "enumerate-132", "top-pairs"],
+)
+@pytest.mark.parametrize("n", [2, 3])
+def test_no_scan_before_the_second_cycle(run, n, monkeypatch):
+    # the root is placed with its form bit and no scan, so every scan sees
+    # at least two placed cycles
+    real = _kernels.contained_patterns
+    calls = [0]
+
+    def watching(values, bits, wanted):
+        calls[0] += 1
+        assert sum(1 for v in values if v) >= 6, values
+        return real(values, bits, wanted)
+
+    monkeypatch.setattr(_kernels, "contained_patterns", watching)
+    run(n)
+    assert calls[0] > 0
+
+
+@pytest.mark.parametrize(
+    "form, member, bit", [("231", (2, 3, 1), 8), ("312", (3, 1, 2), 16)]
+)
+def test_lone_root_visited_with_its_form_bit(form, member, bit, monkeypatch):
+    # at n = 1 the root is the member: the visitor gets it with its form bit
+    # as the mask, and nothing is scanned
+    monkeypatch.setattr(_kernels, "contained_patterns", _fail_scan)
+    patterns = _kernels.PROFILE_PATTERNS
+    assert star_visits(1, (2, 3, form), None, patterns, False) == [(member, bit)]
+    assert star_visits(1, (2, 3, form)) == [(member, 0)]
+    # a pruned walk avoiding the form's pattern visits nothing
+    assert star_visits(1, (2, 3, form), None, patterns) == []
+
+
+def _fail_scan(*args):
+    raise AssertionError("contained_patterns ran")
 
 
 @pytest.mark.parametrize("n, calls", [(1, 1), (2, 7), (3, 25), (4, 50)])
@@ -827,11 +873,11 @@ def test_walk_mask_bits_follow_profile_patterns():
     # bit i of a yielded mask is PROFILE_PATTERNS[i], whatever the order or
     # repetition of the walk's patterns
     patterns = [(3, 2, 1), (1, 2, 3), (3, 2, 1)]
-    masks = {
-        tuple(vals): mask
+    masks = dict(
+        visit
         for choice in first_choices(2)
-        for vals, mask in _kernels.star_walk(2, choice, None, patterns, False)
-    }
+        for visit in star_visits(2, choice, None, patterns, False)
+    )
     for vals, mask in masks.items():
         assert mask == naive_mask(vals) & 33, vals
 
@@ -842,8 +888,10 @@ def test_walk_mask_bits_follow_profile_patterns():
 def test_malformed_patterns_refused_before_walking(pattern):
     with pytest.raises(ValueError, match="patterns must have length 3"):
         _kernels.pattern_mask([pattern])
-    walk = _kernels.star_walk(2, (2, 3, "231"), None, [(3, 2, 1), pattern])
+    def visited(*_):
+        raise AssertionError("the walk visited a member")
+
     with pytest.raises(ValueError, match="patterns must have length 3"):
-        next(walk)
+        _kernels.star_walk(2, (2, 3, "231"), visited, None, [(3, 2, 1), pattern])
     with pytest.raises(ValueError, match="patterns must have length 3"):
         _kernels.count_avoiders(1, [pattern], None, (2, 3))

@@ -4,6 +4,10 @@ the direct star generator."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -40,6 +44,42 @@ class TestNotation:
         p = perm.parse_one_line("2 4 1 5 3 7 6")
         assert perm.format_cycles(p) == "(1,2,4,5,3)(6,7)"
         assert perm.format_cycles((1, 2, 3)) == "(1)(2)(3)"
+
+
+# the src imported above, so that a subprocess runs the code under test
+SRC = Path(perm.__file__).parent.parent
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "perm.is_three_cycle_only((2, 2, 3))",
+        "perm.format_cycles((3, 3, 1))",
+        "avoid231.decode((2, 2, 3))",
+        "avoid132.t_partition((2, 2, 3))",
+    ],
+)
+def test_repeated_value_refused_not_looped(call):
+    # a repeated value leaves some start that no value reaches, so a cycle
+    # walk from it would never return; each call runs in its own process so
+    # that such a loop fails the test in seconds instead of hanging the run
+    code = (
+        "from threecycle import avoid132, avoid231, perm\n"
+        "from threecycle.errors import PermutationError\n"
+        "try:\n"
+        f"    {call}\n"
+        "except PermutationError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('not refused')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCycles:
