@@ -10,10 +10,11 @@ its mask, the one child rule of every later frame (form bit, dead cells,
 scan), and the last frame, which builds no cells and checks its children
 on its parent's (``star_walk``, which calls a visitor for each member); the
 dead cells themselves (``dead_cells``), the pairs a frame draws from them
-(``_live_pairs``), halving a query that is its own inverse image
-(``self_inverse``, applied by ``count_avoiders`` and ``star_members``), and
-the profile's orbit rule (``avoidance_profile``).  Every walk covers one
-root partner pair (``star_pairs``), the oracle's unit of work.
+(``_live_pairs``), the one rule for halving a query that is its own
+inverse image (``self_inverse``, applied alike by ``count_avoiders`` and
+``star_members``, with or without patterns), and the profile's orbit rule
+(``avoidance_profile``).  Every walk covers one root partner pair
+(``star_pairs``), the oracle's unit of work.
 
 The six length-3 patterns live in one table, ``PROFILE_PATTERNS``, whose
 order is every pattern mask's bit order (``pattern_mask``); their names are
@@ -563,8 +564,10 @@ def self_inverse(patterns: Sequence[Sequence[int]], form: str | None) -> bool:
     onto one with root 1 -> c -> b, the cycle forms onto each other, and a
     member avoiding a pattern onto one avoiding its inverse
     (:func:`inverse_mask`), so such a query's members with one root are the
-    inverses of those with the other.  A bad form or pattern raises
-    ValueError.
+    inverses of those with the other.  It is the one halving rule: both
+    :func:`count_avoiders` and :func:`star_members` walk only the root
+    1 -> b -> c of such a query, the whole star set (no patterns) included.
+    A bad form or pattern raises ValueError.
 
     >>> self_inverse([(1, 3, 2)], None), self_inverse([(2, 3, 1)], None)
     (True, False)
@@ -638,22 +641,18 @@ def star_members(
     1 -> c -> b ones.  ``form`` and ``patterns`` cut the stream without
     reordering it; ``n = 0`` yields nothing.
 
-    A query that is its own inverse image (:func:`self_inverse`) and has
-    patterns walks only the root 1 -> b -> c, as a count does: its members
-    come in walk order, and then their inverses, the members with root
-    1 -> c -> b, sorted into walk order.  The walk's visitor collects one
-    pair's members, which are yielded before the next pair is walked, so
-    only one pair's members (and their inverses) are held at a time.  Any
-    other query walks both roots, and so does the whole star set (no
-    ``patterns``): its walk makes no scans to save, and inverting and
-    sorting cost more (all 246,400 at n = 4: 0.56 s halved, 0.32 s not;
-    medians of 5, Python 3.11 on 2 cores).  A bad form or pattern is
-    refused before any pair, at n = 0 too.
+    A query that is its own inverse image (:func:`self_inverse`) walks only
+    the root 1 -> b -> c, as a count does: its members come in walk order,
+    and then their inverses, the members with root 1 -> c -> b, sorted into
+    walk order.  Any other query walks both roots.  The walk's visitor
+    collects one pair's members, which are yielded before the next pair is
+    walked, so only one pair's members (and their inverses) are held at a
+    time.  A bad form or pattern is refused before any pair, at n = 0 too.
 
     >>> list(star_members(1)), list(star_members(1, patterns=[(2, 3, 1)]))
     ([(2, 3, 1), (3, 1, 2)], [(3, 1, 2)])
     """
-    halved = self_inverse(patterns, form) and len(patterns) > 0
+    halved = self_inverse(patterns, form)
     roots = (FORM_231,) if halved else (FORM_231, FORM_312)
     members: list[tuple[int, ...]] = []
 

@@ -238,19 +238,20 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 
 
 class Check(NamedTuple):
-    """A row of the verify suite: for each n in ``ns(max_n)`` the values the
-    sides take at n must be equal.  ``sides(ns, profiles)`` returns each
-    side as a sequence over the whole range ``ns``, so a route that reads
-    every n off one pass makes that pass once per row.  ``profiles`` are the
-    shared ``oracle.avoidance_profile`` tables of the n's in ``ns`` (verify
-    sweeps all its n's in one call) if the row ``sweeps``, else None."""
+    """A row of the verify suite: for each n it checks, the values the sides
+    take at n must be equal.  ``ns=None`` checks the sweep's n, every n up
+    to ``--max-n``, and any other row checks its own range.
+    ``sides(ns, tables)`` returns each side as a sequence over the whole
+    range ``ns``, so a route that reads every n off one pass makes that
+    pass once per row.  ``tables`` are the ``oracle.avoidance_profile``
+    tables of the one sweep verify makes, one per n from 1, which a row
+    with ``ns=None`` reads and any other row ignores."""
 
     label: str
     selected_by: tuple[str, ...]  # single --pattern names; "all" selects every row
-    ns: Callable[[int], range]
-    sides: Callable[[range, list[list[list[int]]] | None], tuple]
+    ns: range | None
+    sides: Callable[[range, list[list[list[int]]]], tuple]
     passed: str  # the pass line; {last} is the last n checked
-    sweeps: bool = False
 
 
 def _sweep_check(
@@ -262,32 +263,20 @@ def _sweep_check(
     """formula_counts against the swept profile for each (patterns, form)."""
     parsed = [(_parse_pattern_set(text), form) for text, form in queries]
 
-    def sides(ns: range, profiles: list[list[list[int]]]) -> tuple:
+    def sides(ns: range, tables: list[list[list[int]]]) -> tuple:
         counts = [formula_counts(ns, pats, form) for pats, form in parsed]
         return (
             [list(at) for at in zip(*counts)],
             [
                 [oracle.profile_count(table, pats, form) for pats, form in parsed]
-                for table in profiles
+                for table in tables
             ],
         )
 
-    return Check(
-        label,
-        selected_by,
-        lambda max_n: range(1, max_n + 1),
-        sides,
-        passed,
-        sweeps=True,
-    )
+    return Check(label, selected_by, None, sides, passed)
 
 
-def _each_n(sides_at: Callable[[int], tuple]) -> Callable[[range, None], tuple]:
-    """The sides of a row whose routes take one n at a time."""
-    return lambda ns, _profiles: tuple(zip(*map(sides_at, ns)))
-
-
-def _encode_image_sides(ns: range, profiles: list[list[list[int]]]) -> tuple:
+def _encode_image_sides(ns: range, tables: list[list[list[int]]]) -> tuple:
     """The 231 class by its formula and by the sweep, the words of length
     n - 1, and the distinct members of the class among their encode images.
     All four equal says that the image is distinct and lies in the class,
@@ -307,7 +296,7 @@ def _encode_image_sides(ns: range, profiles: list[list[list[int]]]) -> tuple:
 
     return (
         [avoid231.count_231(n) for n in ns],
-        [oracle.profile_count(table, [(2, 3, 1)]) for table in profiles],
+        [oracle.profile_count(table, [(2, 3, 1)]) for table in tables],
         *zip(*map(image, ns)),
     )
 
@@ -349,16 +338,15 @@ CHECKS = (
     Check(
         "bijection 231",
         ("231", "312"),
-        lambda max_n: range(1, max_n + 1),
+        None,
         _encode_image_sides,
         "bijection 231: encode image matches oracle for n=1..{last}",
-        sweeps=True,
     ),
     Check(
         "series identity",
         ("132", "213"),
-        lambda max_n: range(20, 21),
-        _each_n(_series_identity_sides),
+        range(20, 21),
+        lambda ns, _tables: tuple(zip(*map(_series_identity_sides, ns))),
         "identity: series B*(1-A) = 2A to order {last}",
     ),
     # the per-word Dyck sum pins the Dyck-path transfer that "Dyck identity"
@@ -366,8 +354,8 @@ CHECKS = (
     Check(
         "route check 321",
         ("321",),
-        lambda max_n: range(1, 9),
-        lambda ns, _profiles: (
+        range(1, 9),
+        lambda ns, _tables: (
             avoid321.count_321_via_tsets(ns),
             [avoid321.count_321_via_dyck(n) for n in ns],
             avoid321.dyck_h_sum(ns, 2),
@@ -377,8 +365,8 @@ CHECKS = (
     Check(
         "Dyck identity",
         ("321",),
-        lambda max_n: range(1, 11),
-        lambda ns, _profiles: (avoid321.dyck_identity_check(ns), [True] * len(ns)),
+        range(1, 11),
+        lambda ns, _tables: (avoid321.dyck_identity_check(ns), [True] * len(ns)),
         "identity: Dyck binomial sum = Fuss-Catalan for n=1..{last}",
     ),
 )
@@ -409,11 +397,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     oracle.check_limits(args.max_n)
     sizes = range(1, args.max_n + 1)
     tables = oracle.avoidance_profile(sizes, args.jobs)
-    profiles = dict(zip(sizes, tables))
     failed = False
     for check in checks:
-        ns = check.ns(args.max_n)
-        sides = check.sides(ns, [profiles[n] for n in ns] if check.sweeps else None)
+        ns = sizes if check.ns is None else check.ns
+        sides = check.sides(ns, tables)
         bad = [(n, *at) for n, *at in zip(ns, *sides) if any(v != at[0] for v in at)]
         failed |= bool(bad)
         passed = check.passed.format(last=ns[-1])

@@ -37,8 +37,6 @@ from threecycle.errors import ResourceLimitError
 
 WALK_LIMIT = 6
 
-FORMS = _kernels.FORMS
-
 
 class _AvoidanceQueryFields(NamedTuple):
     n: int

@@ -9,6 +9,7 @@ before F before D.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 
@@ -56,36 +57,16 @@ def dyck_words(n: int, up: str = "1", down: str = "2") -> Iterator[str]:
 
 
 def motzkin_words(k: int) -> Iterator[str]:
-    """All Motzkin words of length ``k`` over U/F/D (U before F before D).
+    """All Motzkin words of length ``k`` over U/F/D (U before F before D),
+    read off the definition: every word of the three letters, in that
+    order, kept when it is a Motzkin word (:func:`is_motzkin`).
 
     >>> list(motzkin_words(2))
     ['UD', 'FF']
     """
     if k < 0:
         raise ValueError("length must be nonnegative")
-    prefix: list[str] = []
-
-    def rec(placed: int, depth: int) -> Iterator[str]:
-        if placed == k:
-            if depth == 0:
-                yield "".join(prefix)
-            return
-        # prune branches that cannot land back on the axis
-        if depth > k - placed:
-            return
-        if depth + 1 <= k - placed - 1:
-            prefix.append("U")
-            yield from rec(placed + 1, depth + 1)
-            prefix.pop()
-        prefix.append("F")
-        yield from rec(placed + 1, depth)
-        prefix.pop()
-        if depth > 0:
-            prefix.append("D")
-            yield from rec(placed + 1, depth - 1)
-            prefix.pop()
-
-    return rec(0, 0)
+    return filter(is_motzkin, map("".join, itertools.product("UFD", repeat=k)))
 
 
 def is_motzkin(word: str) -> bool:

@@ -444,7 +444,7 @@ def _verify_row_fails(check, breaker, capsys):
 
 @pytest.mark.parametrize("check", cli.CHECKS, ids=[c.label for c in cli.CHECKS])
 def test_verify_row_mismatch_exits_1(check, capsys):
-    breakers = [SWEPT_BREAKER] if check.sweeps else []
+    breakers = [SWEPT_BREAKER] if check.ns is None else []
     if check.label in BREAKERS:
         breakers.append(BREAKERS[check.label])
     assert breakers

@@ -50,150 +50,152 @@ def whole_count(n, patterns, form=None):
     )
 
 
-# One kernel module; the class keeps the ``[python]`` test ids it had when it
-# ran over two interchangeable backends, so test histories line up.
-@pytest.mark.parametrize("backend", [_kernels], ids=["python"])
-class TestBackend:
-    def test_contains_pattern3_exhaustive_small(self, backend):
-        # the one containment entry point, perm.contains_pattern, over the
-        # kernel's scan
-        patterns = list(itertools.permutations((1, 2, 3)))
-        for m in (3, 4, 5):
-            for p in itertools.permutations(range(1, m + 1)):
-                for sigma in patterns:
-                    assert perm.contains_pattern(p, sigma) == naive_contains(
-                        p, sigma
-                    )
+def test_contains_pattern3_exhaustive_small():
+    # the one containment entry point, perm.contains_pattern, over the
+    # kernel's scan
+    patterns = list(itertools.permutations((1, 2, 3)))
+    for m in (3, 4, 5):
+        for p in itertools.permutations(range(1, m + 1)):
+            for sigma in patterns:
+                assert perm.contains_pattern(p, sigma) == naive_contains(p, sigma)
 
-    def test_count_matches_filtered_enumeration(self, backend):
-        # every pattern set and form: the pruned walk counts exactly the
-        # members of the unpruned stream that a naive scan finds avoiding
-        for n in (1, 2, 3):
-            marked = mark_members(perm.iterate_star(n))
-            for patterns in PATTERN_SETS:
-                for form in FORMS:
-                    want = len(select(marked, patterns, form))
-                    got = whole_count(n, patterns, form)
-                    assert got == want, (n, patterns, form)
 
-    def test_profile_consistent_with_count(self, backend):
-        order = {p: i for i, p in enumerate(backend.PROFILE_PATTERNS)}
-        for n in (1, 2, 3):
-            table = oracle.avoidance_profile(n)
-            for patterns, form in QUERIES:
-                required = 0
-                for sigma in patterns:
-                    required |= 1 << order[sigma]
-                rows = {None: (0, 1, 2), "312": (1,), "231": (2,)}[form]
-                got = sum(
-                    table[row][mask]
-                    for row in rows
-                    for mask in range(64)
-                    if mask & required == required
+def test_count_matches_filtered_enumeration():
+    # every pattern set and form: the pruned walk counts exactly the
+    # members of the unpruned stream that a naive scan finds avoiding
+    for n in (1, 2, 3):
+        marked = mark_members(perm.iterate_star(n))
+        for patterns in PATTERN_SETS:
+            for form in FORMS:
+                want = len(select(marked, patterns, form))
+                got = whole_count(n, patterns, form)
+                assert got == want, (n, patterns, form)
+
+
+def test_profile_consistent_with_count():
+    order = {p: i for i, p in enumerate(_kernels.PROFILE_PATTERNS)}
+    for n in (1, 2, 3):
+        table = oracle.avoidance_profile(n)
+        for patterns, form in QUERIES:
+            required = 0
+            for sigma in patterns:
+                required |= 1 << order[sigma]
+            rows = {None: (0, 1, 2), "312": (1,), "231": (2,)}[form]
+            got = sum(
+                table[row][mask]
+                for row in rows
+                for mask in range(64)
+                if mask & required == required
+            )
+            assert got == whole_count(n, patterns, form)
+
+
+def test_profile_total_is_star_cardinality():
+    # no pair's part counts column 0; the merged table fills it from the
+    # row totals, and the all-312 and all-231 rows hold one member per
+    # split into triples
+    for n in (1, 2, 3):
+        for pair in _kernels.star_pairs(n):
+            part = _kernels.avoidance_profile(n, pair)
+            assert [row[0] for row in part] == [0, 0, 0], (n, pair)
+        table = oracle.avoidance_profile(n)
+        assert sum(sum(row) for row in table) == perm.star_cardinality(n)
+        assert sum(table[1]) == sum(table[2]) == _kernels.triple_splits(n)
+        assert min(row[0] for row in table) >= 0
+
+
+def test_first_choice_partition_sums():
+    # the root choices partition every walk, form-restricted and pruned
+    # ones included: the pruned streams concatenate to the whole pruned
+    # stream in order, and the partner pairs' counts, each covering both
+    # orientations, add up to the naive filtered stream's; each pair's
+    # profile is the histogram of its orbit share, and the shares add up
+    # to the naive histogram but for column 0, which the oracle fills
+    for n in (2, 3):
+        pairs = _kernels.star_pairs(n)
+        marked = mark_members(perm.iterate_star(n))
+        for patterns, _ in QUERIES:
+            for form in FORMS:
+                parts = sum(
+                    _kernels.count_avoiders(n, patterns, form, pair)
+                    for pair in pairs
                 )
-                assert got == whole_count(n, patterns, form)
+                want = select(marked, patterns, form)
+                assert parts == len(want), (n, patterns, form)
+                whole = list(perm.iterate_star(n, form=form, patterns=patterns))
+                pieces = [
+                    p
+                    for choice in first_choices(n)
+                    for p in star_part(n, choice, form, patterns)
+                ]
+                assert pieces == whole == want, (n, patterns, form)
+        parts = [_kernels.avoidance_profile(n, pair) for pair in pairs]
+        for pair, part in zip(pairs, parts):
+            assert part == share_histogram(n, pair), (n, pair)
+        want = leaf_histogram(perm.iterate_star(n))
+        assert add_tables(*parts) == without_column_0(want), n
 
-    def test_profile_total_is_star_cardinality(self, backend):
-        # no pair's part counts column 0; the merged table fills it from the
-        # row totals, and the all-312 and all-231 rows hold one member per
-        # split into triples
-        for n in (1, 2, 3):
-            for pair in backend.star_pairs(n):
-                part = backend.avoidance_profile(n, pair)
-                assert [row[0] for row in part] == [0, 0, 0], (n, pair)
-            table = oracle.avoidance_profile(n)
-            assert sum(sum(row) for row in table) == perm.star_cardinality(n)
-            assert sum(table[1]) == sum(table[2]) == backend.triple_splits(n)
-            assert min(row[0] for row in table) >= 0
 
-    def test_first_choice_partition_sums(self, backend):
-        # the root choices partition every walk, form-restricted and pruned
-        # ones included: the pruned streams concatenate to the whole pruned
-        # stream in order, and the partner pairs' counts, each covering both
-        # orientations, add up to the naive filtered stream's; each pair's
-        # profile is the histogram of its orbit share, and the shares add up
-        # to the naive histogram but for column 0, which the oracle fills
-        for n in (2, 3):
-            pairs = _kernels.star_pairs(n)
-            marked = mark_members(perm.iterate_star(n))
-            for patterns, _ in QUERIES:
-                for form in FORMS:
-                    parts = sum(
-                        backend.count_avoiders(n, patterns, form, pair)
-                        for pair in pairs
-                    )
-                    want = select(marked, patterns, form)
-                    assert parts == len(want), (n, patterns, form)
-                    whole = list(perm.iterate_star(n, form=form, patterns=patterns))
-                    pieces = [
-                        p
-                        for choice in first_choices(n)
-                        for p in star_part(n, choice, form, patterns)
-                    ]
-                    assert pieces == whole == want, (n, patterns, form)
-            parts = [backend.avoidance_profile(n, pair) for pair in pairs]
-            for pair, part in zip(pairs, parts):
-                assert part == share_histogram(n, pair), (n, pair)
-            want = leaf_histogram(perm.iterate_star(n))
-            assert add_tables(*parts) == without_column_0(want), n
+def test_h_of_tset_matches_word_walk():
+    # against the letter-by-letter reference, not the scan it wraps
+    for n in range(1, 8):
+        for t in avoid321.enumerate_tsets(n):
+            assert _kernels.h_of_tset(t) == staircase_word(t)[1], t
 
-    def test_h_of_tset_matches_word_walk(self, backend):
-        # against the letter-by-letter reference, not the scan it wraps
-        for n in range(1, 8):
-            for t in avoid321.enumerate_tsets(n):
-                assert backend.h_of_tset(t) == staircase_word(t)[1], t
 
-    def test_scan_cuts_match_word_walk(self, backend):
-        # the cuts are the y counts at which the reference counts h
-        for n in range(1, 8):
-            for t in avoid321.enumerate_tsets(n):
-                word, _, cuts = staircase_word(t)
-                codes, got = backend.tset_scan(t)
-                assert (codes.decode(), got) == (word, cuts), t
+def test_scan_cuts_match_word_walk():
+    # the cuts are the y counts at which the reference counts h
+    for n in range(1, 8):
+        for t in avoid321.enumerate_tsets(n):
+            word, _, cuts = staircase_word(t)
+            codes, got = _kernels.tset_scan(t)
+            assert (codes.decode(), got) == (word, cuts), t
 
-    def test_invalid_first_choice_rejected(self, backend):
-        with pytest.raises(ValueError):
-            backend.count_avoiders(2, ((3, 2, 1),), None, (1, 2, 1))
-        with pytest.raises(ValueError):
-            backend.count_avoiders(2, ((3, 2, 1),), None, (2, 3, 7))
-        with pytest.raises(ValueError):
-            backend.avoidance_profile(2, (2, 3, 3))
-        # pairs of the right shape outside 1 < b < c <= 3n reach each
-        # function's own check
-        for pair in [(3, 2), (1, 2), (2, 7)]:
-            with pytest.raises(ValueError, match="invalid root"):
-                backend.count_avoiders(2, ((3, 2, 1),), None, pair)
-            with pytest.raises(ValueError, match="invalid pair"):
-                backend.avoidance_profile(2, pair)
-        # every walk is rooted, and no root exists at n = 0; the enumeration
-        # there loops over no pair
-        with pytest.raises(ValueError):
-            star_visits(2, None)
-        with pytest.raises(ValueError):
-            star_visits(0, (2, 3, "231"))
-        assert list(perm.iterate_star(0)) == []
-        # a root's top pairs (x, y), 1 < x < y < 3n, partner the top element
-        # and hold no root element, and the root then does not hold the top
-        # element: any other pair would overwrite placed entries, and a
-        # repeated pair would walk its members twice
-        for root in [
-            (2, 3, "231", [(3, 5)]),  # overlaps the root
-            (2, 3, "231", [(4, 5), (2, 4)]),  # a later pair overlaps it
-            (2, 3, "231", [(4, 5), (4, 5)]),  # a repeated pair
-            (2, 3, "231", [(1, 4)]),  # the root's element 1
-            (2, 3, "231", [(5, 4)]),  # x > y
-            (2, 3, "231", [(4, 4)]),  # x = y
-            (2, 3, "231", [(4, 6)]),  # touches 3n
-            (2, 3, "231", [(0, 5)]),  # out of range
-            (2, 6, "231", [(4, 5)]),  # given when c = 3n
-            (2, 3, "231", [(4, 5)], "231"),  # a fifth field
-        ]:
-            with pytest.raises(ValueError):
-                star_visits(2, root)
 
-    def test_invalid_form_rejected(self, backend):
+def test_invalid_first_choice_rejected():
+    with pytest.raises(ValueError):
+        _kernels.count_avoiders(2, ((3, 2, 1),), None, (1, 2, 1))
+    with pytest.raises(ValueError):
+        _kernels.count_avoiders(2, ((3, 2, 1),), None, (2, 3, 7))
+    with pytest.raises(ValueError):
+        _kernels.avoidance_profile(2, (2, 3, 3))
+    # pairs of the right shape outside 1 < b < c <= 3n reach each
+    # function's own check
+    for pair in [(3, 2), (1, 2), (2, 7)]:
+        with pytest.raises(ValueError, match="invalid root"):
+            _kernels.count_avoiders(2, ((3, 2, 1),), None, pair)
+        with pytest.raises(ValueError, match="invalid pair"):
+            _kernels.avoidance_profile(2, pair)
+    # every walk is rooted, and no root exists at n = 0; the enumeration
+    # there loops over no pair
+    with pytest.raises(ValueError):
+        star_visits(2, None)
+    with pytest.raises(ValueError):
+        star_visits(0, (2, 3, "231"))
+    assert list(perm.iterate_star(0)) == []
+    # a root's top pairs (x, y), 1 < x < y < 3n, partner the top element
+    # and hold no root element, and the root then does not hold the top
+    # element: any other pair would overwrite placed entries, and a
+    # repeated pair would walk its members twice
+    for root in [
+        (2, 3, "231", [(3, 5)]),  # overlaps the root
+        (2, 3, "231", [(4, 5), (2, 4)]),  # a later pair overlaps it
+        (2, 3, "231", [(4, 5), (4, 5)]),  # a repeated pair
+        (2, 3, "231", [(1, 4)]),  # the root's element 1
+        (2, 3, "231", [(5, 4)]),  # x > y
+        (2, 3, "231", [(4, 4)]),  # x = y
+        (2, 3, "231", [(4, 6)]),  # touches 3n
+        (2, 3, "231", [(0, 5)]),  # out of range
+        (2, 6, "231", [(4, 5)]),  # given when c = 3n
+        (2, 3, "231", [(4, 5)], "231"),  # a fifth field
+    ]:
         with pytest.raises(ValueError):
-            backend.count_avoiders(2, ((3, 2, 1),), "213", (2, 3))
+            star_visits(2, root)
+
+
+def test_invalid_form_rejected():
+    with pytest.raises(ValueError):
+        _kernels.count_avoiders(2, ((3, 2, 1),), "213", (2, 3))
 
 
 def test_pruned_walk_matches_symmetric_group_filter():
@@ -369,6 +371,23 @@ def test_halved_enumeration_matches_plain_walk(n, pattern_sets):
             ]
             got = list(perm.iterate_star(n, form=form, patterns=patterns))
             assert got == plain, (n, patterns, form)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_whole_star_set_walks_one_root_per_pair(n, monkeypatch):
+    # with no patterns the query is its own inverse image too, so the
+    # enumeration halves by the count's rule: one walk per root pair, each
+    # rooted 1 -> b -> c, and the 1 -> c -> b members are inverses
+    roots = []
+    real = _kernels.star_walk
+
+    def recording(n, root, *rest):
+        roots.append(root)
+        return real(n, root, *rest)
+
+    monkeypatch.setattr(_kernels, "star_walk", recording)
+    list(perm.iterate_star(n))
+    assert roots == [(b, c, "231") for b, c in _kernels.star_pairs(n)]
 
 
 def test_profile_n4_golden():

@@ -19,7 +19,7 @@ from conftest import (
     naive_contains,
     select,
 )
-from threecycle import cli, oracle, perm
+from threecycle import _kernels, cli, oracle, perm
 from threecycle.errors import ResourceLimitError
 
 # the src imported above, so that a subprocess runs the code under test
@@ -86,7 +86,7 @@ class TestEnumerate:
         for n in (1, 2, 3):
             marked = mark_members(perm.iterate_star(n))
             for patterns in PATTERN_SETS:
-                for form in oracle.FORMS:
+                for form in _kernels.FORMS:
                     want = select(marked, patterns, form)
                     q = oracle.AvoidanceQuery(n, frozenset(patterns), form)
                     assert list(oracle.oracle_enumerate(q)) == want, q
@@ -142,7 +142,7 @@ class TestCount:
         for n in ns:
             table = oracle.avoidance_profile(n)
             for patterns in PATTERN_SETS:
-                for form in oracle.FORMS:
+                for form in _kernels.FORMS:
                     q = oracle.AvoidanceQuery(n, frozenset(patterns), form)
                     want = oracle.profile_count(table, patterns, form)
                     assert oracle.oracle_count(q) == want, (n, patterns, form)

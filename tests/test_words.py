@@ -1,4 +1,5 @@
-"""The Dyck-word generator: count, order, balance and refusal."""
+"""The Dyck- and Motzkin-word generators: count, order, balance and
+refusal."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import itertools
 import pytest
 
 from conftest import catalan_direct
-from threecycle import words
+from threecycle import series, words
 
 ALPHABETS = [("1", "2"), ("x", "y")]
 
@@ -34,3 +35,20 @@ def test_dyck_words_are_the_catalan_many_balanced_words_in_order(up, down):
 def test_dyck_words_refuses_a_negative_semilength_at_the_call():
     with pytest.raises(ValueError, match="nonnegative"):
         words.dyck_words(-1)
+
+
+def test_motzkin_words_are_the_motzkin_many_words_in_order():
+    counts = series.motzkin_numbers(10)
+    rank = str.maketrans("UFD", "012")  # U < F < D as letters to compare
+    for k in range(11):
+        got = list(words.motzkin_words(k))
+        assert len(got) == counts[k], k
+        keys = [word.translate(rank) for word in got]
+        assert all(a < b for a, b in zip(keys, keys[1:])), k
+        for word in got:
+            assert len(word) == k and words.is_motzkin(word), word
+
+
+def test_motzkin_words_refuses_a_negative_length_at_the_call():
+    with pytest.raises(ValueError, match="nonnegative"):
+        words.motzkin_words(-1)
